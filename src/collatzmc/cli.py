@@ -11,6 +11,7 @@ import argparse
 import json
 import os
 import sys
+from fractions import Fraction
 
 from . import contraction, empirical, markov, measure
 from .congruence import CongruenceClass, preimage_class
@@ -105,7 +106,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run exact verification checks; exit 1 on any FAIL")
     p.add_argument("--m", type=_positive_int, default=1)
     p.add_argument("--measure", action="store_true", help="measure preimage-invariance, per class")
-    p.add_argument("--stochasticity", action="store_true", help="row sums of the matrix")
+    p.add_argument(
+        "--stochasticity",
+        action="store_true",
+        help="8 image columns per row; column in-degrees equal preimage sizes",
+    )
     p.add_argument("--stationarity", action="store_true", help="exact fixed vector + power iteration")
     p.add_argument("--chapman", action="store_true", help="k-step measure probabilities vs matrix powers")
     p.add_argument("--ergodicity", action="store_true", help="some matrix power strictly positive")
@@ -129,9 +134,8 @@ def _cmd_preimage(args, out) -> int:
 def _cmd_matrix(args, out) -> int:
     matrix = markov.build_matrix(args.m)
     if args.format == "triplets":
-        for i, row in enumerate(matrix.rows):
-            for j, p in row:
-                print(f"{i} {j} {p}", file=out)
+        labels = [str(Fraction(count, matrix.width)) for count in range(matrix.width + 1)]
+        out.writelines(f"{i} {j} {labels[count]}\n" for i, j, count in matrix.entries())
     else:
         for row in matrix.dense():
             print(" ".join(str(p) for p in row), file=out)
@@ -140,8 +144,7 @@ def _cmd_matrix(args, out) -> int:
 
 def _cmd_stationary(args, out) -> int:
     dist = markov.stationary_distribution(markov.build_matrix(args.m))
-    for i, w in enumerate(dist.weights):
-        print(f"{i} {w}", file=out)
+    out.writelines(f"{i} {w}\n" for i, w in enumerate(dist.weights))
     return 0
 
 
@@ -221,7 +224,15 @@ def _cmd_verify(args, out) -> int:
     failed = False
 
     if checks["measure"]:
-        report = measure.check_invariance(args.m, allow_large=args.force)
+        try:
+            report = measure.check_invariance(args.m, allow_large=args.force)
+        except CapacityError:
+            print(
+                f"error: level {args.m} enumerates 8^{args.m} classes; "
+                "pass --force to run the measure check",
+                file=sys.stderr,
+            )
+            return 3
         if not args.run_all:
             for row in report.rows:
                 if row.ok:
@@ -245,10 +256,11 @@ def _cmd_verify(args, out) -> int:
         matrix = markov.build_matrix(args.m)
 
     if checks["stochasticity"]:
-        bad = [i for i, row in enumerate(matrix.rows) if sum(p for _, p in row) != 1]
-        status = "PASS" if not bad else "FAIL"
-        print(f"{status} stochasticity m={args.m} ({matrix.size} rows sum to 1)", file=out)
-        failed |= bool(bad)
+        if markov.check_stochasticity(matrix):
+            print(f"PASS stochasticity m={args.m} ({matrix.size} rows sum to 1)", file=out)
+        else:
+            print(f"FAIL stochasticity m={args.m} (in-degrees differ from preimage sizes)", file=out)
+            failed = True
 
     if checks["stationarity"]:
         try:

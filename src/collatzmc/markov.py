@@ -1,73 +1,137 @@
 """Exact stochastic matrices on the 8^m residue classes and their fixed vectors.
 
-Transition probabilities come from the forward split of each class (image
-multiplicity / 8) and agree with the invariant-measure quotient definition;
-both constructions are kept so tests can cross-check one against the other.
+A matrix is stored as its image array: row i is a multiset of `width` columns,
+each carrying probability 1/width.  The class chain Q(m) has width 8, since
+row i lists the image classes of the 8 refining subclasses of B(i, 8^m)
+(forward_split), so its rows sum to 1 by construction and every product with
+it is a gather or a bincount.  The invariant-measure quotient construction is
+kept so tests can cross-check one against the other.
 """
 
 from __future__ import annotations
 
+import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .congruence import ClassUnion, CongruenceClass, forward_split, preimage_class, preimage_union
+from .congruence import ClassUnion, CongruenceClass, preimage_class, preimage_union
 from .errors import CapacityError, ConsistencyError
+from .maps import MULTIPLIERS, OFFSETS
 from .measure import measure_class
 
 #: Matrices above this level (8^5 = 32768 states) are refused.
 DEFAULT_MAX_LEVEL = 5
 
-#: Exact dense powering is limited to this level.
+#: Exact dense output and powering are limited to this level.
 MAX_POWER_LEVEL = 2
-MAX_POWER_EXPONENT = 32
+
+#: Image cells (rows x width) a matrix power or a matrix built from exact rows
+#: may hold: 16 MiB of indices.  Q(m)^k has width 8^k.
+MAX_IMAGE_CELLS = 8**7
 
 
-@dataclass(frozen=True)
 class TransitionMatrix:
-    """Sparse row-stochastic matrix on the 8^level residue classes.
+    """Row-stochastic matrix on the 8^level residue classes, as an image array.
 
-    Each row is a tuple of (column, probability) pairs with positive exact
-    probabilities, sorted by column and summing to exactly 1.
+    `images` has one row of `width` column indices per state, and entry (i, j)
+    is (occurrences of j in images[i]) / width.  The array is read-only.
     """
 
-    level: int
-    rows: tuple[tuple[tuple[int, Fraction], ...], ...]
+    __slots__ = ("level", "images")
 
-    def __post_init__(self):
-        size = self.size
-        if len(self.rows) != size:
-            raise ValueError(f"expected {size} rows, got {len(self.rows)}")
-        for i, row in enumerate(self.rows):
-            cols = [c for c, _ in row]
-            if cols != sorted(cols) or len(set(cols)) != len(cols):
-                raise ValueError(f"row {i} columns not sorted/unique")
-            if any(not 0 <= c < size for c in cols):
-                raise ValueError(f"row {i} has out-of-range column")
-            if any(p <= 0 for _, p in row):
-                raise ValueError(f"row {i} stores a non-positive probability")
-            if sum(p for _, p in row) != 1:
-                raise ValueError(f"row {i} does not sum to 1")
+    def __init__(self, level: int, rows) -> None:
+        """Matrix from exact rows: per row, (column, probability) pairs with
+        positive probabilities, sorted by column and summing to exactly 1.
+        They are stored as image columns over their common denominator."""
+        self._store(level, _images_of_rows(8**level, rows))
+
+    @classmethod
+    def from_images(cls, level: int, images) -> TransitionMatrix:
+        """Matrix whose row i puts weight 1/width on each entry of images[i]."""
+        matrix = cls.__new__(cls)
+        matrix._store(level, images)
+        return matrix
+
+    def _store(self, level: int, images) -> None:
+        size = 8**level
+        images = np.array(images, dtype=np.intp)
+        if images.ndim != 2 or len(images) != size or images.shape[1] == 0:
+            raise ValueError(f"expected {size} rows of image columns, got shape {images.shape}")
+        if images.min() < 0 or images.max() >= size:
+            raise ValueError("image column out of range")
+        images.flags.writeable = False
+        self.level = level
+        self.images = images
 
     @property
     def size(self) -> int:
         return 8**self.level
 
+    @property
+    def width(self) -> int:
+        """Image columns per row; every entry is a multiple of 1/width."""
+        return self.images.shape[1]
+
+    def entries(self) -> Iterator[tuple[int, int, int]]:
+        """(row, column, count) of every nonzero entry in row-major order, by
+        column within a row; the entry is count / width."""
+        ordered = np.sort(self.images, axis=1)
+        starts = np.ones(ordered.shape, dtype=bool)
+        starts[:, 1:] = ordered[:, 1:] != ordered[:, :-1]
+        flat = np.flatnonzero(starts)
+        # every row opens a run, so a run ends where the next one starts
+        counts = np.diff(flat, append=ordered.size)
+        return zip((flat // self.width).tolist(), ordered.ravel()[flat].tolist(), counts.tolist())
+
+    @property
+    def rows(self) -> tuple[tuple[tuple[int, Fraction], ...], ...]:
+        """Exact sparse rows: (column, probability) pairs sorted by column."""
+        probability = _by_count(self.width)
+        rows = [[] for _ in range(self.size)]
+        for i, j, count in self.entries():
+            rows[i].append((j, probability[count]))
+        return tuple(map(tuple, rows))
+
     def entry(self, i: int, j: int) -> Fraction:
-        for col, p in self.rows[i]:
-            if col == j:
-                return p
-        return Fraction(0)
+        return Fraction(int(np.count_nonzero(self.images[i] == j)), self.width)
 
     def dense(self) -> list[list[Fraction]]:
         if self.level > MAX_POWER_LEVEL:
             raise CapacityError(f"dense output refused above level {MAX_POWER_LEVEL}")
-        out = [[Fraction(0)] * self.size for _ in range(self.size)]
-        for i, row in enumerate(self.rows):
-            for j, p in row:
-                out[i][j] = p
+        probability = _by_count(self.width)
+        out = [[probability[0]] * self.size for _ in range(self.size)]
+        for i, j, count in self.entries():
+            out[i][j] = probability[count]
         return out
+
+
+def _by_count(width: int) -> list[Fraction]:
+    """Entry values indexed by image count: count / width."""
+    return [Fraction(count, width) for count in range(width + 1)]
+
+
+def _images_of_rows(size: int, rows) -> np.ndarray:
+    """Image array of exact rows over the common denominator of their entries."""
+    if len(rows) != size:
+        raise ValueError(f"expected {size} rows, got {len(rows)}")
+    width = math.lcm(*(Fraction(p).denominator for row in rows for _, p in row))
+    if size * width > MAX_IMAGE_CELLS:
+        raise CapacityError(f"{size} rows of width {width} exceed {MAX_IMAGE_CELLS} image cells")
+    images = np.empty((size, width), dtype=np.intp)
+    for i, row in enumerate(rows):
+        cols = [c for c, _ in row]
+        counts = [p * width for _, p in row]
+        if cols != sorted(set(cols)):
+            raise ValueError(f"row {i} columns not sorted/unique")
+        if any(count <= 0 for count in counts):
+            raise ValueError(f"row {i} stores a non-positive probability")
+        if sum(counts) != width:
+            raise ValueError(f"row {i} does not sum to 1")
+        images[i] = np.repeat(cols, [int(count) for count in counts])
+    return images
 
 
 @dataclass(frozen=True)
@@ -80,29 +144,37 @@ class Distribution:
     def __post_init__(self):
         if len(self.weights) != 8**self.level:
             raise ValueError("weight count does not match level")
-        if any(w < 0 for w in self.weights):
+        scale, scaled = _over_common_denominator(self.weights)
+        if min(scaled) < 0:
             raise ValueError("weights must be nonnegative")
-        if sum(self.weights) != 1:
+        if sum(scaled) != scale:
             raise ValueError("weights must sum to exactly 1")
 
 
-def build_matrix(level: int, max_level: int = DEFAULT_MAX_LEVEL) -> TransitionMatrix:
-    """Transition matrix at level m from the forward split of each class.
+def _over_common_denominator(weights) -> tuple[int, list[int]]:
+    """(D, [D*w for w in weights]) for the least common denominator D."""
+    scale = math.lcm(*{w.denominator for w in weights})
+    return scale, [w.numerator * (scale // w.denominator) for w in weights]
 
-    Row i collects the image classes of the 8 refining subclasses of
-    B(i, 8^m); every stored probability is a multiple of 1/8.
+
+def build_matrix(level: int, max_level: int = DEFAULT_MAX_LEVEL) -> TransitionMatrix:
+    """Transition matrix Q(m) at level m from the branch table.
+
+    Row i holds the image classes of the 8 refining subclasses of B(i, 8^m),
+    (base + stride*h) mod 8^m for h = 0..7, with base = (multiplier*i +
+    offset)/8 and stride = multiplier*8^(m-1) from the branch of i mod 8:
+    forward_split(B(i, 8^m)) column for column.
     """
     if level < 1:
         raise ValueError(f"level must be >= 1, got {level}")
     if level > max_level:
         raise CapacityError(f"level {level} exceeds cap {max_level} (8^{level} states)")
-    rows = []
-    for i in range(8**level):
-        multiplicity: dict[int, int] = {}
-        for _, image in forward_split(CongruenceClass(i, level)):
-            multiplicity[image.residue] = multiplicity.get(image.residue, 0) + 1
-        rows.append(tuple((j, Fraction(n, 8)) for j, n in sorted(multiplicity.items())))
-    return TransitionMatrix(level, tuple(rows))
+    size = 8**level
+    residues = np.arange(size)
+    multiplier = np.array(MULTIPLIERS)[residues & 7]
+    base = (multiplier * residues + np.array(OFFSETS)[residues & 7]) >> 3
+    stride = multiplier * 8 ** (level - 1)
+    return TransitionMatrix.from_images(level, (base[:, None] + stride[:, None] * np.arange(8)) % size)
 
 
 def measure_quotient_matrix(level: int, max_level: int = MAX_POWER_LEVEL) -> TransitionMatrix:
@@ -126,13 +198,28 @@ def measure_quotient_matrix(level: int, max_level: int = MAX_POWER_LEVEL) -> Tra
     return TransitionMatrix(level, tuple(rows))
 
 
+def check_stochasticity(matrix: TransitionMatrix) -> bool:
+    """Independent check that the matrix has the shape of the class chain.
+
+    Every row must be 8 image columns (in range by construction), so it sums
+    to 1, and column j must be hit once per member of the preimage of
+    B(j, 8^m): the subclasses that the forward splits send into B(j) are
+    exactly that preimage, found here by solving congruences instead.
+    """
+    size = matrix.size
+    if matrix.images.shape != (size, 8):
+        return False
+    indegree = np.bincount(matrix.images.ravel(), minlength=size).tolist()
+    return indegree == [len(preimage_class(CongruenceClass(j, matrix.level))) for j in range(size)]
+
+
 def left_multiply(weights, matrix: TransitionMatrix) -> list[Fraction]:
     """Exact row-vector times matrix product."""
+    probability = _by_count(matrix.width)
     out = [Fraction(0)] * matrix.size
-    for i, w in enumerate(weights):
-        if w:
-            for j, p in matrix.rows[i]:
-                out[j] += w * p
+    for i, j, count in matrix.entries():
+        if weights[i]:
+            out[j] += weights[i] * probability[count]
     return out
 
 
@@ -145,16 +232,11 @@ def alternating_distribution(level: int) -> Distribution:
 
 def power_iteration(matrix: TransitionMatrix, tol: float = 1e-12, max_iter: int = 100_000) -> np.ndarray:
     """Float left fixed vector from the uniform start, iterated to max-norm tol."""
-    size = matrix.size
-    rows = np.fromiter(
-        (i for i, row in enumerate(matrix.rows) for _ in row), dtype=np.intp
-    )
-    cols = np.fromiter((j for row in matrix.rows for j, _ in row), dtype=np.intp)
-    probs = np.fromiter((float(p) for row in matrix.rows for _, p in row), dtype=np.float64)
+    size, width = matrix.size, matrix.width
+    columns = matrix.images.ravel()
     vec = np.full(size, 1.0 / size)
     for _ in range(max_iter):
-        nxt = np.zeros(size)
-        np.add.at(nxt, cols, vec[rows] * probs)
+        nxt = np.bincount(columns, weights=np.repeat(vec / width, width), minlength=size)
         if np.max(np.abs(nxt - vec)) < tol:
             return nxt
         vec = nxt
@@ -168,34 +250,41 @@ def stationary_distribution(matrix: TransitionMatrix, tol: float = 1e-12) -> Dis
     cross-checked against floating-point power iteration within tol.
     """
     candidate = alternating_distribution(matrix.level)
-    if left_multiply(candidate.weights, matrix) != list(candidate.weights):
+    # P*Q = P in integers: with P scaled by its common denominator D (12*8^(m-1),
+    # giving 2 at even and 1 at odd classes), column j must receive width*D*P[j]
+    # from the image columns of all rows.  The bincount sums are integers of at
+    # most width*D, far below 2^53 where float64 stops being exact.
+    scale, scaled = _over_common_denominator(candidate.weights)
+    scaled = np.array(scaled)
+    inflow = np.bincount(
+        matrix.images.ravel(), weights=np.repeat(scaled, matrix.width), minlength=matrix.size
+    )
+    if not np.array_equal(inflow, matrix.width * scaled):
         raise ConsistencyError("closed-form vector is not exactly stationary; matrix is corrupt")
     numeric = power_iteration(matrix, tol=tol)
-    drift = max(abs(float(w) - x) for w, x in zip(candidate.weights, numeric))
+    drift = np.max(np.abs(scaled / scale - numeric))
     if drift > tol:
         raise ConsistencyError(f"power iteration disagrees with exact vector by {drift:.3e}")
     return candidate
 
 
 def matrix_power(matrix: TransitionMatrix, exponent: int) -> TransitionMatrix:
-    """Exact k-th power; capped to small levels where dense work is cheap."""
+    """Exact k-th power; capped to small levels and MAX_IMAGE_CELLS.
+
+    Row i of Q^(e+1) = Q^e * Q is the union of the rows of Q at the image
+    columns of row i of Q^e, so the power has width width^k.
+    """
     if exponent < 1:
         raise ValueError(f"exponent must be >= 1, got {exponent}")
     if matrix.level > MAX_POWER_LEVEL:
         raise CapacityError(f"exact powering capped at level {MAX_POWER_LEVEL}")
-    if exponent > MAX_POWER_EXPONENT:
-        raise CapacityError(f"exponent {exponent} exceeds cap {MAX_POWER_EXPONENT}")
-    result = matrix
+    cells = matrix.size * matrix.width**exponent
+    if cells > MAX_IMAGE_CELLS:
+        raise CapacityError(f"power {exponent} needs {cells} image cells, cap {MAX_IMAGE_CELLS}")
+    images = matrix.images
     for _ in range(exponent - 1):
-        rows = []
-        for i in range(matrix.size):
-            acc: dict[int, Fraction] = {}
-            for k, p in result.rows[i]:
-                for j, q in matrix.rows[k]:
-                    acc[j] = acc.get(j, Fraction(0)) + p * q
-            rows.append(tuple(sorted((j, p) for j, p in acc.items() if p)))
-        result = TransitionMatrix(matrix.level, tuple(rows))
-    return result
+        images = matrix.images[images].reshape(matrix.size, -1)
+    return TransitionMatrix.from_images(matrix.level, images)
 
 
 def kstep_measure_matrix(steps: int, level: int = 1) -> list[list[Fraction]]:
@@ -238,27 +327,31 @@ class ErgodicityResult:
 def check_ergodicity(matrix: TransitionMatrix, max_exponent: int | None = None) -> ErgodicityResult:
     """Search for a power of the matrix with strictly positive entries.
 
-    Works on row supports as bitmasks (no cancellation can occur in a
-    nonnegative product).  Stops early if the support closure stabilizes
-    below full, which is conclusive evidence of reducibility/periodicity.
+    Works on row supports packed into bitmasks, 8 states per byte (no
+    cancellation can occur in a nonnegative product).  The support of row i
+    of Q^(e+1) = Q * Q^e is the union of the Q^e supports of the image
+    columns of row i, so each step ORs `width` rows of masks.  Stops early if
+    the supports stabilize below full, which is conclusive evidence of
+    reducibility/periodicity.
     """
-    size = matrix.size
+    size, images = matrix.size, matrix.images
     bound = max_exponent if max_exponent is not None else 2 * size
-    full = (1 << size) - 1
-    base = [sum(1 << j for j, _ in row) for row in matrix.rows]
-    current = base
+
+    def times_q(masks: np.ndarray) -> np.ndarray:
+        out = masks[images[:, 0]]
+        for column in images.T[1:]:
+            out |= masks[column]
+        return out
+
+    states = np.arange(size)
+    current = np.zeros((size, size // 8), dtype=np.uint8)
+    current[states, states >> 3] = 1 << (states & 7)  # Q^0, the identity
+    current = times_q(current)
     for exponent in range(1, bound + 1):
-        if all(mask == full for mask in current):
+        if (current == 0xFF).all():
             return ErgodicityResult(True, exponent, True)
-        nxt = []
-        for mask in current:
-            acc, m = 0, mask
-            while m:
-                low = m & -m
-                acc |= base[low.bit_length() - 1]
-                m ^= low
-            nxt.append(acc)
-        if nxt == current:
+        nxt = times_q(current)
+        if np.array_equal(nxt, current):
             return ErgodicityResult(False, None, True)
         current = nxt
     return ErgodicityResult(False, None, False)
@@ -272,11 +365,11 @@ def emit_chain_graph(matrix: TransitionMatrix, force: bool = False) -> str:
     if matrix.level > 1 and not force:
         raise ValueError(f"graph emission intended for level 1; got level {matrix.level} (use force)")
     modulus = matrix.size
+    probability = _by_count(matrix.width)
     lines = ["digraph residue_chain {", "  rankdir=LR;"]
     for i in range(matrix.size):
         lines.append(f'  "B({i},{modulus})";')
-    for i, row in enumerate(matrix.rows):
-        for j, p in row:
-            lines.append(f'  "B({i},{modulus})" -> "B({j},{modulus})" [label="{p}"];')
+    for i, j, count in matrix.entries():
+        lines.append(f'  "B({i},{modulus})" -> "B({j},{modulus})" [label="{probability[count]}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"

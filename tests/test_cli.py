@@ -2,9 +2,15 @@
 
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import collatzmc
+from collatzmc import markov
 from collatzmc.cli import main
 
 
@@ -163,11 +169,28 @@ class TestVerify:
         assert lines[:8] == [f"PASS B({j},8)" for j in range(8)]
         assert lines[8].startswith("PASS measure-invariance")
 
-    def test_measure_level_cap(self):
+    def test_measure_level_cap(self, capsys):
         code, _ = run_cli("verify", "--measure", "--m", "4")
         assert code == 3
+        err = capsys.readouterr().err
+        assert "--force" in err and "allow_large" not in err
         code, _ = run_cli("verify", "--measure", "--m", "4", "--force")
         assert code == 0
+
+    def test_all_level4_forced(self):
+        code, text = run_cli("verify", "--all", "--m", "4", "--force")
+        lines = text.splitlines()
+        assert code == 0
+        assert len(lines) == 5 and all(line.startswith("PASS ") for line in lines)
+        assert lines[-1] == "PASS ergodicity m=4 (all entries positive at exponent 8)"
+
+    def test_stochasticity_can_fail(self, monkeypatch):
+        images = markov.build_matrix(2).images.copy()
+        images[0, 0] = (images[0, 0] + 1) % 64
+        corrupt = markov.TransitionMatrix.from_images(2, images)
+        monkeypatch.setattr(markov, "build_matrix", lambda level: corrupt)
+        code, text = run_cli("verify", "--stochasticity", "--m", "2")
+        assert code == 1 and text.startswith("FAIL stochasticity m=2")
 
     def test_requires_a_check(self):
         code, _ = run_cli("verify")
@@ -189,3 +212,18 @@ class TestUsageErrors:
         with pytest.raises(SystemExit) as info:
             main(["simulate", "--max", "100", "--include-start", "maybe"])
         assert info.value.code == 2
+
+
+def test_python_dash_m_runs_the_cli():
+    src = str(Path(collatzmc.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    proc = subprocess.run(
+        [sys.executable, "-m", "collatzmc", "matrix", "--m", "1"],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=path),
+        timeout=60,
+        check=False,
+    )
+    assert proc.returncode == 0
+    assert proc.stdout == run_cli("matrix", "--m", "1")[1]

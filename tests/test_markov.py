@@ -2,14 +2,19 @@
 
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
+from collatzmc.congruence import CongruenceClass, forward_split
 from collatzmc.errors import CapacityError, ConsistencyError
 from collatzmc.markov import (
     TransitionMatrix,
     alternating_distribution,
     build_matrix,
     check_ergodicity,
+    check_stochasticity,
     emit_chain_graph,
     kstep_measure_matrix,
     left_multiply,
@@ -41,6 +46,19 @@ def test_level1_matches_golden():
 
 def test_level1_row7():
     assert build_matrix(1).rows[7] == ((2, Fraction(1, 2)), (6, Fraction(1, 2)))
+
+
+@pytest.fixture(scope="module")
+def chains():
+    return {level: build_matrix(level) for level in range(1, 6)}
+
+
+@given(data=st.data())
+def test_image_rows_equal_forward_split(chains, data):
+    level = data.draw(st.integers(1, 5), label="level")
+    i = data.draw(st.integers(0, 8**level - 1), label="i")
+    expected = [image.residue for _, image in forward_split(CongruenceClass(i, level))]
+    assert chains[level].images[i].tolist() == expected
 
 
 @pytest.mark.parametrize("level", [1, 2, 3, 4])
@@ -95,6 +113,21 @@ def test_column_parity_sums(level):
     for j in range(size):
         assert even_sums[j] == (5 if j % 2 == 0 else 3)
         assert odd_sums[j] == (6 if j % 2 == 0 else 2)
+
+
+class TestStochasticity:
+    @pytest.mark.parametrize("level", [1, 2, 3])
+    def test_class_chain_passes(self, level):
+        assert check_stochasticity(build_matrix(level))
+
+    def test_moved_image_column_fails(self):
+        images = build_matrix(2).images.copy()
+        images[5, 3] = (images[5, 3] + 1) % 64
+        assert not check_stochasticity(TransitionMatrix.from_images(2, images))
+
+    def test_wrong_width_fails(self):
+        images = build_matrix(1).images
+        assert not check_stochasticity(TransitionMatrix.from_images(1, np.hstack([images, images])))
 
 
 class TestStationary:
@@ -153,14 +186,55 @@ class TestPowers:
             matrix_power(build_matrix(3), 2)
         with pytest.raises(CapacityError):
             matrix_power(build_matrix(1), 33)
+        with pytest.raises(CapacityError):
+            matrix_power(build_matrix(2), 6)
         with pytest.raises(ValueError):
             matrix_power(build_matrix(1), 0)
+
+
+def brute_force_ergodicity(support: np.ndarray, bound: int) -> tuple:
+    """The search of check_ergodicity on dense boolean matrix powers."""
+    power = support
+    for exponent in range(1, bound + 1):
+        if power.all():
+            return True, exponent, True
+        nxt = (power.astype(int) @ support.astype(int)) > 0
+        if np.array_equal(nxt, power):
+            return False, None, True
+        power = nxt
+    return False, None, False
+
+
+ROW_SUPPORT = st.one_of(st.sampled_from([1 << k for k in range(8)]), st.integers(1, 255))
 
 
 class TestErgodicity:
     def test_level1_positive_at_two(self):
         result = check_ergodicity(build_matrix(1))
         assert result.positive and result.exponent == 2
+
+    @pytest.mark.parametrize("level, exponent", [(3, 6), (4, 8)])
+    def test_known_exponents(self, level, exponent):
+        assert check_ergodicity(build_matrix(level)).exponent == exponent
+
+    @given(
+        masks=st.lists(ROW_SUPPORT, min_size=8, max_size=8),
+        max_exponent=st.one_of(st.none(), st.integers(1, 16)),
+    )
+    @example(masks=[1 << i for i in range(8)], max_exponent=None)  # identity
+    @example(masks=[1 << ((i + 1) % 8) for i in range(8)], max_exponent=None)  # 8-cycle
+    @example(masks=[0x0F] * 4 + [0xF0] * 4, max_exponent=None)  # two closed blocks
+    def test_matches_brute_force_powers(self, masks, max_exponent):
+        support = np.array([[(mask >> j) & 1 for j in range(8)] for mask in masks], dtype=bool)
+        rows = tuple(
+            tuple((j, Fraction(1, len(cols))) for j in cols)
+            for cols in (np.flatnonzero(row).tolist() for row in support)
+        )
+        result = check_ergodicity(TransitionMatrix(1, rows), max_exponent=max_exponent)
+        bound = max_exponent if max_exponent is not None else 16
+        assert (result.positive, result.exponent, result.conclusive) == brute_force_ergodicity(
+            support, bound
+        )
 
     def test_level2_positive(self):
         result = check_ergodicity(build_matrix(2))
@@ -211,3 +285,14 @@ def test_matrix_validation():
         TransitionMatrix(1, tuple(((i, Fraction(1, 2)),) for i in range(8)))
     with pytest.raises(ValueError):
         TransitionMatrix(1, tuple(((9, Fraction(1)),) for i in range(8)))
+    with pytest.raises(ValueError):
+        TransitionMatrix.from_images(1, np.full((8, 8), 8))
+    with pytest.raises(ValueError):
+        TransitionMatrix.from_images(1, np.zeros((7, 8), dtype=int))
+
+
+def test_rows_over_huge_denominator_refused():
+    tiny = Fraction(1, 10**9)
+    rows = (((0, tiny), (1, 1 - tiny)),) + tuple(((i, Fraction(1)),) for i in range(1, 8))
+    with pytest.raises(CapacityError):
+        TransitionMatrix(1, rows)
