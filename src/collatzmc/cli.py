@@ -42,12 +42,17 @@ def _bool_flag(text: str) -> bool:
 
 
 def _default_workers() -> int:
+    """$COLLATZMC_WORKERS when set, else the CPUs this process may run on.
+
+    Raises ValueError when the variable holds anything but a positive integer.
+    """
     env = os.environ.get(WORKERS_ENV)
     if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
+        if not env.isdecimal() or int(env) < 1:
+            raise ValueError(f"{WORKERS_ENV} must be a positive integer, got {env!r}")
+        return int(env)
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
 
 
@@ -100,7 +105,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--workers",
         type=_positive_int,
         default=None,
-        help=f"process count (default: ${WORKERS_ENV} or machine parallelism)",
+        help=f"process count (default: ${WORKERS_ENV}, else the CPUs this process may use)",
     )
 
     p = sub.add_parser("verify", help="run exact verification checks; exit 1 on any FAIL")
@@ -186,7 +191,13 @@ def _cmd_contraction(args, out) -> int:
 
 
 def _cmd_simulate(args, out) -> int:
-    workers = args.workers if args.workers is not None else _default_workers()
+    workers = args.workers
+    if workers is None:
+        try:
+            workers = _default_workers()
+        except ValueError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
     config = empirical.SweepConfig(
         n_max=args.n_max,
         level=args.m,

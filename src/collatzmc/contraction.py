@@ -20,15 +20,13 @@ from .measure import nu
 #: Leading factor of each branch: multiplier / 8, keyed by residue mod 8.
 RAW_FACTORS: tuple[Fraction, ...] = tuple(Fraction(b.multiplier, 8) for b in BRANCHES)
 
-#: Stationary masses of the class groups sharing one bound factor:
-#: {0}, {1,5}, {2,6}, {3,7}, {4} -> weights over c_0..c_4.
-BOUND_WEIGHTS: tuple[Fraction, ...] = (
-    Fraction(1, 6),
-    Fraction(1, 6),
-    Fraction(1, 3),
-    Fraction(1, 6),
-    Fraction(1, 6),
-)
+
+def _weights_by_factor(factors: tuple[Fraction, ...]) -> dict[Fraction, Fraction]:
+    """Stationary mass nu of the residues sharing each factor, in residue order."""
+    weights: dict[Fraction, Fraction] = {}
+    for sigma, factor in enumerate(factors):
+        weights[factor] = weights.get(factor, Fraction(0)) + nu(sigma)
+    return weights
 
 
 def raw_geometric_mean() -> Fraction:
@@ -38,10 +36,7 @@ def raw_geometric_mean() -> Fraction:
     denominator 6, so the identity is checked on sixth powers, avoiding
     irrational intermediates: (1/8) * (3/4)^4 * (9/2) must equal (3/4)^6.
     """
-    weights: dict[Fraction, Fraction] = {}
-    for sigma in range(8):
-        factor = RAW_FACTORS[sigma]
-        weights[factor] = weights.get(factor, Fraction(0)) + nu(sigma)
+    weights = _weights_by_factor(RAW_FACTORS)
     if sum(weights.values()) != 1:
         raise ConsistencyError("stationary weights do not sum to 1")
     sixth_power = Fraction(1)
@@ -71,11 +66,12 @@ def bound_factors(n_min: int) -> tuple[Fraction, ...]:
 def bounded_geometric_mean(n_min: int) -> float:
     """Stationary-weighted geometric mean of the bound factors.
 
-    Uses the group weights (1/6, 1/6, 1/3, 1/6, 1/6) over c_0..c_4 (classes
-    5..7 repeat earlier factors).  Decreases with n_min toward the exact 3/4.
+    Classes 5..7 repeat the factors of 1, 2 and 3, so the weights over the
+    distinct factors c_0..c_4 are (1/6, 1/6, 1/3, 1/6, 1/6).  Decreases with
+    n_min toward the exact 3/4.
     """
-    c = bound_factors(n_min)
-    return math.exp(sum(float(w) * math.log(c[i]) for i, w in enumerate(BOUND_WEIGHTS)))
+    weights = _weights_by_factor(bound_factors(n_min))
+    return math.exp(sum(float(w) * math.log(c) for c, w in weights.items()))
 
 
 def birkhoff_alpha(level: int = 1, n_min: int = 3) -> tuple[float, float]:
@@ -89,13 +85,7 @@ def birkhoff_alpha(level: int = 1, n_min: int = 3) -> tuple[float, float]:
     if level < 1:
         raise ValueError(f"level must be >= 1, got {level}")
     c = bound_factors(n_min)
-    share = 8 ** (level - 1)
-    even_weight = share * (1.0 / (6 * share))
-    odd_weight = share * (1.0 / (12 * share))
-    alpha = sum(
-        (even_weight if sigma % 2 == 0 else odd_weight) * math.log(c[sigma])
-        for sigma in range(8)
-    )
+    alpha = sum(float(nu(sigma)) * math.log(c[sigma]) for sigma in range(8))
     return alpha, math.exp(alpha / 2)
 
 

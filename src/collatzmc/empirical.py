@@ -14,6 +14,7 @@ from __future__ import annotations
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial, reduce
 
 import numpy as np
 
@@ -144,72 +145,65 @@ class SweepConfig:
             raise ValueError(f"workers must be >= 1, got {self.workers}")
 
 
-def _sweep_shard(args) -> tuple[np.ndarray, int, int, np.ndarray | None, int]:
-    """Vectorized kernel over starting values [lo, hi]."""
-    lo, hi, level, include_start, per_trajectory, step_cap = args
-    mod = 8**level
+def _sweep_shard(config: SweepConfig, lo: int, hi: int) -> TrajectoryStats:
+    """Vectorized kernel over starting values [lo, hi].
+
+    Each pass drops the orbits that reached {1, 2, 4}, tallies the classes of
+    the rest (the starts only when include_start), hands values above
+    INT64_SAFE to run_trajectory with the steps they have left, and applies
+    one triple step.
+    """
+    mod = 8**config.level
     counts = np.zeros(mod, dtype=np.int64)
-    rows = np.zeros((hi - lo + 1, mod), dtype=np.int32) if per_trajectory else None
-
-    values = np.arange(lo, hi + 1, dtype=np.int64)
-    ids = np.arange(values.size, dtype=np.int64)
-    max_value = int(hi)
-    outside = (values != 1) & (values != 2) & (values != 4)
-    active, ids = values[outside], ids[outside]
-    if include_start and active.size:
-        cls = active % mod
-        counts += np.bincount(cls, minlength=mod)
-        if per_trajectory:
-            np.add.at(rows, (ids, cls), 1)
-
-    exact_continuations: list[tuple[int, int]] = []  # (id, current value)
+    rows = np.zeros((hi - lo + 1, mod), dtype=np.int32) if config.per_trajectory else None
+    active = np.arange(lo, hi + 1, dtype=np.int64)
+    ids = np.arange(active.size, dtype=np.int64)
+    max_value = hi
+    exact_continuations: list[tuple[int, int, int]] = []  # (id, current value, steps taken)
     steps = 0
-    while active.size:
-        if steps >= step_cap:
-            raise TrajectoryCapError(int(lo + ids[0]), steps)
+    while True:
+        outside = (active != 1) & (active != 2) & (active != 4)
+        active, ids = active[outside], ids[outside]
+        if steps or config.include_start:
+            cls = active % mod
+            counts += np.bincount(cls, minlength=mod)
+            if rows is not None:
+                rows[ids, cls] += 1  # ids are distinct, so no update is lost
         big = active > INT64_SAFE
         if big.any():
             exact_continuations.extend(
-                (int(i), int(v)) for i, v in zip(ids[big], active[big])
+                (i, v, steps) for i, v in zip(ids[big].tolist(), active[big].tolist())
             )
-            small = ~big
-            active, ids = active[small], ids[small]
-            if not active.size:
-                break
+            active, ids = active[~big], ids[~big]
+        if not active.size:
+            break
+        if steps >= config.step_cap:
+            raise TrajectoryCapError(lo + int(ids[0]), steps)
         sigma = active & 7
         peaks = (_PEAK_MULT[sigma] * active + _PEAK_ADD[sigma]) >> _PEAK_SHIFT[sigma]
         active = (_M8[sigma] * active + _R8[sigma]) >> 3
         max_value = max(max_value, int(peaks.max()), int(active.max()))
         steps += 1
-        outside = (active != 1) & (active != 2) & (active != 4)
-        active, ids = active[outside], ids[outside]
-        if active.size:
-            cls = active % mod
-            counts += np.bincount(cls, minlength=mod)
-            if per_trajectory:
-                np.add.at(rows, (ids, cls), 1)
 
-    for traj_id, value in exact_continuations:
-        run = run_trajectory(value, level=level, include_start=False, step_cap=step_cap)
+    for traj_id, value, taken in exact_continuations:
+        run = run_trajectory(
+            value, level=config.level, include_start=False, step_cap=config.step_cap - taken
+        )
         if run.capped:
-            raise TrajectoryCapError(lo + traj_id, run.steps)
+            raise TrajectoryCapError(lo + traj_id, taken + run.steps)
         max_value = max(max_value, run.max_value)
         tail = np.bincount(np.asarray(run.visits, dtype=np.int64), minlength=mod)
         counts += tail
-        if per_trajectory:
-            rows[traj_id] += tail.astype(np.int32)
+        if rows is not None:
+            rows[traj_id] += tail
 
     freq_sums, counted = None, 0
-    if per_trajectory:
+    if rows is not None:
         row_totals = rows.sum(axis=1)
         visited = row_totals > 0
         counted = int(visited.sum())
-        freq_sums = (rows[visited] / row_totals[visited, None]).sum(axis=0)
-    return counts, max_value, hi - lo + 1, freq_sums, counted
-
-
-def _shard_bounds(n_max: int, shard_size: int) -> list[tuple[int, int]]:
-    return [(lo, min(lo + shard_size - 1, n_max)) for lo in range(1, n_max + 1, shard_size)]
+        freq_sums = (rows[visited] / row_totals[visited, None]).sum(axis=0).tolist()
+    return TrajectoryStats(config.level, counts.tolist(), max_value, hi - lo + 1, freq_sums, counted)
 
 
 def sweep(config: SweepConfig, shard_size: int = SHARD_SIZE) -> TrajectoryStats:
@@ -219,41 +213,15 @@ def sweep(config: SweepConfig, shard_size: int = SHARD_SIZE) -> TrajectoryStats:
     process pool) and merged in shard order, so results depend on shard_size
     but never on the worker count.
     """
-    mod = 8**config.level
     if config.per_trajectory:
-        shard_size = min(shard_size, max(1024, PER_TRAJECTORY_CELLS // mod))
-    shards = _shard_bounds(config.n_max, shard_size)
-    arg_list = [
-        (lo, hi, config.level, config.include_start, config.per_trajectory, config.step_cap)
-        for lo, hi in shards
-    ]
-    if config.workers > 1 and len(arg_list) > 1:
+        shard_size = min(shard_size, max(1024, PER_TRAJECTORY_CELLS // 8**config.level))
+    los = range(1, config.n_max + 1, shard_size)
+    his = [min(lo + shard_size - 1, config.n_max) for lo in los]
+    kernel = partial(_sweep_shard, config)
+    if config.workers > 1 and len(los) > 1:
         with ProcessPoolExecutor(max_workers=config.workers) as pool:
-            results = list(pool.map(_sweep_shard, arg_list))
-    else:
-        results = [_sweep_shard(args) for args in arg_list]
-
-    stats = TrajectoryStats(
-        level=config.level,
-        visit_counts=[0] * mod,
-        max_value=0,
-        trajectories=0,
-        traj_freq_sums=[0.0] * mod if config.per_trajectory else None,
-        traj_counted=0,
-    )
-    for counts, max_value, processed, freq_sums, counted in results:
-        piece = TrajectoryStats(
-            level=config.level,
-            visit_counts=[int(c) for c in counts],
-            max_value=max_value,
-            trajectories=processed,
-            traj_freq_sums=[float(s) for s in freq_sums] if freq_sums is not None else (
-                [0.0] * mod if config.per_trajectory else None
-            ),
-            traj_counted=counted,
-        )
-        stats = stats.merge(piece)
-    return stats
+            return reduce(TrajectoryStats.merge, pool.map(kernel, los, his))
+    return reduce(TrajectoryStats.merge, map(kernel, los, his))
 
 
 @dataclass(frozen=True)

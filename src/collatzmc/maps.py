@@ -23,8 +23,6 @@ class AffineBranch:
     multiplier: int
     offset: int
 
-    DIVISOR = 8
-
     def __post_init__(self):
         if not 0 <= self.index < 8:
             raise ValueError(f"branch index {self.index} out of range")
@@ -92,18 +90,3 @@ def fixed_points_upto(limit: int) -> set[int]:
         raise ValueError(f"limit must be >= 4, got {limit}")
     mult, offs = MULTIPLIERS, OFFSETS
     return {n for n in range(1, limit + 1) if (mult[n & 7] * n + offs[n & 7]) >> 3 == n}
-
-
-def orbit_to_cycle(n0: int, step_cap: int = 10**9):
-    """Yield the third-iterate orbit from n0 until (and excluding) the cycle.
-
-    Yields n0 itself first when n0 is outside {1, 2, 4}.  Raises RuntimeError
-    if the orbit fails to reach the cycle within step_cap steps.
-    """
-    n = n0
-    for _ in range(step_cap):
-        if n in CYCLE:
-            return
-        yield n
-        n = third_iterate(n)
-    raise RuntimeError(f"orbit of {n0} did not reach the cycle in {step_cap} steps")

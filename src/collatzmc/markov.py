@@ -95,9 +95,6 @@ class TransitionMatrix:
             rows[i].append((j, probability[count]))
         return tuple(map(tuple, rows))
 
-    def entry(self, i: int, j: int) -> Fraction:
-        return Fraction(int(np.count_nonzero(self.images[i] == j)), self.width)
-
     def dense(self) -> list[list[Fraction]]:
         if self.level > MAX_POWER_LEVEL:
             raise CapacityError(f"dense output refused above level {MAX_POWER_LEVEL}")

@@ -1,5 +1,6 @@
 """CLI behaviour: output formats, determinism, exit codes."""
 
+import hashlib
 import io
 import json
 import os
@@ -10,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import collatzmc
-from collatzmc import markov
+from collatzmc import cli, empirical, markov
 from collatzmc.cli import main
 
 
@@ -18,6 +19,10 @@ def run_cli(*argv):
     out = io.StringIO()
     code = main(list(argv), out=out)
     return code, out.getvalue()
+
+
+def sha256(text):
+    return hashlib.sha256(text.encode()).hexdigest()
 
 
 class TestStationary:
@@ -114,6 +119,24 @@ class TestContraction:
         payload = json.loads(text)
         assert code == 0 and payload["n_min"] == 9
 
+    @pytest.mark.parametrize(
+        "argv, digest",
+        [
+            (
+                ("contraction", "--format", "json"),
+                "041a34a7541fbdf93207582043b58e088b28b77ebd6814857ad96447aec25a5d",
+            ),
+            (
+                ("contraction", "--n-min", "9", "--format", "json"),
+                "46f2c82864918f6ae3f422a911e9c71b5ff84ff22abb676972c127c34aa04a36",
+            ),
+        ],
+        ids=["default", "n-min-9"],
+    )
+    def test_json_golden_bytes(self, argv, digest):
+        code, text = run_cli(*argv)
+        assert code == 0 and sha256(text) == digest
+
 
 class TestSimulate:
     def test_csv_deterministic(self):
@@ -144,6 +167,44 @@ class TestSimulate:
         base = run_cli("simulate", "--max", "2000", "--workers", "1")
         multi = run_cli("simulate", "--max", "2000", "--workers", "2")
         assert base == multi
+
+    @pytest.mark.parametrize(
+        "n_max, level, digest",
+        [
+            ("2000", "2", "ea4d2df52a65873afd33e2e5bf9e93d9343dc9121d0b9b0265bdab1e6caa0283"),
+            ("20000", "3", "749017a571f32054b390c19e076da5d0ffbc432cb77b0d7b493fedc4dca53f97"),
+        ],
+        ids=["max2000-m2", "max20000-m3"],
+    )
+    def test_per_trajectory_golden_bytes(self, n_max, level, digest):
+        code, text = run_cli(
+            "simulate", "--max", n_max, "--m", level,
+            "--per-trajectory", "--format", "json", "--workers", "1",
+        )
+        assert code == 0 and sha256(text) == digest
+
+    @pytest.mark.parametrize("value", ["0", "-2", "two", "1.5"])
+    def test_bad_workers_env_is_usage_error(self, monkeypatch, capsys, value):
+        monkeypatch.setenv(cli.WORKERS_ENV, value)
+        code, text = run_cli("simulate", "--max", "100")
+        assert code == 2 and text == ""
+        assert f"{cli.WORKERS_ENV} must be a positive integer" in capsys.readouterr().err
+        code, _ = run_cli("simulate", "--max", "100", "--workers", "1")
+        assert code == 0
+
+    def test_workers_env_reaches_the_sweep(self, monkeypatch):
+        seen = []
+        real_sweep = empirical.sweep
+        monkeypatch.setattr(empirical, "sweep", lambda config: seen.append(config) or real_sweep(config))
+        monkeypatch.setenv(cli.WORKERS_ENV, "3")
+        assert run_cli("simulate", "--max", "100")[0] == 0
+        assert seen[0].workers == 3
+
+    def test_default_workers_follow_cpu_affinity(self, monkeypatch):
+        monkeypatch.delenv(cli.WORKERS_ENV, raising=False)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        assert cli._default_workers() == 1
 
 
 class TestVerify:

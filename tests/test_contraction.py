@@ -6,7 +6,6 @@ from fractions import Fraction
 import pytest
 
 from collatzmc.contraction import (
-    BOUND_WEIGHTS,
     RAW_FACTORS,
     birkhoff_alpha,
     bound_factors,
@@ -40,10 +39,6 @@ def test_raw_geometric_mean_exact():
     # the sixth-power identity behind it
     product = Fraction(1, 8) * Fraction(3, 4) ** 4 * Fraction(9, 2)
     assert product == Fraction(729, 4096) == Fraction(3, 4) ** 6
-
-
-def test_bound_weights_sum_to_one():
-    assert sum(BOUND_WEIGHTS) == 1
 
 
 def test_bound_factors_at_three():

@@ -3,10 +3,14 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from collatzmc.empirical import (
+    INT64_SAFE,
     SweepConfig,
     TrajectoryStats,
+    _sweep_shard,
     compare_to_theory,
     run_trajectory,
     sweep,
@@ -15,14 +19,15 @@ from collatzmc.empirical import (
     to_json_dict,
 )
 from collatzmc.errors import CapacityError, TrajectoryCapError
+from collatzmc.maps import third_iterate
 
 
-def reference_sweep(n_max, level=1, include_start=True):
-    """Per-start aggregation with the exact scalar path; the kernel oracle."""
+def reference_sweep(n_max, level=1, include_start=True, lo=1):
+    """Per-start aggregation over [lo, n_max] with the exact scalar path; the kernel oracle."""
     mod = 8**level
     counts, max_value = [0] * mod, 0
     freq_sums, counted = [0.0] * mod, 0
-    for n0 in range(1, n_max + 1):
+    for n0 in range(lo, n_max + 1):
         run = run_trajectory(n0, level=level, include_start=include_start)
         max_value = max(max_value, run.max_value)
         for visit in run.visits:
@@ -115,6 +120,19 @@ class TestSweep:
             sweep(SweepConfig(n_max=5000, step_cap=3, workers=2), shard_size=1000)
         assert 1 <= info.value.start <= 5000
 
+    def test_fallback_keeps_the_step_budget(self):
+        # largest n <= INT64_SAFE with n % 8 == 7: one step leaves int64, 286 more follow
+        n = INT64_SAFE - (INT64_SAFE - 7) % 8
+        assert third_iterate(n) > INT64_SAFE
+        run = run_trajectory(n)
+        assert run.steps == 287
+        with pytest.raises(TrajectoryCapError) as info:
+            _sweep_shard(SweepConfig(n_max=n, step_cap=286), n, n)
+        assert (info.value.start, info.value.steps) == (n, 286)
+        stats = _sweep_shard(SweepConfig(n_max=n, step_cap=287), n, n)
+        assert stats.visit_counts == [run.visits.count(c) for c in range(8)]
+        assert stats.max_value == run.max_value
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             SweepConfig(n_max=4)
@@ -122,6 +140,32 @@ class TestSweep:
             SweepConfig(n_max=10, workers=0)
         with pytest.raises(CapacityError):
             SweepConfig(n_max=10, level=7)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    level=st.integers(1, 3),
+    include_start=st.booleans(),
+    per_trajectory=st.booleans(),
+    lo=st.one_of(st.integers(1, 5000), st.integers(INT64_SAFE - 300, INT64_SAFE + 300)),
+    width=st.integers(1, 64),
+)
+@example(level=3, include_start=True, per_trajectory=True, lo=INT64_SAFE - 31, width=64)
+def test_shard_matches_reference(level, include_start, per_trajectory, lo, width):
+    hi = lo + width - 1
+    config = SweepConfig(
+        n_max=max(hi, 5), level=level, include_start=include_start, per_trajectory=per_trajectory
+    )
+    stats = _sweep_shard(config, lo, hi)
+    counts, max_value, freq_sums, counted = reference_sweep(hi, level, include_start, lo=lo)
+    assert stats.visit_counts == counts
+    assert stats.max_value == max_value
+    assert stats.trajectories == width
+    if per_trajectory:
+        assert stats.traj_counted == counted
+        assert all(abs(got - want) <= 1e-12 for got, want in zip(stats.traj_freq_sums, freq_sums))
+    else:
+        assert stats.traj_freq_sums is None
 
 
 class TestComparison:

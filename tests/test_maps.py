@@ -11,7 +11,6 @@ from collatzmc.maps import (
     OFFSETS,
     collatz_step,
     fixed_points_upto,
-    orbit_to_cycle,
     third_iterate,
 )
 
@@ -91,12 +90,6 @@ def test_fixed_points():
     assert fixed_points_upto(4) == {1, 2, 4}
     with pytest.raises(ValueError):
         fixed_points_upto(3)
-
-
-def test_orbit_to_cycle():
-    assert list(orbit_to_cycle(3)) == [3, 16]
-    assert list(orbit_to_cycle(1)) == []
-    assert list(orbit_to_cycle(4)) == []
 
 
 def test_cycle_members():
