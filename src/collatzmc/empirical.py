@@ -3,10 +3,12 @@
 Every starting value up to n_max is iterated under the third iterate until it
 reaches the cycle {1, 2, 4}; the mod-8^m class of each pre-absorption value is
 tallied and the largest intermediate Collatz value anywhere along the way is
-tracked.  The hot path is a vectorized int64 kernel over contiguous shards;
-values that could overflow a 64-bit triple step are finished exactly with
-native big integers.  Shard boundaries are fixed, so totals are identical for
-any worker count.
+tracked.  The hot path is a vectorized int64 kernel over contiguous shards.
+It advances each orbit several triple steps per pass with residue jump tables
+(n mod 8^k fixes the next k branches), finishes small values from tabulated
+orbits, and finishes values that could overflow int64 exactly with native big
+integers.  Shard boundaries are fixed, so totals are identical for any worker
+count.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from __future__ import annotations
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial, reduce
+from functools import lru_cache, partial, reduce
 
 import numpy as np
 
@@ -145,57 +147,228 @@ class SweepConfig:
             raise ValueError(f"workers must be >= 1, got {self.workers}")
 
 
+@dataclass(frozen=True)
+class _JumpTables:
+    """Per-level tables of the sweep kernel; every array is read-only.
+
+    A jump is k triple steps.  For r = n mod 8^(k+m-1),
+    T3^k(n) = mult[r] * (n >> 3k) + add[r], and classes[r] lists the mod-8^m
+    classes of n, T3(n), ..., T3^(k-1)(n).  Every Collatz value met within one
+    jump from n >= small is at most growth * n, and no value listed is in
+    {1, 2, 4}.  The orbits from values v below small are tabulated: visits (v
+    itself included, unless it is in {1, 2, 4}) as (class, count) entries
+    small_class/small_count[small_start[v] : small_start[v+1]], max excursion
+    and triple steps.
+    """
+
+    k: int
+    small: int
+    growth: int
+    mult: np.ndarray
+    add: np.ndarray
+    classes: np.ndarray
+    small_start: np.ndarray
+    small_class: np.ndarray
+    small_count: np.ndarray
+    small_peak: np.ndarray
+    small_steps: np.ndarray
+
+    @property
+    def safe(self) -> int:
+        """Largest value that may jump: its intermediates stay below INT64_SAFE."""
+        return INT64_SAFE // self.growth
+
+    def small_visits(self, values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Visit entries (owner, class, count) of the orbits from values below
+        small; owner indexes values, and no (owner, class) pair repeats."""
+        first = self.small_start[values]
+        lengths = self.small_start[values + 1] - first
+        owner = np.repeat(np.arange(values.size), lengths)
+        at = np.arange(owner.size) + (first - np.cumsum(lengths) + lengths)[owner]
+        return owner, self.small_class[at], self.small_count[at]
+
+
+def _triple_step(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """One third-iterate step on int64 values and the largest Collatz value inside it."""
+    sigma = x & 7
+    peak = (_PEAK_MULT[sigma] * x + _PEAK_ADD[sigma]) >> _PEAK_SHIFT[sigma]
+    x = (_M8[sigma] * x + _R8[sigma]) >> 3
+    return np.maximum(peak, x), x
+
+
+def _jump_peak(x: np.ndarray, k: int) -> int:
+    """Largest Collatz value met within the next k triple steps of the values x."""
+    top = 0
+    for _ in range(k):
+        peak, x = _triple_step(x)
+        top = max(top, int(peak.max()))
+    return top
+
+
+@lru_cache(maxsize=None)
+def _jump_tables(level: int) -> _JumpTables:
+    """Build the kernel tables for one level.
+
+    A jump is k = 3 triple steps up to level 3, 2 at level 4 and 1 from level
+    5 on, so the residue tables have 8^(k+m-1) <= 8^5 entries (8^6 at level 6,
+    where the kernel steps one at a time).
+    """
+    k = max(1, min(3, 6 - level))
+    mod = 8**level
+    # Applying the branch formulas to the residue r itself gives T3^k(r), and
+    # the multipliers met on the way give the slope of the jump.  Both are
+    # indexed by the kernel's residue mod 8^(k+m-1), which fixes n mod 8^k.
+    add = np.arange(8 ** (k + level - 1), dtype=np.int64)
+    mult = np.ones_like(add)
+    columns = []
+    for _ in range(k):
+        columns.append(add & (mod - 1))
+        mult *= _M8[add & 7]
+        _, add = _triple_step(add)
+    add -= mult * (np.arange(add.size) >> 3 * k)
+    # T3(n) >= n/8, so no value of a jump from n >= 5*8^(k-1) is below 5.
+    small = 5 * 8 ** (k - 1)
+    # Each Collatz value in a jump is (3^u*n + c)/2^e with c >= 0 on one class
+    # mod 8^k, so its ratio to n is largest at the class's least n >= small.
+    n = np.arange(small, small + 8**k, dtype=np.int64)
+    x, top = n, n
+    for _ in range(k):
+        peak, x = _triple_step(x)
+        top = np.maximum(top, peak)
+    growth = int((-(-top // n)).max())
+    # The orbits of 1 .. small-1, one triple step at a time; live lists the
+    # values whose orbit is still outside {1, 2, 4}.
+    cycle = tuple(CYCLE)
+    values = np.arange(small, dtype=np.int64)
+    x, peaks, lengths = values.copy(), values.copy(), np.zeros_like(values)
+    live = values[1:][~np.isin(values[1:], cycle)]
+    visits = []
+    while live.size:
+        visits.append(live * mod + (x[live] & (mod - 1)))
+        peak, x[live] = _triple_step(x[live])
+        peaks[live] = np.maximum(peaks[live], peak)
+        lengths[live] += 1
+        live = live[~np.isin(x[live], cycle)]
+    keys, counts = np.unique(np.concatenate(visits), return_counts=True)
+    # mult <= 36^k and 0 <= add <= growth * 8^k, so both fit int32, which
+    # halves the bytes the kernel's two gathers move.
+    tables = _JumpTables(
+        k,
+        small,
+        growth,
+        mult.astype(np.int32),
+        add.astype(np.int32),
+        np.stack(columns, axis=1),
+        np.searchsorted(keys // mod, np.arange(small + 1)),
+        keys % mod,
+        counts,
+        peaks,
+        lengths,
+    )
+    for array in vars(tables).values():
+        if isinstance(array, np.ndarray):
+            array.setflags(write=False)
+    return tables
+
+
 def _sweep_shard(config: SweepConfig, lo: int, hi: int) -> TrajectoryStats:
     """Vectorized kernel over starting values [lo, hi].
 
-    Each pass drops the orbits that reached {1, 2, 4}, tallies the classes of
-    the rest (the starts only when include_start), hands values above
-    INT64_SAFE to run_trajectory with the steps they have left, and applies
-    one triple step.
+    Every live orbit has taken the same number of triple steps.  Each pass
+    finishes the values below the small-value bound from the orbit tables,
+    hands values above the jump bound to run_trajectory with the steps they
+    have left, tallies the residues of the rest and advances them one jump.
+    A value is tallied in the pass that starts from it, so the starts are
+    subtracted at the end unless include_start.
+
+    No value inside a jump is in {1, 2, 4}, so a jump that overshoots
+    step_cap carries only orbits longer than step_cap.  TrajectoryCapError
+    names the smallest start in the shard whose orbit is longer than step_cap.
     """
+    tables = _jump_tables(config.level)
     mod = 8**config.level
-    counts = np.zeros(mod, dtype=np.int64)
+    residues = tables.classes.shape[0]
+    residue_counts = np.zeros(residues, dtype=np.int64)
+    finished = np.zeros(tables.small, dtype=np.int64)  # orbits finished per small value
     rows = np.zeros((hi - lo + 1, mod), dtype=np.int32) if config.per_trajectory else None
     active = np.arange(lo, hi + 1, dtype=np.int64)
     ids = np.arange(active.size, dtype=np.int64)
     max_value = hi
     exact_continuations: list[tuple[int, int, int]] = []  # (id, current value, steps taken)
+    offenders: list[int] = []  # ids of orbits longer than step_cap
     steps = 0
-    while True:
-        outside = (active != 1) & (active != 2) & (active != 4)
-        active, ids = active[outside], ids[outside]
-        if steps or config.include_start:
-            cls = active % mod
-            counts += np.bincount(cls, minlength=mod)
+    while active.size:
+        small = active < tables.small
+        if small.any():
+            at = np.flatnonzero(small)
+            done, done_ids = active[at], ids[at]
+            finished += np.bincount(done, minlength=tables.small)
+            max_value = max(max_value, int(tables.small_peak[done].max()))
+            over = tables.small_steps[done] > config.step_cap - steps
+            if over.any():
+                offenders.append(int(done_ids[over][0]))
             if rows is not None:
-                rows[ids, cls] += 1  # ids are distinct, so no update is lost
-        big = active > INT64_SAFE
-        if big.any():
-            exact_continuations.extend(
-                (i, v, steps) for i, v in zip(ids[big].tolist(), active[big].tolist())
-            )
-            active, ids = active[~big], ids[~big]
-        if not active.size:
-            break
+                owner, cls, visits = tables.small_visits(done)
+                rows[done_ids[owner], cls] += visits
+            keep = ~small
+            active, ids = active[keep], ids[keep]
+            if not active.size:
+                break
         if steps >= config.step_cap:
-            raise TrajectoryCapError(lo + int(ids[0]), steps)
-        sigma = active & 7
-        peaks = (_PEAK_MULT[sigma] * active + _PEAK_ADD[sigma]) >> _PEAK_SHIFT[sigma]
-        active = (_M8[sigma] * active + _R8[sigma]) >> 3
-        max_value = max(max_value, int(peaks.max()), int(active.max()))
-        steps += 1
+            offenders.append(int(ids[0]))  # every live orbit needs more steps
+            break
+        top = int(active.max())
+        if top > tables.safe:
+            leave = active > tables.safe
+            exact_continuations.extend(
+                (i, v, steps) for i, v in zip(ids[leave].tolist(), active[leave].tolist())
+            )
+            keep = ~leave
+            active, ids = active[keep], ids[keep]
+            if not active.size:
+                break
+            top = int(active.max())
+        r = active & (residues - 1)
+        residue_counts += np.bincount(r, minlength=residues)
+        if rows is not None:
+            for column in tables.classes[r].T:
+                rows[ids, column] += 1  # ids are distinct, so no update is lost
+        if tables.growth * top > max_value:
+            # The top slice first: its peaks raise the record, which prunes the rest.
+            upper = active > top - top // tables.growth
+            max_value = max(max_value, _jump_peak(active[upper], tables.k))
+            rest = active[~upper & (active > max_value // tables.growth)]
+            if rest.size:
+                max_value = max(max_value, _jump_peak(rest, tables.k))
+        active >>= 3 * tables.k
+        active *= tables.mult[r]
+        active += tables.add[r]
+        steps += tables.k
 
+    owner, cls, visits = tables.small_visits(np.arange(tables.small))
+    counts = np.zeros(mod, dtype=np.int64)
+    np.add.at(counts, cls, visits * finished[owner])
+    for column in tables.classes.T:
+        np.add.at(counts, column, residue_counts)
     for traj_id, value, taken in exact_continuations:
-        run = run_trajectory(
-            value, level=config.level, include_start=False, step_cap=config.step_cap - taken
-        )
+        run = run_trajectory(value, level=config.level, step_cap=config.step_cap - taken)
         if run.capped:
-            raise TrajectoryCapError(lo + traj_id, taken + run.steps)
+            offenders.append(traj_id)
+            continue
         max_value = max(max_value, run.max_value)
         tail = np.bincount(np.asarray(run.visits, dtype=np.int64), minlength=mod)
         counts += tail
         if rows is not None:
             rows[traj_id] += tail
+    if offenders:
+        raise TrajectoryCapError(lo + min(offenders), config.step_cap)
+    if not config.include_start:
+        starts = np.arange(lo, hi + 1, dtype=np.int64)
+        outside = ~np.isin(starts, tuple(CYCLE))
+        start_classes = starts[outside] & (mod - 1)
+        counts -= np.bincount(start_classes, minlength=mod)
+        if rows is not None:
+            rows[(starts - lo)[outside], start_classes] -= 1
 
     freq_sums, counted = None, 0
     if rows is not None:
@@ -219,7 +392,7 @@ def sweep(config: SweepConfig, shard_size: int = SHARD_SIZE) -> TrajectoryStats:
     his = [min(lo + shard_size - 1, config.n_max) for lo in los]
     kernel = partial(_sweep_shard, config)
     if config.workers > 1 and len(los) > 1:
-        with ProcessPoolExecutor(max_workers=config.workers) as pool:
+        with ProcessPoolExecutor(max_workers=min(config.workers, len(los))) as pool:
             return reduce(TrajectoryStats.merge, pool.map(kernel, los, his))
     return reduce(TrajectoryStats.merge, map(kernel, los, his))
 

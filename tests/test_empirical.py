@@ -1,15 +1,19 @@
 """Sweep kernel correctness against the pure-Python reference, and reports."""
 
+from collections import Counter
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import collatzmc.empirical as empirical
 from collatzmc.empirical import (
     INT64_SAFE,
     SweepConfig,
     TrajectoryStats,
+    _jump_tables,
     _sweep_shard,
     compare_to_theory,
     run_trajectory,
@@ -19,7 +23,7 @@ from collatzmc.empirical import (
     to_json_dict,
 )
 from collatzmc.errors import CapacityError, TrajectoryCapError
-from collatzmc.maps import third_iterate
+from collatzmc.maps import CYCLE, collatz_step, third_iterate
 
 
 def reference_sweep(n_max, level=1, include_start=True, lo=1):
@@ -114,11 +118,40 @@ class TestSweep:
         with pytest.raises(TrajectoryCapError) as info:
             sweep(SweepConfig(n_max=100, step_cap=3))
         assert 1 <= info.value.start <= 100
+        assert info.value.steps == 3
+        assert run_trajectory(info.value.start).steps > 3
+        assert info.value.start == first_longer_than(3, 1, 100)
 
     def test_step_cap_crosses_process_pool(self):
         with pytest.raises(TrajectoryCapError) as info:
             sweep(SweepConfig(n_max=5000, step_cap=3, workers=2), shard_size=1000)
         assert 1 <= info.value.start <= 5000
+        assert info.value.steps == 3
+        assert run_trajectory(info.value.start).steps > 3
+        assert info.value.start == first_longer_than(3, 1, 5000)
+
+    def test_pool_has_no_idle_workers(self, monkeypatch):
+        opened = []
+
+        class InlinePool:
+            def __init__(self, max_workers):
+                opened.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(empirical, "ProcessPoolExecutor", InlinePool)
+        stats = sweep(SweepConfig(n_max=3000, workers=8), shard_size=1500)
+        assert opened == [2]
+        assert stats == sweep(SweepConfig(n_max=3000), shard_size=1500)
+        sweep(SweepConfig(n_max=3000, workers=2), shard_size=500)
+        assert opened == [2, 2]
 
     def test_fallback_keeps_the_step_budget(self):
         # largest n <= INT64_SAFE with n % 8 == 7: one step leaves int64, 286 more follow
@@ -142,16 +175,41 @@ class TestSweep:
             SweepConfig(n_max=10, level=7)
 
 
-@settings(max_examples=60, deadline=None)
+def first_longer_than(step_cap, lo, hi):
+    """Smallest start in [lo, hi] whose orbit takes more than step_cap triple steps."""
+    return next((n for n in range(lo, hi + 1) if run_trajectory(n).steps > step_cap), None)
+
+
+# Starts: small values (below every level's small-value bound and above it),
+# the band around INT64_SAFE, or the band around the level's jump bound.
+LO_BAND = st.one_of(st.integers(1, 5000), st.integers(INT64_SAFE - 300, INT64_SAFE + 300))
+
+
+def band_start(level, lo, jump_offset):
+    """lo itself, or the level's jump bound plus jump_offset when that is given."""
+    return lo if jump_offset is None else _jump_tables(level).safe + jump_offset
+
+
+@settings(max_examples=120, deadline=None)
 @given(
-    level=st.integers(1, 3),
+    level=st.integers(1, 6),
     include_start=st.booleans(),
     per_trajectory=st.booleans(),
-    lo=st.one_of(st.integers(1, 5000), st.integers(INT64_SAFE - 300, INT64_SAFE + 300)),
+    lo=LO_BAND,
+    jump_offset=st.none() | st.integers(-300, 300),
     width=st.integers(1, 64),
 )
-@example(level=3, include_start=True, per_trajectory=True, lo=INT64_SAFE - 31, width=64)
-def test_shard_matches_reference(level, include_start, per_trajectory, lo, width):
+@example(level=3, include_start=True, per_trajectory=True, lo=INT64_SAFE - 31, width=64, jump_offset=None)
+@example(level=1, include_start=False, per_trajectory=True, lo=1, width=64, jump_offset=None)
+@example(level=4, include_start=False, per_trajectory=True, lo=1, width=8, jump_offset=None)
+@example(level=6, include_start=False, per_trajectory=False, lo=1, width=8, jump_offset=None)
+@example(level=2, include_start=True, per_trajectory=True, lo=0, width=64, jump_offset=-32)
+# the record 13120 is met inside the first jump of a start below the top slice
+@example(level=1, include_start=True, per_trajectory=False, lo=352, width=64, jump_offset=None)
+def test_shard_matches_reference(level, include_start, per_trajectory, lo, width, jump_offset):
+    lo = band_start(level, lo, jump_offset)
+    if level >= 4:
+        width = 1 + width % 8  # dense per-orbit rows have 8^m columns
     hi = lo + width - 1
     config = SweepConfig(
         n_max=max(hi, 5), level=level, include_start=include_start, per_trajectory=per_trajectory
@@ -166,6 +224,106 @@ def test_shard_matches_reference(level, include_start, per_trajectory, lo, width
         assert all(abs(got - want) <= 1e-12 for got, want in zip(stats.traj_freq_sums, freq_sums))
     else:
         assert stats.traj_freq_sums is None
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    step_cap=st.integers(1, 40),
+    level=st.integers(1, 6),
+    include_start=st.booleans(),
+    lo=LO_BAND,
+    jump_offset=st.none() | st.integers(-300, 300),
+    width=st.integers(1, 32),
+)
+@example(step_cap=2, level=1, include_start=True, lo=1, width=32, jump_offset=None)
+@example(step_cap=4, level=4, include_start=False, lo=320, width=32, jump_offset=None)
+@example(step_cap=40, level=3, include_start=True, lo=0, width=32, jump_offset=-16)
+def test_step_cap_is_exact(step_cap, level, include_start, lo, width, jump_offset):
+    """A shard raises iff some orbit takes more than step_cap triple steps,
+    naming the first such start; otherwise it equals the reference."""
+    lo = band_start(level, lo, jump_offset)
+    hi = lo + width - 1
+    config = SweepConfig(n_max=max(hi, 5), level=level, include_start=include_start, step_cap=step_cap)
+    offender = first_longer_than(step_cap, lo, hi)
+    if offender is None:
+        stats = _sweep_shard(config, lo, hi)
+        counts, max_value, _, _ = reference_sweep(hi, level, include_start, lo=lo)
+        assert (stats.visit_counts, stats.max_value) == (counts, max_value)
+    else:
+        with pytest.raises(TrajectoryCapError) as info:
+            _sweep_shard(config, lo, hi)
+        assert (info.value.start, info.value.steps) == (offender, step_cap)
+
+
+def collatz_path(n, triple_steps):
+    """Every Collatz value after n within the given number of triple steps."""
+    path = []
+    for _ in range(3 * triple_steps):
+        n = collatz_step(n)
+        path.append(n)
+    return path
+
+
+class TestJumpTables:
+    @pytest.mark.parametrize("level", range(1, 7))
+    def test_shape(self, level):
+        tables = _jump_tables(level)
+        assert tables.k == max(1, min(3, 6 - level))
+        assert tables.small == 5 * 8 ** (tables.k - 1)
+        assert tables.classes.shape == (8 ** (tables.k + level - 1), tables.k)
+        assert tables.mult.size == tables.add.size == tables.classes.shape[0]
+        assert tables.safe == INT64_SAFE // tables.growth
+        assert tables.growth <= tables.small  # a pass's top slice is never empty
+        assert not tables.mult.flags.writeable and not tables.small_class.flags.writeable
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        level=st.integers(1, 6),
+        where=st.one_of(
+            st.integers(0, 10**6),
+            st.integers(-(10**6), 0),
+            st.integers(0, 2**40),
+        ),
+    )
+    @example(level=1, where=0)
+    @example(level=1, where=-1)
+    @example(level=3, where=2**40)
+    def test_jump_matches_triple_steps(self, level, where):
+        tables = _jump_tables(level)
+        # where >= 0 counts up from the small-value bound, where < 0 down from the jump bound
+        n = tables.small + where if where >= 0 else tables.safe + 1 + where
+        r = n % tables.classes.shape[0]
+        expected, classes = n, []
+        for _ in range(tables.k):
+            classes.append(expected % 8**level)
+            expected = third_iterate(expected)
+        assert int(tables.mult[r]) * (n >> 3 * tables.k) + int(tables.add[r]) == expected
+        assert tables.classes[r].tolist() == classes
+        path = collatz_path(n, tables.k)
+        assert max(path) <= tables.growth * n <= INT64_SAFE
+        assert not CYCLE.intersection(path[: 3 * tables.k - 1])
+
+    @pytest.mark.parametrize("level", range(1, 7))
+    def test_growth_is_the_least_bound(self, level):
+        tables = _jump_tables(level)
+        ratios = (
+            max(collatz_path(n, tables.k)) / n
+            for n in range(tables.small, tables.small + 8**tables.k)
+        )
+        assert tables.growth - 1 < max(ratios) <= tables.growth
+
+    @pytest.mark.parametrize("level", range(1, 7))
+    def test_small_value_orbits(self, level):
+        tables = _jump_tables(level)
+        values = np.arange(tables.small)
+        owner, classes, visits = tables.small_visits(values)
+        assert len(set(zip(owner.tolist(), classes.tolist()))) == owner.size
+        for v in range(1, tables.small):
+            run = run_trajectory(v, level)
+            mine = owner == v
+            assert dict(zip(classes[mine].tolist(), visits[mine].tolist())) == Counter(run.visits)
+            assert (tables.small_peak[v], tables.small_steps[v]) == (run.max_value, run.steps)
+        assert not (owner == 0).any()
 
 
 class TestComparison:
