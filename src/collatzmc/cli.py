@@ -198,13 +198,17 @@ def _cmd_simulate(args, out) -> int:
         except ValueError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
-    config = empirical.SweepConfig(
-        n_max=args.n_max,
-        level=args.m,
-        include_start=args.include_start,
-        per_trajectory=args.per_trajectory,
-        workers=workers,
-    )
+    try:
+        config = empirical.SweepConfig(
+            n_max=args.n_max,
+            level=args.m,
+            include_start=args.include_start,
+            per_trajectory=args.per_trajectory,
+            workers=workers,
+        )
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     stats = empirical.sweep(config)
     table = empirical.compare_to_theory(stats)
     if args.format == "csv":

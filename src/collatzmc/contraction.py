@@ -74,16 +74,14 @@ def bounded_geometric_mean(n_min: int) -> float:
     return math.exp(sum(float(w) * math.log(c) for c, w in weights.items()))
 
 
-def birkhoff_alpha(level: int = 1, n_min: int = 3) -> tuple[float, float]:
+def birkhoff_alpha(*, n_min: int = 3) -> tuple[float, float]:
     """Average log-factor per step under the stationary distribution, and e^{alpha/2}.
 
     At level m each of the 8 base residues is shared by 8^{m-1} classes of
-    stationary weight 1/(6*8^{m-1}) or 1/(12*8^{m-1}), so the weighted sum
-    collapses to the level-1 value: alpha is independent of m.  Negative
-    alpha (hence beta < 1) means orbits contract on average.
+    stationary weight 1/(6*8^{m-1}) or 1/(12*8^{m-1}), whose masses sum to
+    nu(sigma), so the weighted sum is the level-1 value at every level.
+    Negative alpha (hence beta < 1) means orbits contract on average.
     """
-    if level < 1:
-        raise ValueError(f"level must be >= 1, got {level}")
     c = bound_factors(n_min)
     alpha = sum(float(nu(sigma)) * math.log(c[sigma]) for sigma in range(8))
     return alpha, math.exp(alpha / 2)
@@ -186,7 +184,9 @@ class ContractionReport:
 
 def build_report(n_min: int = 3, level: int = 1) -> ContractionReport:
     """Assemble the full contraction summary at a given level and n_min."""
-    alpha, beta = birkhoff_alpha(level, n_min)
+    if level < 1:
+        raise ValueError(f"level must be >= 1, got {level}")
+    alpha, beta = birkhoff_alpha(n_min=n_min)
     return ContractionReport(
         level=level,
         n_min=n_min,

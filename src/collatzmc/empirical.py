@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import CapacityError, TrajectoryCapError
 from .maps import CYCLE, MULTIPLIERS, OFFSETS, collatz_step
-from .measure import nu
+from .markov import alternating_distribution
 
 #: Largest value for which one triple step (36*n + 20) stays inside int64.
 INT64_SAFE = (2**63 - 21) // 36
@@ -32,6 +32,10 @@ SHARD_SIZE = 1 << 20
 
 #: Per-trajectory tallies keep roughly this many int32 cells per shard.
 PER_TRAJECTORY_CELLS = 1 << 23
+
+#: Per-orbit histograms are normalised in blocks of about this many float64
+#: cells (1 MiB), so the float copy of a shard's rows stays in cache.
+NORMALIZE_CELLS = 1 << 17
 
 MAX_SWEEP_LEVEL = 6
 
@@ -281,8 +285,9 @@ def _sweep_shard(config: SweepConfig, lo: int, hi: int) -> TrajectoryStats:
     A value is tallied in the pass that starts from it, so the starts are
     subtracted at the end unless include_start.
 
-    No value inside a jump is in {1, 2, 4}, so a jump that overshoots
-    step_cap carries only orbits longer than step_cap.  TrajectoryCapError
+    No value a jump reaches before its last triple step is in {1, 2, 4}, so a
+    jump that overshoots step_cap carries only orbits longer than step_cap.
+    TrajectoryCapError
     names the smallest start in the shard whose orbit is longer than step_cap.
     """
     tables = _jump_tables(config.level)
@@ -373,9 +378,17 @@ def _sweep_shard(config: SweepConfig, lo: int, hi: int) -> TrajectoryStats:
     freq_sums, counted = None, 0
     if rows is not None:
         row_totals = rows.sum(axis=1)
-        visited = row_totals > 0
-        counted = int(visited.sum())
-        freq_sums = (rows[visited] / row_totals[visited, None]).sum(axis=0).tolist()
+        visited = np.flatnonzero(row_totals)
+        counted = visited.size
+        # Row 0 of the block carries the running sum into each block's sum, so
+        # the rows are added in the same order as in one sum over all of them.
+        height = max(1, NORMALIZE_CELLS // mod)
+        block = np.zeros((height + 1, mod))
+        for first in range(0, counted, height):
+            at = visited[first : first + height]
+            np.divide(rows[at], row_totals[at, None], out=block[1 : at.size + 1])
+            block[0] = block[: at.size + 1].sum(axis=0)
+        freq_sums = block[0].tolist()
     return TrajectoryStats(config.level, counts.tolist(), max_value, hi - lo + 1, freq_sums, counted)
 
 
@@ -418,12 +431,6 @@ class ComparisonTable:
         return max(row.deviation for row in self.rows)
 
 
-def theoretical_weights(level: int) -> tuple[Fraction, ...]:
-    """Stationary weights at a level: nu(class mod 8) / 8^{m-1}."""
-    scale = 8 ** (level - 1)
-    return tuple(nu(i & 7) / scale for i in range(8**level))
-
-
 def compare_to_theory(stats: TrajectoryStats, use_per_trajectory: bool = False) -> ComparisonTable:
     """Per-class table of stationary weight vs empirical frequency."""
     if stats.total_visits <= 0:
@@ -431,7 +438,7 @@ def compare_to_theory(stats: TrajectoryStats, use_per_trajectory: bool = False) 
     freqs = (
         stats.per_trajectory_frequencies() if use_per_trajectory else stats.frequencies()
     )
-    weights = theoretical_weights(stats.level)
+    weights = alternating_distribution(stats.level).weights
     rows = tuple(
         ComparisonRow(i, weights[i], freqs[i], abs(freqs[i] - float(weights[i])))
         for i in range(8**stats.level)

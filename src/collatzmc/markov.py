@@ -4,8 +4,9 @@ A matrix is stored as its image array: row i is a multiset of `width` columns,
 each carrying probability 1/width.  The class chain Q(m) has width 8, since
 row i lists the image classes of the 8 refining subclasses of B(i, 8^m)
 (forward_split), so its rows sum to 1 by construction and every product with
-it is a gather or a bincount.  The invariant-measure quotient construction is
-kept so tests can cross-check one against the other.
+it is a gather or a bincount.  The k-step transition probabilities computed
+from preimages and the invariant measure (kstep_measure_matrix) are kept as
+the independent cross-check.
 """
 
 from __future__ import annotations
@@ -23,14 +24,21 @@ from .maps import MULTIPLIERS, OFFSETS
 from .measure import measure_class
 
 #: Matrices above this level (8^5 = 32768 states) are refused.
-DEFAULT_MAX_LEVEL = 5
+MAX_LEVEL = 5
 
 #: Exact dense output and powering are limited to this level.
 MAX_POWER_LEVEL = 2
 
-#: Image cells (rows x width) a matrix power or a matrix built from exact rows
-#: may hold: 16 MiB of indices.  Q(m)^k has width 8^k.
+#: Image cells (rows x width) a matrix power may hold: 16 MiB of indices.
+#: Q(m)^k has width 8^k.
 MAX_IMAGE_CELLS = 8**7
+
+#: Power iteration stops when successive vectors differ by less than this in
+#: max norm, and must then agree with the exact fixed vector to within it.
+POWER_TOL = 1e-12
+
+#: Power iteration steps before it is declared not to converge.
+POWER_MAX_ITER = 100_000
 
 
 class TransitionMatrix:
@@ -42,20 +50,7 @@ class TransitionMatrix:
 
     __slots__ = ("level", "images")
 
-    def __init__(self, level: int, rows) -> None:
-        """Matrix from exact rows: per row, (column, probability) pairs with
-        positive probabilities, sorted by column and summing to exactly 1.
-        They are stored as image columns over their common denominator."""
-        self._store(level, _images_of_rows(8**level, rows))
-
-    @classmethod
-    def from_images(cls, level: int, images) -> TransitionMatrix:
-        """Matrix whose row i puts weight 1/width on each entry of images[i]."""
-        matrix = cls.__new__(cls)
-        matrix._store(level, images)
-        return matrix
-
-    def _store(self, level: int, images) -> None:
+    def __init__(self, level: int, images) -> None:
         size = 8**level
         images = np.array(images, dtype=np.intp)
         if images.ndim != 2 or len(images) != size or images.shape[1] == 0:
@@ -110,27 +105,6 @@ def _by_count(width: int) -> list[Fraction]:
     return [Fraction(count, width) for count in range(width + 1)]
 
 
-def _images_of_rows(size: int, rows) -> np.ndarray:
-    """Image array of exact rows over the common denominator of their entries."""
-    if len(rows) != size:
-        raise ValueError(f"expected {size} rows, got {len(rows)}")
-    width = math.lcm(*(Fraction(p).denominator for row in rows for _, p in row))
-    if size * width > MAX_IMAGE_CELLS:
-        raise CapacityError(f"{size} rows of width {width} exceed {MAX_IMAGE_CELLS} image cells")
-    images = np.empty((size, width), dtype=np.intp)
-    for i, row in enumerate(rows):
-        cols = [c for c, _ in row]
-        counts = [p * width for _, p in row]
-        if cols != sorted(set(cols)):
-            raise ValueError(f"row {i} columns not sorted/unique")
-        if any(count <= 0 for count in counts):
-            raise ValueError(f"row {i} stores a non-positive probability")
-        if sum(counts) != width:
-            raise ValueError(f"row {i} does not sum to 1")
-        images[i] = np.repeat(cols, [int(count) for count in counts])
-    return images
-
-
 @dataclass(frozen=True)
 class Distribution:
     """Exact probability vector over the 8^level residue classes."""
@@ -154,7 +128,7 @@ def _over_common_denominator(weights) -> tuple[int, list[int]]:
     return scale, [w.numerator * (scale // w.denominator) for w in weights]
 
 
-def build_matrix(level: int, max_level: int = DEFAULT_MAX_LEVEL) -> TransitionMatrix:
+def build_matrix(level: int) -> TransitionMatrix:
     """Transition matrix Q(m) at level m from the branch table.
 
     Row i holds the image classes of the 8 refining subclasses of B(i, 8^m),
@@ -164,35 +138,14 @@ def build_matrix(level: int, max_level: int = DEFAULT_MAX_LEVEL) -> TransitionMa
     """
     if level < 1:
         raise ValueError(f"level must be >= 1, got {level}")
-    if level > max_level:
-        raise CapacityError(f"level {level} exceeds cap {max_level} (8^{level} states)")
+    if level > MAX_LEVEL:
+        raise CapacityError(f"level {level} exceeds cap {MAX_LEVEL} (8^{level} states)")
     size = 8**level
     residues = np.arange(size)
     multiplier = np.array(MULTIPLIERS)[residues & 7]
     base = (multiplier * residues + np.array(OFFSETS)[residues & 7]) >> 3
     stride = multiplier * 8 ** (level - 1)
-    return TransitionMatrix.from_images(level, (base[:, None] + stride[:, None] * np.arange(8)) % size)
-
-
-def measure_quotient_matrix(level: int, max_level: int = MAX_POWER_LEVEL) -> TransitionMatrix:
-    """Transition matrix from the measure quotient
-    measure(B(i) and preimage B(j)) / measure(B(i)).
-
-    Independent of build_matrix (goes through explicit preimage unions);
-    intended as a cross-check at small levels.
-    """
-    if level > max_level:
-        raise CapacityError(f"measure-quotient construction capped at level {max_level}")
-    size = 8**level
-    cells = [[Fraction(0)] * size for _ in range(size)]
-    for j in range(size):
-        for member in preimage_class(CongruenceClass(j, level)):
-            cells[member.residue % size][j] += measure_class(member)
-    rows = []
-    for i in range(size):
-        denom = measure_class(CongruenceClass(i, level))
-        rows.append(tuple((j, cells[i][j] / denom) for j in range(size) if cells[i][j]))
-    return TransitionMatrix(level, tuple(rows))
+    return TransitionMatrix(level, (base[:, None] + stride[:, None] * np.arange(8)) % size)
 
 
 def check_stochasticity(matrix: TransitionMatrix) -> bool:
@@ -227,24 +180,26 @@ def alternating_distribution(level: int) -> Distribution:
     return Distribution(level, tuple(a if i % 2 == 0 else b for i in range(8**level)))
 
 
-def power_iteration(matrix: TransitionMatrix, tol: float = 1e-12, max_iter: int = 100_000) -> np.ndarray:
-    """Float left fixed vector from the uniform start, iterated to max-norm tol."""
+def power_iteration(matrix: TransitionMatrix) -> np.ndarray:
+    """Float left fixed vector from the uniform start, iterated to max-norm POWER_TOL."""
     size, width = matrix.size, matrix.width
     columns = matrix.images.ravel()
     vec = np.full(size, 1.0 / size)
-    for _ in range(max_iter):
+    for _ in range(POWER_MAX_ITER):
         nxt = np.bincount(columns, weights=np.repeat(vec / width, width), minlength=size)
-        if np.max(np.abs(nxt - vec)) < tol:
+        if np.max(np.abs(nxt - vec)) < POWER_TOL:
             return nxt
         vec = nxt
-    raise ConsistencyError(f"power iteration did not converge to {tol} in {max_iter} steps")
+    raise ConsistencyError(
+        f"power iteration did not converge to {POWER_TOL} in {POWER_MAX_ITER} steps"
+    )
 
 
-def stationary_distribution(matrix: TransitionMatrix, tol: float = 1e-12) -> Distribution:
+def stationary_distribution(matrix: TransitionMatrix) -> Distribution:
     """The stationary distribution of the class chain, verified two ways.
 
     The alternating closed form is checked to satisfy P*Q = P exactly, then
-    cross-checked against floating-point power iteration within tol.
+    cross-checked against floating-point power iteration within POWER_TOL.
     """
     candidate = alternating_distribution(matrix.level)
     # P*Q = P in integers: with P scaled by its common denominator D (12*8^(m-1),
@@ -258,9 +213,9 @@ def stationary_distribution(matrix: TransitionMatrix, tol: float = 1e-12) -> Dis
     )
     if not np.array_equal(inflow, matrix.width * scaled):
         raise ConsistencyError("closed-form vector is not exactly stationary; matrix is corrupt")
-    numeric = power_iteration(matrix, tol=tol)
+    numeric = power_iteration(matrix)
     drift = np.max(np.abs(scaled / scale - numeric))
-    if drift > tol:
+    if drift > POWER_TOL:
         raise ConsistencyError(f"power iteration disagrees with exact vector by {drift:.3e}")
     return candidate
 
@@ -281,7 +236,7 @@ def matrix_power(matrix: TransitionMatrix, exponent: int) -> TransitionMatrix:
     images = matrix.images
     for _ in range(exponent - 1):
         images = matrix.images[images].reshape(matrix.size, -1)
-    return TransitionMatrix.from_images(matrix.level, images)
+    return TransitionMatrix(matrix.level, images)
 
 
 def kstep_measure_matrix(steps: int, level: int = 1) -> list[list[Fraction]]:

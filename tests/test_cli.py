@@ -248,7 +248,7 @@ class TestVerify:
     def test_stochasticity_can_fail(self, monkeypatch):
         images = markov.build_matrix(2).images.copy()
         images[0, 0] = (images[0, 0] + 1) % 64
-        corrupt = markov.TransitionMatrix.from_images(2, images)
+        corrupt = markov.TransitionMatrix(2, images)
         monkeypatch.setattr(markov, "build_matrix", lambda level: corrupt)
         code, text = run_cli("verify", "--stochasticity", "--m", "2")
         assert code == 1 and text.startswith("FAIL stochasticity m=2")
@@ -273,6 +273,11 @@ class TestUsageErrors:
         with pytest.raises(SystemExit) as info:
             main(["simulate", "--max", "100", "--include-start", "maybe"])
         assert info.value.code == 2
+
+    def test_too_small_max(self, capsys):
+        code, text = run_cli("simulate", "--max", "4")
+        assert code == 2 and text == ""
+        assert "n_max must be >= 5" in capsys.readouterr().err
 
 
 def test_python_dash_m_runs_the_cli():

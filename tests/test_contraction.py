@@ -15,6 +15,8 @@ from collatzmc.contraction import (
     orbit_log_average,
     raw_geometric_mean,
 )
+from collatzmc.markov import alternating_distribution
+from collatzmc.measure import nu
 
 BOUND_FACTORS_AT_3 = (
     Fraction(1, 8),
@@ -69,7 +71,7 @@ def test_bounded_geometric_mean_monotone():
 
 
 def test_birkhoff_alpha_level1():
-    alpha, beta = birkhoff_alpha(1)
+    alpha, beta = birkhoff_alpha()
     assert abs(alpha - (-0.1136)) < 1e-3
     assert abs(beta - 0.944) < 1e-3
     assert alpha < 0 and beta < 1
@@ -78,9 +80,18 @@ def test_birkhoff_alpha_level1():
     assert abs(alpha - math.log(bounded_geometric_mean(3))) < 1e-14
 
 
-@pytest.mark.parametrize("level", [2, 3])
+@pytest.mark.parametrize("level", [1, 2, 3, 4])
 def test_birkhoff_alpha_level_independent(level):
-    assert abs(birkhoff_alpha(level)[0] - birkhoff_alpha(1)[0]) < 1e-12
+    # alpha weights each base residue by nu; at every level the stationary
+    # mass of the classes over base residue sigma is exactly nu(sigma)
+    weights = alternating_distribution(level).weights
+    assert [sum(weights[sigma::8]) for sigma in range(8)] == [nu(sigma) for sigma in range(8)]
+
+
+def test_birkhoff_alpha_n_min_is_keyword_only():
+    with pytest.raises(TypeError):
+        birkhoff_alpha(1)
+    assert birkhoff_alpha(n_min=9)[0] < birkhoff_alpha()[0]
 
 
 class TestDomination:
