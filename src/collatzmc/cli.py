@@ -19,6 +19,10 @@ from .errors import CapacityError, ConsistencyError, TrajectoryCapError
 
 WORKERS_ENV = "COLLATZMC_WORKERS"
 
+#: cgroup v2 CPU bandwidth limit: "<quota> <period>" in microseconds, or
+#: "max <period>" when unlimited.
+CPU_MAX_PATH = "/sys/fs/cgroup/cpu.max"
+
 
 def _positive_int(text: str) -> int:
     value = int(text)
@@ -41,8 +45,20 @@ def _bool_flag(text: str) -> bool:
     return lowered == "true"
 
 
+def _cpu_quota() -> int | None:
+    """CPUs the cgroup CPU quota allows, rounded up; None when the quota is
+    "max" or the file cannot be read."""
+    try:
+        with open(CPU_MAX_PATH) as handle:
+            quota, period = handle.read().split()
+        return None if quota == "max" else max(1, -(-int(quota) // int(period)))
+    except (OSError, ValueError):
+        return None
+
+
 def _default_workers() -> int:
-    """$COLLATZMC_WORKERS when set, else the CPUs this process may run on.
+    """$COLLATZMC_WORKERS when set, else the CPUs this process may run on,
+    capped by the cgroup CPU quota.
 
     Raises ValueError when the variable holds anything but a positive integer.
     """
@@ -52,8 +68,11 @@ def _default_workers() -> int:
             raise ValueError(f"{WORKERS_ENV} must be a positive integer, got {env!r}")
         return int(env)
     if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
+    quota = _cpu_quota()
+    return cpus if quota is None else min(cpus, quota)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -203,7 +222,8 @@ def _cmd_simulate(args, out) -> int:
             n_max=args.n_max,
             level=args.m,
             include_start=args.include_start,
-            per_trajectory=args.per_trajectory,
+            # CSV output has no per-trajectory column, so skip the tally there
+            per_trajectory=args.per_trajectory and args.format == "json",
             workers=workers,
         )
     except ValueError as exc:

@@ -30,12 +30,19 @@ INT64_SAFE = (2**63 - 21) // 36
 #: Fixed shard width; independent of worker count so merges are reproducible.
 SHARD_SIZE = 1 << 20
 
-#: Per-trajectory tallies keep roughly this many int32 cells per shard.
+#: Per-trajectory shards cover about this many (orbit, class) cells, with at
+#: least 1024 starts: shard * 8^m <= 2^28 at every level.  Each shard's orbit
+#: shares are summed separately and the shards merge in order, so the shard
+#: bounds fix the float sums, and with them the output bytes.
 PER_TRAJECTORY_CELLS = 1 << 23
 
-#: Per-orbit histograms are normalised in blocks of about this many float64
-#: cells (1 MiB), so the float copy of a shard's rows stays in cache.
-NORMALIZE_CELLS = 1 << 17
+#: Per-trajectory shards run the kernel on this many starts at a time and
+#: fold each batch's visit keys into the running sums before the next.
+PER_TRAJECTORY_BATCH = 1 << 13
+
+#: Keys reserved per shard for the visit-key buffer; np.empty maps its pages
+#: only as keys are written, and the buffer doubles if a batch needs more.
+VISIT_KEYS_RESERVE = 1 << 22
 
 MAX_SWEEP_LEVEL = 6
 
@@ -97,7 +104,9 @@ class TrajectoryStats:
     visit_counts: list[int]
     max_value: int
     trajectories: int
-    traj_freq_sums: list[float] | None = None  # sum of per-orbit normalized histograms
+    # per class, the sum over orbits of the orbit's share of visits in that
+    # class, added in orbit order within each shard
+    traj_freq_sums: list[float] | None = None
     traj_counted: int = 0  # orbits contributing at least one visit
 
     @property
@@ -192,6 +201,33 @@ class _JumpTables:
         return owner, self.small_class[at], self.small_count[at]
 
 
+class _VisitKeys:
+    """Grow-only int32 buffer of one batch's visit keys id * 8^m + class.
+
+    A shard's batches reuse it, so each batch writes into pages already
+    mapped instead of a fresh array.  Keys may arrive as int64; a batch's
+    keys are below PER_TRAJECTORY_BATCH * 8^6 = 2^31, so int32 holds them.
+    """
+
+    def __init__(self):
+        self._buffer = np.empty(VISIT_KEYS_RESERVE, dtype=np.int32)
+        self._size = 0
+
+    def append(self, keys: np.ndarray) -> None:
+        end = self._size + keys.size
+        if end > self._buffer.size:
+            grown = np.empty(max(end, 2 * self._buffer.size), dtype=np.int32)
+            grown[: self._size] = self._buffer[: self._size]
+            self._buffer = grown
+        self._buffer[self._size : end] = keys.ravel()
+        self._size = end
+
+    def take(self) -> np.ndarray:
+        """The keys appended since the last take, as a view into the buffer."""
+        keys, self._size = self._buffer[: self._size], 0
+        return keys
+
+
 def _triple_step(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """One third-iterate step on int64 values and the largest Collatz value inside it."""
     sigma = x & 7
@@ -275,30 +311,34 @@ def _jump_tables(level: int) -> _JumpTables:
     return tables
 
 
-def _sweep_shard(config: SweepConfig, lo: int, hi: int) -> TrajectoryStats:
-    """Vectorized kernel over starting values [lo, hi].
+def _run_batch(
+    config: SweepConfig, tables: _JumpTables, lo: int, hi: int, record: int, keys: _VisitKeys | None
+) -> tuple[np.ndarray, int]:
+    """Vectorized kernel over starting values [lo, hi]: their class counts
+    (starts included) and the max excursion, at least record.
 
     Every live orbit has taken the same number of triple steps.  Each pass
     finishes the values below the small-value bound from the orbit tables,
     hands values above the jump bound to run_trajectory with the steps they
     have left, tallies the residues of the rest and advances them one jump.
-    A value is tallied in the pass that starts from it, so the starts are
-    subtracted at the end unless include_start.
+    A value is tallied in the pass that starts from it.  When keys is given,
+    every visit is also appended to it as the key id * 8^m + class, where
+    id = start - lo.
 
     No value a jump reaches before its last triple step is in {1, 2, 4}, so a
     jump that overshoots step_cap carries only orbits longer than step_cap.
-    TrajectoryCapError
-    names the smallest start in the shard whose orbit is longer than step_cap.
+    TrajectoryCapError names the smallest start in [lo, hi] whose orbit is
+    longer than step_cap.
     """
-    tables = _jump_tables(config.level)
     mod = 8**config.level
     residues = tables.classes.shape[0]
     residue_counts = np.zeros(residues, dtype=np.int64)
     finished = np.zeros(tables.small, dtype=np.int64)  # orbits finished per small value
-    rows = np.zeros((hi - lo + 1, mod), dtype=np.int32) if config.per_trajectory else None
     active = np.arange(lo, hi + 1, dtype=np.int64)
     ids = np.arange(active.size, dtype=np.int64)
-    max_value = hi
+    # per id, the small value its orbit was finished from (0: not finished from the table)
+    finished_from = np.zeros(active.size, dtype=np.int64) if keys is not None else None
+    max_value = record
     exact_continuations: list[tuple[int, int, int]] = []  # (id, current value, steps taken)
     offenders: list[int] = []  # ids of orbits longer than step_cap
     steps = 0
@@ -312,9 +352,8 @@ def _sweep_shard(config: SweepConfig, lo: int, hi: int) -> TrajectoryStats:
             over = tables.small_steps[done] > config.step_cap - steps
             if over.any():
                 offenders.append(int(done_ids[over][0]))
-            if rows is not None:
-                owner, cls, visits = tables.small_visits(done)
-                rows[done_ids[owner], cls] += visits
+            if keys is not None:
+                finished_from[done_ids] = done
             keep = ~small
             active, ids = active[keep], ids[keep]
             if not active.size:
@@ -335,9 +374,8 @@ def _sweep_shard(config: SweepConfig, lo: int, hi: int) -> TrajectoryStats:
             top = int(active.max())
         r = active & (residues - 1)
         residue_counts += np.bincount(r, minlength=residues)
-        if rows is not None:
-            for column in tables.classes[r].T:
-                rows[ids, column] += 1  # ids are distinct, so no update is lost
+        if keys is not None:
+            keys.append(tables.classes[r] + (ids * mod)[:, None])
         if tables.growth * top > max_value:
             # The top slice first: its peaks raise the record, which prunes the rest.
             upper = active > top - top // tables.growth
@@ -355,40 +393,93 @@ def _sweep_shard(config: SweepConfig, lo: int, hi: int) -> TrajectoryStats:
     np.add.at(counts, cls, visits * finished[owner])
     for column in tables.classes.T:
         np.add.at(counts, column, residue_counts)
+    if keys is not None:
+        ended = np.flatnonzero(finished_from)
+        owner, cls, visits = tables.small_visits(finished_from[ended])
+        keys.append(np.repeat(ended[owner] * mod + cls, visits))
     for traj_id, value, taken in exact_continuations:
         run = run_trajectory(value, level=config.level, step_cap=config.step_cap - taken)
         if run.capped:
             offenders.append(traj_id)
             continue
         max_value = max(max_value, run.max_value)
-        tail = np.bincount(np.asarray(run.visits, dtype=np.int64), minlength=mod)
-        counts += tail
-        if rows is not None:
-            rows[traj_id] += tail
+        tail = np.asarray(run.visits, dtype=np.int64)
+        counts += np.bincount(tail, minlength=mod)
+        if keys is not None:
+            keys.append(traj_id * mod + tail)
     if offenders:
         raise TrajectoryCapError(lo + min(offenders), config.step_cap)
-    if not config.include_start:
-        starts = np.arange(lo, hi + 1, dtype=np.int64)
-        outside = ~np.isin(starts, tuple(CYCLE))
-        start_classes = starts[outside] & (mod - 1)
-        counts -= np.bincount(start_classes, minlength=mod)
-        if rows is not None:
-            rows[(starts - lo)[outside], start_classes] -= 1
+    return counts, max_value
 
-    freq_sums, counted = None, 0
-    if rows is not None:
-        row_totals = rows.sum(axis=1)
-        visited = np.flatnonzero(row_totals)
-        counted = visited.size
-        # Row 0 of the block carries the running sum into each block's sum, so
-        # the rows are added in the same order as in one sum over all of them.
-        height = max(1, NORMALIZE_CELLS // mod)
-        block = np.zeros((height + 1, mod))
-        for first in range(0, counted, height):
-            at = visited[first : first + height]
-            np.divide(rows[at], row_totals[at, None], out=block[1 : at.size + 1])
-            block[0] = block[: at.size + 1].sum(axis=0)
-        freq_sums = block[0].tolist()
+
+def _add_orbit_shares(
+    sums: np.ndarray, keys: np.ndarray, size: int, start_keys: np.ndarray | None
+) -> int:
+    """Add each orbit's share of visits per class into sums, in orbit order.
+
+    keys holds one int32 key id * 8^m + class per visit of the orbits with
+    ids 0 .. size-1, and start_keys, when given, the key of each start to
+    uncount.  Returns the number of orbits with a visit.
+
+    Sorted and run-length encoded, the keys are the (orbit, class) pairs in
+    orbit order with their visit counts.  np.add.at adds in index order, so
+    each class's sum takes the orbits' shares in orbit order, as one running
+    sum over the shard does; the batches change no float result.
+    """
+    mod = sums.size
+    if not keys.size:
+        return 0
+    keys.sort()
+    # int32 like the keys, so searchsorted does not copy them; (size - 1) * 8^m fits
+    orbits = np.arange(size, dtype=np.int32) * mod
+    totals = np.diff(np.searchsorted(keys, orbits), append=keys.size)
+    edges = np.flatnonzero(np.r_[True, keys[1:] != keys[:-1], True])
+    visits = np.diff(edges)
+    keys = keys[edges[:-1]]
+    if start_keys is not None:
+        visits[np.searchsorted(keys, start_keys)] -= 1
+        totals[start_keys // mod] -= 1
+        kept = visits > 0  # an orbit whose only visit was its start keeps no pair
+        keys, visits = keys[kept], visits[kept]
+    pairs = np.diff(np.searchsorted(keys, orbits), append=keys.size)  # per orbit
+    shares = np.repeat(totals.astype(float), pairs)
+    np.divide(visits, shares, out=shares)
+    np.add.at(sums, keys & (mod - 1), shares)
+    return int(np.count_nonzero(totals))
+
+
+def _sweep_shard(config: SweepConfig, lo: int, hi: int) -> TrajectoryStats:
+    """Stats of the orbits from [lo, hi].
+
+    The plain sweep runs the kernel once over the shard.  The per-trajectory
+    sweep runs it on batches of PER_TRAJECTORY_BATCH starts, which collect
+    sparse int32 visit keys id * 8^m + class instead of dense per-orbit rows,
+    and adds each batch's orbit shares to running class sums before the next
+    batch starts, in the float order of one sum over the shard.  Batches run
+    in order, so the first TrajectoryCapError names the smallest offender in
+    the shard.  Each batch's starts are uncounted unless include_start.
+    """
+    tables = _jump_tables(config.level)
+    mod = 8**config.level
+    counts = np.zeros(mod, dtype=np.int64)
+    max_value = hi
+    sums = np.zeros(mod) if config.per_trajectory else None
+    counted = 0
+    batch = PER_TRAJECTORY_BATCH if config.per_trajectory else hi - lo + 1
+    keys = _VisitKeys() if config.per_trajectory else None
+    for first in range(lo, hi + 1, batch):
+        last = min(first + batch - 1, hi)
+        batch_counts, max_value = _run_batch(config, tables, first, last, max_value, keys)
+        counts += batch_counts
+        start_keys = None
+        if not config.include_start:
+            starts = np.arange(first, last + 1, dtype=np.int64)
+            starts = starts[~np.isin(starts, tuple(CYCLE))]
+            counts -= np.bincount(starts & (mod - 1), minlength=mod)
+            start_keys = ((starts - first) * mod + (starts & (mod - 1))).astype(np.int32)
+        if keys is not None:
+            counted += _add_orbit_shares(sums, keys.take(), last - first + 1, start_keys)
+    freq_sums = None if sums is None else sums.tolist()
     return TrajectoryStats(config.level, counts.tolist(), max_value, hi - lo + 1, freq_sums, counted)
 
 

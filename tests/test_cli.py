@@ -169,16 +169,21 @@ class TestSimulate:
         assert base == multi
 
     @pytest.mark.parametrize(
-        "n_max, level, digest",
+        "n_max, level, digest, include_start",
         [
-            ("2000", "2", "ea4d2df52a65873afd33e2e5bf9e93d9343dc9121d0b9b0265bdab1e6caa0283"),
-            ("20000", "3", "749017a571f32054b390c19e076da5d0ffbc432cb77b0d7b493fedc4dca53f97"),
+            ("2000", "2", "ea4d2df52a65873afd33e2e5bf9e93d9343dc9121d0b9b0265bdab1e6caa0283", "true"),
+            ("20000", "3", "749017a571f32054b390c19e076da5d0ffbc432cb77b0d7b493fedc4dca53f97", "true"),
+            # three shards at level 4
+            ("5000", "4", "fef6807071c75ceddc719759f51eaadf59aa45cde0499543b5ba7d612275aa42", "false"),
+            ("30000", "2", "ce63798e3850b3b96eacf83fda46e62dba29be10c80b1eb36b6c1bf626803cbc", "false"),
+            # 1, 2 and 4 have no visits, and 5's only visit, its start, is uncounted
+            ("5", "3", "7086b774081edda83474f1c5f42f0b9f019473a49b55b3015cfe9b94cc29678b", "false"),
         ],
-        ids=["max2000-m2", "max20000-m3"],
+        ids=["max2000-m2", "max20000-m3", "max5000-m4-nostart", "max30000-m2-nostart", "max5-m3-nostart"],
     )
-    def test_per_trajectory_golden_bytes(self, n_max, level, digest):
+    def test_per_trajectory_golden_bytes(self, n_max, level, digest, include_start):
         code, text = run_cli(
-            "simulate", "--max", n_max, "--m", level,
+            "simulate", "--max", n_max, "--m", level, "--include-start", include_start,
             "--per-trajectory", "--format", "json", "--workers", "1",
         )
         assert code == 0 and sha256(text) == digest
@@ -205,6 +210,31 @@ class TestSimulate:
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
         monkeypatch.setattr(os, "cpu_count", lambda: 64)
         assert cli._default_workers() == 1
+
+    @pytest.mark.parametrize(
+        "cpu_max, workers",
+        [("max 100000\n", 4), ("150000 100000\n", 2), ("50000 100000\n", 1), (None, 4)],
+        ids=["unlimited", "one-and-a-half", "half", "missing"],
+    )
+    def test_default_workers_follow_cgroup_quota(self, monkeypatch, tmp_path, cpu_max, workers):
+        path = tmp_path / "cpu.max"
+        if cpu_max is not None:
+            path.write_text(cpu_max)
+        monkeypatch.setattr(cli, "CPU_MAX_PATH", str(path))
+        monkeypatch.delenv(cli.WORKERS_ENV, raising=False)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(4)), raising=False)
+        assert cli._default_workers() == workers
+
+    def test_csv_skips_the_per_trajectory_tally(self, monkeypatch):
+        seen = []
+        real_sweep = empirical.sweep
+        monkeypatch.setattr(empirical, "sweep", lambda config: seen.append(config) or real_sweep(config))
+        plain = run_cli("simulate", "--max", "3000", "--m", "2")
+        flagged = run_cli("simulate", "--max", "3000", "--m", "2", "--per-trajectory")
+        assert plain == flagged and plain[0] == 0
+        assert [config.per_trajectory for config in seen] == [False, False]
+        run_cli("simulate", "--max", "3000", "--per-trajectory", "--format", "json")
+        assert seen[-1].per_trajectory
 
 
 class TestVerify:

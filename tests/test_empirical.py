@@ -90,8 +90,7 @@ class TestSweep:
         stats = sweep(config)
         _, _, freq_sums, counted = reference_sweep(800)
         assert stats.traj_counted == counted
-        for got, want in zip(stats.traj_freq_sums, freq_sums):
-            assert abs(got - want) < 1e-9
+        assert stats.traj_freq_sums == freq_sums
 
     def test_sharded_equals_unsharded(self):
         config = SweepConfig(n_max=5000)
@@ -207,8 +206,6 @@ def band_start(level, lo, jump_offset):
 @example(level=1, include_start=True, per_trajectory=False, lo=352, width=64, jump_offset=None)
 def test_shard_matches_reference(level, include_start, per_trajectory, lo, width, jump_offset):
     lo = band_start(level, lo, jump_offset)
-    if level >= 4:
-        width = 1 + width % 8  # dense per-orbit rows have 8^m columns
     hi = lo + width - 1
     config = SweepConfig(
         n_max=max(hi, 5), level=level, include_start=include_start, per_trajectory=per_trajectory
@@ -220,7 +217,7 @@ def test_shard_matches_reference(level, include_start, per_trajectory, lo, width
     assert stats.trajectories == width
     if per_trajectory:
         assert stats.traj_counted == counted
-        assert all(abs(got - want) <= 1e-12 for got, want in zip(stats.traj_freq_sums, freq_sums))
+        assert stats.traj_freq_sums == freq_sums
     else:
         assert stats.traj_freq_sums is None
 
@@ -252,6 +249,70 @@ def test_step_cap_is_exact(step_cap, level, include_start, lo, width, jump_offse
         with pytest.raises(TrajectoryCapError) as info:
             _sweep_shard(config, lo, hi)
         assert (info.value.start, info.value.steps) == (offender, step_cap)
+
+
+@pytest.mark.parametrize("level", range(1, 5))
+@pytest.mark.parametrize("include_start", [True, False])
+@pytest.mark.parametrize("where", ["small", "jump-bound"])
+def test_batches_change_no_result(monkeypatch, level, include_start, where):
+    """Per-trajectory stats are the same for any batch width, bit for bit."""
+    # small values with the cycle, or starts on both sides of the jump bound
+    lo = 1 if where == "small" else _jump_tables(level).safe - 20
+    hi = lo + 40
+    config = SweepConfig(n_max=hi, level=level, include_start=include_start, per_trajectory=True)
+    whole = _sweep_shard(config, lo, hi)
+    monkeypatch.setattr(empirical, "PER_TRAJECTORY_BATCH", 7)
+    assert _sweep_shard(config, lo, hi) == whole
+
+
+def test_batches_name_the_smallest_offender(monkeypatch):
+    config = SweepConfig(n_max=60, per_trajectory=True, step_cap=6)
+    offender = first_longer_than(6, 1, 60)
+    assert offender == 25  # the fourth batch of 7, 22 .. 28, also holds 27
+    monkeypatch.setattr(empirical, "PER_TRAJECTORY_BATCH", 7)
+    with pytest.raises(TrajectoryCapError) as info:
+        _sweep_shard(config, 1, 60)
+    assert (info.value.start, info.value.steps) == (offender, 6)
+
+
+def test_visit_keys_fit_int32(monkeypatch):
+    """A batch's keys id * 8^m + class fit int32 even at level 6, and the
+    per-trajectory shard rule keeps shard * 8^m <= 2^28 at every level."""
+    seen = []
+    fold = empirical._add_orbit_shares
+    monkeypatch.setattr(
+        empirical,
+        "_add_orbit_shares",
+        lambda sums, keys, *rest: seen.append(keys.copy()) or fold(sums, keys, *rest),
+    )
+    batch = empirical.PER_TRAJECTORY_BATCH
+    _sweep_shard(SweepConfig(n_max=batch, level=6, per_trajectory=True), 1, batch)
+    (keys,) = seen
+    assert keys.dtype == np.int32 and keys.min() >= 0
+    assert keys.max() >> 18 == batch - 1  # the last orbit's id
+
+    class FirstShard(Exception):
+        pass
+
+    def shard(config, lo, hi):
+        raise FirstShard(hi - lo + 1)
+
+    monkeypatch.setattr(empirical, "_sweep_shard", shard)
+    for level in range(1, 7):
+        with pytest.raises(FirstShard) as info:
+            sweep(SweepConfig(n_max=2**21, level=level, per_trajectory=True))
+        assert info.value.args[0] * 8**level <= 2**28
+
+
+def test_visit_keys_grow_and_reset(monkeypatch):
+    monkeypatch.setattr(empirical, "VISIT_KEYS_RESERVE", 4)
+    keys = empirical._VisitKeys()
+    keys.append(np.array([[5, 6], [7, 8]], dtype=np.int64))
+    keys.append(np.arange(3, dtype=np.int32))
+    assert keys.take().tolist() == [5, 6, 7, 8, 0, 1, 2]
+    keys.append(np.array([9]))
+    assert keys.take().tolist() == [9]
+    assert keys.take().size == 0
 
 
 def collatz_path(n, triple_steps):
