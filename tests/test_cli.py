@@ -25,6 +25,32 @@ def sha256(text):
     return hashlib.sha256(text.encode()).hexdigest()
 
 
+#: sha256 of the stdout of `simulate ARGV --workers 1`; the last case runs three
+#: per-trajectory shards of 1024 starts.
+SIMULATE_GOLDENS = {
+    "--max 3000 --m 1": "a72d27d9e761a0b289d1b086e51b1045aca2f568b4e5fb730292235f329fe00e",
+    "--max 20000 --m 1": "2e3782e73e93a2dbe17476a4022005d07106f8ad85588099f9bafa8d94cff22f",
+    "--max 3000 --m 2": "60f7c5aa43c36826e98d240f04c3416feef5bfc818d9e87f5c73ca236ba3833d",
+    "--max 20000 --m 2": "420173f6a6af542421badd70a51161d2f8e22b554ac836528d756a9dc640233b",
+    "--max 3000 --m 3": "af48ce6cc510b3c29d67d0140268de66d9a4dd2816300b197709dc831559a761",
+    "--max 20000 --m 3": "fa70bb5d9d82500c11b1ae9ac5edae23af7836d729e6a9df2565c2d19844c4e1",
+    "--max 3000 --m 4": "39ab3b102bd5c27bbdcea1b399d5c1d07b80f964a17d624c6cdf1c99c5b07826",
+    "--max 20000 --m 4": "61cc1bf48ce5e534d2cce20c5baaf7ed6c10c84a4363f33d10e0466b17d9a988",
+    "--max 3000 --m 5": "c18bba02c55d7129de10dc5ae75426f446978adfea8f554bc4f9739ab4876d1b",
+    "--max 20000 --m 5": "8ffdc46c729aab2af0a4979287b3c62d4123cf8b7529a036f14cc3594052430c",
+    "--max 3000 --m 6": "a62f391d65d7ab53e6ab6245d6739bb6eed5632596c46e464ba52806b161d778",
+    "--max 20000 --m 6": "2cc570e4f524f0f035e78390ef1029ff3c6636a08c374eaaa5cc51b90ef37333",
+    "--max 20000 --m 5 --include-start false": (
+        "1ab3d656b2124f611b5a4639a9f4d798f7b73002999631ddc9fd6f5debe42a6f"
+    ),
+    "--max 3000 --m 1 --format json": "53402801b127f6b088deb0a6434e353c9cb0f3eeaf6d70687ffb643fd47d1f8c",
+    "--max 20000 --m 4 --format json": "4a86f582a57bbeb8e4bc629ba39650f939ea40800b229a3be5ab7d8e6fd4be75",
+    "--max 3000 --m 5 --per-trajectory --format json": (
+        "f1dccccb9118bae9adb9894d17ef98500d348449d723bc90196abf8d6881fff1"
+    ),
+}
+
+
 class TestStationary:
     def test_level1_lines(self):
         code, text = run_cli("stationary", "--m", "1")
@@ -187,6 +213,20 @@ class TestSimulate:
             "--per-trajectory", "--format", "json", "--workers", "1",
         )
         assert code == 0 and sha256(text) == digest
+
+    @pytest.mark.parametrize("argv, digest", SIMULATE_GOLDENS.items(), ids=list(SIMULATE_GOLDENS))
+    def test_simulate_golden_bytes(self, argv, digest):
+        code, text = run_cli("simulate", *argv.split(), "--workers", "1")
+        assert code == 0 and sha256(text) == digest
+
+    def test_process_pool_golden_bytes(self):
+        # three per-trajectory shards of 16384 starts at level 3, merged across two processes
+        code, text = run_cli(
+            "simulate", "--max", "40000", "--m", "3", "--per-trajectory", "--format", "json",
+            "--workers", "2",
+        )
+        assert code == 0
+        assert sha256(text) == "b8826e31ac7454b51978ca63dda638ee14798234a46f7b8ae21298681008888c"
 
     @pytest.mark.parametrize("value", ["0", "-2", "two", "1.5"])
     def test_bad_workers_env_is_usage_error(self, monkeypatch, capsys, value):
