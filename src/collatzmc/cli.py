@@ -106,7 +106,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("contraction", help="contraction factors, bounds, and log averages")
     p.add_argument("--n-min", type=_positive_int, default=3, dest="n_min")
-    p.add_argument("--m", type=_positive_int, default=1)
+    p.add_argument("--m", type=_positive_int, default=1, help="level, echoed only: alpha does not use it")
     p.add_argument("--format", choices=("text", "json"), default="text")
 
     p = sub.add_parser("simulate", help="sweep all starts up to n_max and compare to theory")

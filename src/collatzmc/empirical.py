@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import CapacityError, TrajectoryCapError
 from .maps import CYCLE, MULTIPLIERS, OFFSETS, collatz_step
-from .markov import alternating_distribution
+from .markov import alternating_weights
 
 #: Largest value for which one triple step (36*n + 20) stays inside int64.
 INT64_SAFE = (2**63 - 21) // 36
@@ -96,43 +96,47 @@ def run_trajectory(
     return TrajectoryRun(n0, level, tuple(visits), max_value, steps, False)
 
 
-@dataclass
+@dataclass(eq=False)
 class TrajectoryStats:
-    """Aggregated sweep results; merge is associative and commutative."""
+    """Aggregated sweep results; merge is associative and commutative.
+
+    The arrays have one entry per class mod 8^m.  frequencies() rounds like
+    exact division while the total visit count stays below 2^53.
+    """
 
     level: int
-    visit_counts: list[int]
+    visit_counts: np.ndarray  # int64 visits per class
     max_value: int
     trajectories: int
-    # per class, the sum over orbits of the orbit's share of visits in that
-    # class, added in orbit order within each shard
-    traj_freq_sums: list[float] | None = None
+    # float64 per class, the sum over orbits of the orbit's share of visits in
+    # that class, added in orbit order within each shard
+    traj_freq_sums: np.ndarray | None = None
     traj_counted: int = 0  # orbits contributing at least one visit
 
     @property
     def total_visits(self) -> int:
-        return sum(self.visit_counts)
+        return int(self.visit_counts.sum())
 
-    def frequencies(self) -> list[float]:
+    def frequencies(self) -> np.ndarray:
         total = self.total_visits
         if total <= 0:
             raise ValueError("no visits recorded")
-        return [c / total for c in self.visit_counts]
+        return self.visit_counts / total
 
-    def per_trajectory_frequencies(self) -> list[float]:
+    def per_trajectory_frequencies(self) -> np.ndarray:
         if self.traj_freq_sums is None or self.traj_counted == 0:
             raise ValueError("per-trajectory tallies were not collected")
-        return [s / self.traj_counted for s in self.traj_freq_sums]
+        return self.traj_freq_sums / self.traj_counted
 
     def merge(self, other: "TrajectoryStats") -> "TrajectoryStats":
         if self.level != other.level:
             raise ValueError("cannot merge stats at different levels")
         sums = None
         if self.traj_freq_sums is not None and other.traj_freq_sums is not None:
-            sums = [a + b for a, b in zip(self.traj_freq_sums, other.traj_freq_sums)]
+            sums = self.traj_freq_sums + other.traj_freq_sums
         return TrajectoryStats(
             level=self.level,
-            visit_counts=[a + b for a, b in zip(self.visit_counts, other.visit_counts)],
+            visit_counts=self.visit_counts + other.visit_counts,
             max_value=max(self.max_value, other.max_value),
             trajectories=self.trajectories + other.trajectories,
             traj_freq_sums=sums,
@@ -479,8 +483,7 @@ def _sweep_shard(config: SweepConfig, lo: int, hi: int) -> TrajectoryStats:
             start_keys = ((starts - first) * mod + (starts & (mod - 1))).astype(np.int32)
         if keys is not None:
             counted += _add_orbit_shares(sums, keys.take(), last - first + 1, start_keys)
-    freq_sums = None if sums is None else sums.tolist()
-    return TrajectoryStats(config.level, counts.tolist(), max_value, hi - lo + 1, freq_sums, counted)
+    return TrajectoryStats(config.level, counts, max_value, hi - lo + 1, sums, counted)
 
 
 def sweep(config: SweepConfig, shard_size: int = SHARD_SIZE) -> TrajectoryStats:
@@ -501,49 +504,42 @@ def sweep(config: SweepConfig, shard_size: int = SHARD_SIZE) -> TrajectoryStats:
     return reduce(TrajectoryStats.merge, map(kernel, los, his))
 
 
-@dataclass(frozen=True)
-class ComparisonRow:
-    class_index: int
-    theoretical: Fraction
-    empirical: float
-    deviation: float
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ComparisonTable:
+    """Empirical class frequencies against the stationary law, which is
+    theoretical[0] on even classes and theoretical[1] on odd ones."""
+
     level: int
-    rows: tuple[ComparisonRow, ...]
+    theoretical: tuple[Fraction, Fraction]
+    empirical: np.ndarray  # float64 per class
+    deviation: np.ndarray  # |empirical - float(theoretical)| per class
     max_value: int
     total_visits: int
     trajectories: int
 
     @property
     def max_deviation(self) -> float:
-        return max(row.deviation for row in self.rows)
+        return float(self.deviation.max())
 
 
 def compare_to_theory(stats: TrajectoryStats, use_per_trajectory: bool = False) -> ComparisonTable:
     """Per-class table of stationary weight vs empirical frequency."""
-    if stats.total_visits <= 0:
-        raise ValueError("stats contain no recorded visits")
-    freqs = (
-        stats.per_trajectory_frequencies() if use_per_trajectory else stats.frequencies()
+    freqs = stats.per_trajectory_frequencies() if use_per_trajectory else stats.frequencies()
+    theoretical = alternating_weights(stats.level)
+    deviation = np.abs(freqs - np.tile([float(w) for w in theoretical], freqs.size // 2))
+    return ComparisonTable(
+        stats.level, theoretical, freqs, deviation, stats.max_value, stats.total_visits, stats.trajectories
     )
-    weights = alternating_distribution(stats.level).weights
-    rows = tuple(
-        ComparisonRow(i, weights[i], freqs[i], abs(freqs[i] - float(weights[i])))
-        for i in range(8**stats.level)
-    )
-    return ComparisonTable(stats.level, rows, stats.max_value, stats.total_visits, stats.trajectories)
 
 
 def to_csv(table: ComparisonTable) -> str:
     """Deterministic CSV: fixed 12-decimal columns plus a stats comment trailer."""
+    theoretical = [f"{float(w):.12f}" for w in table.theoretical]
     lines = ["class,theoretical,empirical,deviation"]
-    for row in table.rows:
-        lines.append(
-            f"{row.class_index},{float(row.theoretical):.12f},{row.empirical:.12f},{row.deviation:.12f}"
-        )
+    lines.extend(
+        f"{i},{theoretical[i & 1]},{e:.12f},{d:.12f}"
+        for i, (e, d) in enumerate(zip(table.empirical.tolist(), table.deviation.tolist()))
+    )
     lines.append(f"# max_value={table.max_value} total_visits={table.total_visits}")
     return "\n".join(lines) + "\n"
 
@@ -552,14 +548,10 @@ def to_json_dict(table: ComparisonTable, per_trajectory: ComparisonTable | None 
     """JSON payload mirroring the CSV fields, plus per-trajectory rows if collected."""
 
     def row_list(t: ComparisonTable) -> list[dict]:
+        theoretical = [float(w) for w in t.theoretical]
         return [
-            {
-                "class": row.class_index,
-                "theoretical": float(row.theoretical),
-                "empirical": row.empirical,
-                "deviation": row.deviation,
-            }
-            for row in t.rows
+            {"class": i, "theoretical": theoretical[i & 1], "empirical": e, "deviation": d}
+            for i, (e, d) in enumerate(zip(t.empirical.tolist(), t.deviation.tolist()))
         ]
 
     payload = {

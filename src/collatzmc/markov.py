@@ -173,11 +173,15 @@ def left_multiply(weights, matrix: TransitionMatrix) -> list[Fraction]:
     return out
 
 
+def alternating_weights(level: int) -> tuple[Fraction, Fraction]:
+    """The closed-form fixed vector's values (even, odd): 1/(6*8^{m-1}) at even
+    indices, half that at odd."""
+    return Fraction(1, 6 * 8 ** (level - 1)), Fraction(1, 12 * 8 ** (level - 1))
+
+
 def alternating_distribution(level: int) -> Distribution:
-    """The closed-form fixed vector: 1/(6*8^{m-1}) at even indices, half that at odd."""
-    a = Fraction(1, 6 * 8 ** (level - 1))
-    b = Fraction(1, 12 * 8 ** (level - 1))
-    return Distribution(level, tuple(a if i % 2 == 0 else b for i in range(8**level)))
+    """The closed-form fixed vector, alternating_weights(level) at every even/odd pair."""
+    return Distribution(level, alternating_weights(level) * (8**level // 2))
 
 
 def power_iteration(matrix: TransitionMatrix) -> np.ndarray:

@@ -1,5 +1,6 @@
 """Sweep kernel correctness against the pure-Python reference, and reports."""
 
+import dataclasses
 from collections import Counter
 from fractions import Fraction
 
@@ -23,9 +24,25 @@ from collatzmc.empirical import (
 )
 from collatzmc.errors import CapacityError, TrajectoryCapError
 from collatzmc.maps import CYCLE, collatz_step, third_iterate
+from collatzmc.markov import build_matrix, stationary_distribution
 
 
-def reference_sweep(n_max, level=1, include_start=True, lo=1):
+def stats_identical(actual, expected):
+    """Exact TrajectoryStats equality: every field of the same type, and arrays
+    of the same dtype and values."""
+    for field in dataclasses.fields(TrajectoryStats):
+        a, b = getattr(actual, field.name), getattr(expected, field.name)
+        if type(a) is not type(b):
+            return False
+        if isinstance(b, np.ndarray):
+            if a.dtype != b.dtype or not np.array_equal(a, b):
+                return False
+        elif a != b:
+            return False
+    return True
+
+
+def reference_sweep(n_max, level=1, include_start=True, lo=1, per_trajectory=False):
     """Per-start aggregation over [lo, n_max] with the exact scalar path; the kernel oracle."""
     mod = 8**level
     counts, max_value = [0] * mod, 0
@@ -41,7 +58,13 @@ def reference_sweep(n_max, level=1, include_start=True, lo=1):
                 (v, run.visits.count(v) / len(run.visits)) for v in set(run.visits)
             ):
                 freq_sums[visit] += share
-    return counts, max_value, freq_sums, counted
+    if not per_trajectory:
+        freq_sums, counted = None, 0
+    else:
+        freq_sums = np.array(freq_sums)
+    return TrajectoryStats(
+        level, np.array(counts, dtype=np.int64), max_value, n_max - lo + 1, freq_sums, counted
+    )
 
 
 class TestRunTrajectory:
@@ -79,32 +102,29 @@ class TestSweep:
     def test_matches_reference(self, level, include_start):
         config = SweepConfig(n_max=3000, level=level, include_start=include_start)
         stats = sweep(config)
-        counts, max_value, _, _ = reference_sweep(3000, level, include_start)
-        assert stats.visit_counts == counts
-        assert stats.max_value == max_value
+        expected = reference_sweep(3000, level, include_start)
+        assert stats_identical(stats, expected)
         assert stats.trajectories == 3000
-        assert stats.total_visits == sum(counts)
+        assert stats.total_visits == int(expected.visit_counts.sum())
+        assert type(stats.total_visits) is int
 
     def test_per_trajectory_matches_reference(self):
         config = SweepConfig(n_max=800, per_trajectory=True)
         stats = sweep(config)
-        _, _, freq_sums, counted = reference_sweep(800)
-        assert stats.traj_counted == counted
-        assert stats.traj_freq_sums == freq_sums
+        assert stats_identical(stats, reference_sweep(800, per_trajectory=True))
 
     def test_sharded_equals_unsharded(self):
         config = SweepConfig(n_max=5000)
         whole = sweep(config)
         sharded = sweep(config, shard_size=512)
-        assert whole.visit_counts == sharded.visit_counts
-        assert whole.max_value == sharded.max_value
+        assert stats_identical(whole, sharded)
 
     def test_workers_identical_totals(self):
         config1 = SweepConfig(n_max=20_000, workers=1)
         config2 = SweepConfig(n_max=20_000, workers=2)
         a = sweep(config1, shard_size=4096)
         b = sweep(config2, shard_size=4096)
-        assert a == b
+        assert stats_identical(a, b)
 
     def test_max_value_monotone_in_n_max(self):
         small = sweep(SweepConfig(n_max=5_000)).max_value
@@ -147,7 +167,7 @@ class TestSweep:
         monkeypatch.setattr(empirical, "ProcessPoolExecutor", InlinePool)
         stats = sweep(SweepConfig(n_max=3000, workers=8), shard_size=1500)
         assert opened == [2]
-        assert stats == sweep(SweepConfig(n_max=3000), shard_size=1500)
+        assert stats_identical(stats, sweep(SweepConfig(n_max=3000), shard_size=1500))
         sweep(SweepConfig(n_max=3000, workers=2), shard_size=500)
         assert opened == [2, 2]
 
@@ -161,7 +181,8 @@ class TestSweep:
             _sweep_shard(SweepConfig(n_max=n, step_cap=286), n, n)
         assert (info.value.start, info.value.steps) == (n, 286)
         stats = _sweep_shard(SweepConfig(n_max=n, step_cap=287), n, n)
-        assert stats.visit_counts == [run.visits.count(c) for c in range(8)]
+        assert stats_identical(stats, reference_sweep(n, lo=n))
+        assert stats.visit_counts.tolist() == [run.visits.count(c) for c in range(8)]
         assert stats.max_value == run.max_value
 
     def test_config_validation(self):
@@ -211,15 +232,8 @@ def test_shard_matches_reference(level, include_start, per_trajectory, lo, width
         n_max=max(hi, 5), level=level, include_start=include_start, per_trajectory=per_trajectory
     )
     stats = _sweep_shard(config, lo, hi)
-    counts, max_value, freq_sums, counted = reference_sweep(hi, level, include_start, lo=lo)
-    assert stats.visit_counts == counts
-    assert stats.max_value == max_value
+    assert stats_identical(stats, reference_sweep(hi, level, include_start, lo, per_trajectory))
     assert stats.trajectories == width
-    if per_trajectory:
-        assert stats.traj_counted == counted
-        assert stats.traj_freq_sums == freq_sums
-    else:
-        assert stats.traj_freq_sums is None
 
 
 @settings(max_examples=80, deadline=None)
@@ -243,8 +257,7 @@ def test_step_cap_is_exact(step_cap, level, include_start, lo, width, jump_offse
     offender = first_longer_than(step_cap, lo, hi)
     if offender is None:
         stats = _sweep_shard(config, lo, hi)
-        counts, max_value, _, _ = reference_sweep(hi, level, include_start, lo=lo)
-        assert (stats.visit_counts, stats.max_value) == (counts, max_value)
+        assert stats_identical(stats, reference_sweep(hi, level, include_start, lo=lo))
     else:
         with pytest.raises(TrajectoryCapError) as info:
             _sweep_shard(config, lo, hi)
@@ -262,7 +275,7 @@ def test_batches_change_no_result(monkeypatch, level, include_start, where):
     config = SweepConfig(n_max=hi, level=level, include_start=include_start, per_trajectory=True)
     whole = _sweep_shard(config, lo, hi)
     monkeypatch.setattr(empirical, "PER_TRAJECTORY_BATCH", 7)
-    assert _sweep_shard(config, lo, hi) == whole
+    assert stats_identical(_sweep_shard(config, lo, hi), whole)
 
 
 def test_batches_name_the_smallest_offender(monkeypatch):
@@ -391,23 +404,28 @@ class TestJumpTables:
 class TestComparison:
     def test_theoretical_column_level1(self):
         table = compare_to_theory(sweep(SweepConfig(n_max=100)))
-        assert tuple(row.theoretical for row in table.rows) == tuple(
+        assert table.theoretical * 4 == tuple(
             Fraction(1, 6) if i % 2 == 0 else Fraction(1, 12) for i in range(8)
         )
+        assert table.theoretical * 4 == stationary_distribution(build_matrix(1)).weights
 
     def test_table_against_small_sweep(self):
         stats = sweep(SweepConfig(n_max=10_000))
         table = compare_to_theory(stats)
         assert table.total_visits == stats.total_visits
-        assert len(table.rows) == 8
+        assert table.empirical.shape == table.deviation.shape == (8,)
         assert table.max_deviation < 0.02
-        even_mass = sum(r.empirical for r in table.rows if r.class_index % 2 == 0)
+        even_mass = table.empirical[::2].sum()
         assert abs(even_mass - 2 / 3) < 0.02
 
     def test_rejects_empty_stats(self):
-        empty = TrajectoryStats(level=1, visit_counts=[0] * 8, max_value=0, trajectories=0)
+        empty = TrajectoryStats(
+            level=1, visit_counts=np.zeros(8, dtype=np.int64), max_value=0, trajectories=0
+        )
         with pytest.raises(ValueError):
             compare_to_theory(empty)
+        with pytest.raises(ValueError):
+            compare_to_theory(empty, use_per_trajectory=True)
 
     def test_csv_shape(self):
         stats = sweep(SweepConfig(n_max=2000))
@@ -429,7 +447,98 @@ class TestComparison:
         assert len(payload["per_trajectory_rows"]) == 8
 
 
+def reference_rows(level, freqs):
+    """(class, theoretical, empirical, deviation) per class, from exact Fraction weights."""
+    even, odd = Fraction(1, 6 * 8 ** (level - 1)), Fraction(1, 12 * 8 ** (level - 1))
+    rows = []
+    for i, f in enumerate(freqs):
+        w = float(even if i % 2 == 0 else odd)
+        rows.append((i, w, f, abs(f - w)))
+    return rows
+
+
+def reference_csv(stats):
+    counts = stats.visit_counts.tolist()
+    total = sum(counts)
+    lines = ["class,theoretical,empirical,deviation"]
+    for i, w, f, d in reference_rows(stats.level, [c / total for c in counts]):
+        lines.append(f"{i},{w:.12f},{f:.12f},{d:.12f}")
+    lines.append(f"# max_value={stats.max_value} total_visits={total}")
+    return "\n".join(lines) + "\n"
+
+
+def reference_json_dict(stats):
+    counts = stats.visit_counts.tolist()
+    total = sum(counts)
+    rows = reference_rows(stats.level, [c / total for c in counts])
+    sums = stats.traj_freq_sums.tolist()
+    per_traj = reference_rows(stats.level, [s / stats.traj_counted for s in sums])
+
+    def row_list(rows):
+        return [{"class": i, "theoretical": w, "empirical": f, "deviation": d} for i, w, f, d in rows]
+
+    return {
+        "level": stats.level,
+        "rows": row_list(rows),
+        "max_value": stats.max_value,
+        "total_visits": total,
+        "trajectories": stats.trajectories,
+        "max_deviation": max(d for *_, d in rows),
+        "per_trajectory_rows": row_list(per_traj),
+    }
+
+
+# A level-6 example takes seconds, so level 6 runs as the pinned example only.
+@settings(max_examples=15, deadline=None)
+@given(
+    level=st.integers(1, 5),
+    seed=st.integers(0, 2**32 - 1),
+    bits=st.integers(1, 40),
+    max_value=st.integers(1, 2**70),
+    counted=st.integers(1, 2**40),
+)
+@example(level=6, seed=0, bits=40, max_value=2**64, counted=2**40)
+@example(level=1, seed=1, bits=1, max_value=5, counted=1)
+def test_rendering_matches_per_row_reference(level, seed, bits, max_value, counted):
+    """to_csv and to_json_dict give the bytes of the per-row Python formulas.
+
+    Counts go up to 2^40, fewer bits at levels 5 and 6, so that their total
+    stays below 2^53, where array division rounds like exact division.  The
+    JSON payloads are compared as values, keys in order and types, which fix
+    their bytes."""
+    rng = np.random.default_rng(seed)
+    counts = rng.integers(0, 2 ** min(bits, 53 - 3 * level), size=8**level)
+    counts[rng.integers(8**level)] += 1
+    sums = rng.random(8**level) * counted
+    stats = TrajectoryStats(level, counts, max_value, int(rng.integers(1, 2**40)), sums, counted)
+    table = compare_to_theory(stats)
+    per_traj = compare_to_theory(stats, use_per_trajectory=True)
+    assert to_csv(table) == reference_csv(stats)
+    payload = to_json_dict(table, per_traj)
+    assert payload == reference_json_dict(stats)
+    assert [(key, type(value)) for key, value in payload.items()] == [
+        ("level", int),
+        ("rows", list),
+        ("max_value", int),
+        ("total_visits", int),
+        ("trajectories", int),
+        ("max_deviation", float),
+        ("per_trajectory_rows", list),
+    ]
+    row_types = [("class", int), ("theoretical", float), ("empirical", float), ("deviation", float)]
+    for row in payload["rows"] + payload["per_trajectory_rows"]:
+        assert [(key, type(value)) for key, value in row.items()] == row_types
+
+
 def test_merge_is_commutative():
     a = sweep(SweepConfig(n_max=600))
     b = sweep(SweepConfig(n_max=900))
-    assert a.merge(b) == b.merge(a)
+    assert stats_identical(a.merge(b), b.merge(a))
+    assert not stats_identical(a, b)
+
+
+def test_merge_rejects_other_levels():
+    a = sweep(SweepConfig(n_max=600))
+    b = sweep(SweepConfig(n_max=600, level=2))
+    with pytest.raises(ValueError):
+        a.merge(b)
