@@ -13,7 +13,6 @@ count.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, partial, reduce
@@ -78,6 +77,8 @@ def run_trajectory(
     """
     if n0 < 1:
         raise ValueError(f"n0 must be >= 1, got {n0}")
+    if step_cap < 0:
+        raise ValueError(f"step_cap must be >= 0, got {step_cap}")
     mod = 8**level
     visits: list[int] = []
     n, max_value, steps = n0, n0, 0
@@ -162,6 +163,8 @@ class SweepConfig:
             raise CapacityError(f"level {self.level} exceeds sweep cap {MAX_SWEEP_LEVEL}")
         if self.workers < 1:
             raise ValueError(f"workers must be >= 1, got {self.workers}")
+        if self.step_cap < 0:
+            raise ValueError(f"step_cap must be >= 0, got {self.step_cap}")
 
 
 @dataclass(frozen=True)
@@ -253,11 +256,13 @@ def _jump_peak(x: np.ndarray, k: int) -> int:
 def _jump_tables(level: int) -> _JumpTables:
     """Build the kernel tables for one level.
 
-    A jump is k = 3 triple steps up to level 3, 2 at level 4 and 1 from level
-    5 on, so the residue tables have 8^(k+m-1) <= 8^5 entries (8^6 at level 6,
-    where the kernel steps one at a time).
+    A jump is k = 6 - m triple steps (1 at level 6), so the residue tables
+    have 8^(k+m-1) = 8^5 entries at every level up to 5 (8^6 at level 6,
+    where the kernel steps one at a time).  Longer jumps mean fewer passes
+    over the live orbits; they raise the growth bound G (52, 23, 16, 7 and 5
+    at k = 5 .. 1), which lowers the jump bound INT64_SAFE // G.
     """
-    k = max(1, min(3, 6 - level))
+    k = max(1, 6 - level)
     mod = 8**level
     # Applying the branch formulas to the residue r itself gives T3^k(r), and
     # the multipliers met on the way give the slope of the jump.  Both are
@@ -267,8 +272,9 @@ def _jump_tables(level: int) -> _JumpTables:
     columns = []
     for _ in range(k):
         columns.append(add & (mod - 1))
-        mult *= _M8[add & 7]
-        _, add = _triple_step(add)
+        multiplier = _M8[add & 7]
+        mult *= multiplier
+        add = (multiplier * add + _R8[add & 7]) >> 3
     add -= mult * (np.arange(add.size) >> 3 * k)
     # T3(n) >= n/8, so no value of a jump from n >= 5*8^(k-1) is below 5.
     small = 5 * 8 ** (k - 1)
@@ -280,32 +286,64 @@ def _jump_tables(level: int) -> _JumpTables:
         peak, x = _triple_step(x)
         top = np.maximum(top, peak)
     growth = int((-(-top // n)).max())
-    # The orbits of 1 .. small-1, one triple step at a time; live lists the
-    # values whose orbit is still outside {1, 2, 4}.
-    cycle = tuple(CYCLE)
-    values = np.arange(small, dtype=np.int64)
-    x, peaks, lengths = values.copy(), values.copy(), np.zeros_like(values)
-    live = values[1:][~np.isin(values[1:], cycle)]
-    visits = []
+    # The orbits of 1 .. small-1 by first descent: each value v outside
+    # {1, 2, 4} takes triple steps until its orbit drops below v, which it
+    # does on reaching {1, 2, 4} at the latest.  Its orbit is that segment
+    # followed by the orbit of the value it dropped to, so the steps taken
+    # are the segments' few per value, not the orbits' dozens.  x and top
+    # hold the live segments' current values and peaks.
+    peaks = np.arange(small, dtype=np.int64)
+    lengths = np.zeros_like(peaks)
+    below = np.zeros_like(peaks)  # the value a segment drops to; 0 for no segment
+    live = x = top = peaks[(peaks > 4) | (peaks == 3)]
+    owners, classes = [], []
+    steps = 0
     while live.size:
-        visits.append(live * mod + (x[live] & (mod - 1)))
-        peak, x[live] = _triple_step(x[live])
-        peaks[live] = np.maximum(peaks[live], peak)
-        lengths[live] += 1
-        live = live[~np.isin(x[live], cycle)]
-    keys, counts = np.unique(np.concatenate(visits), return_counts=True)
-    # mult <= 36^k and 0 <= add <= growth * 8^k, so both fit int32, which
-    # halves the bytes the kernel's two gathers move.
+        owners.append(live)
+        classes.append(x & (mod - 1))
+        peak, x = _triple_step(x)
+        top = np.maximum(top, peak)
+        steps += 1
+        ended = x < live
+        if ended.any():
+            done = live[ended]
+            peaks[done], lengths[done], below[done] = top[ended], steps, x[ended]
+            kept = ~ended
+            live, x, top = live[kept], x[kept], top[kept]
+    # One bincount counts each value's segment visits per class.  Its columns
+    # are only the classes some segment visits: 8 at level 1, but 2 of the
+    # 8^6 at level 6.
+    owners, classes = np.concatenate(owners), np.concatenate(classes)
+    seen = np.flatnonzero(np.bincount(classes, minlength=mod))
+    width = seen.size
+    keys = owners * width + np.searchsorted(seen, classes)
+    counts = np.bincount(keys, minlength=small * width).reshape(small, width)
+    # depth: the number of segments in a value's orbit, found by pointer
+    # jumping.  Orbits are completed in order of depth, each from the
+    # shallower orbit its segment drops to.
+    depth, target = (below > 0).astype(np.int64), below
+    while (further := depth[target]).any():
+        depth, target = depth + further, target[target]
+    for d in range(1, int(depth.max()) + 1):
+        v = np.flatnonzero(depth == d)
+        counts[v] += counts[below[v]]
+        peaks[v] = np.maximum(peaks[v], peaks[below[v]])
+        lengths[v] += lengths[below[v]]
+    keys = np.flatnonzero(counts)
+    # mult <= 36^k and 0 <= add <= growth * 8^k with k <= 5, so both fit
+    # int32, which halves the bytes the kernel's two gathers move.  The
+    # classes fit int32 too, so a batch's visit keys id * 8^m + class stay
+    # int32 from the gather to the key buffer.
     tables = _JumpTables(
         k,
         small,
         growth,
         mult.astype(np.int32),
         add.astype(np.int32),
-        np.stack(columns, axis=1),
-        np.searchsorted(keys // mod, np.arange(small + 1)),
-        keys % mod,
-        counts,
+        np.stack(columns, axis=1).astype(np.int32),
+        np.searchsorted(keys // width, np.arange(small + 1)),
+        seen[keys % width],
+        counts.ravel()[keys],
         peaks,
         lengths,
     )
@@ -313,6 +351,14 @@ def _jump_tables(level: int) -> _JumpTables:
         if isinstance(array, np.ndarray):
             array.setflags(write=False)
     return tables
+
+
+def _count_into(counts: np.ndarray, pending: list[np.ndarray]) -> None:
+    """Add the histogram of the values in the pending arrays to counts, and
+    empty pending."""
+    values = pending[0] if len(pending) == 1 else np.concatenate(pending)
+    counts += np.bincount(values, minlength=counts.size)
+    pending.clear()
 
 
 def _run_batch(
@@ -337,9 +383,11 @@ def _run_batch(
     mod = 8**config.level
     residues = tables.classes.shape[0]
     residue_counts = np.zeros(residues, dtype=np.int64)
+    pending: list[np.ndarray] = []  # residues of the passes not yet counted
+    pending_size = 0
     finished = np.zeros(tables.small, dtype=np.int64)  # orbits finished per small value
     active = np.arange(lo, hi + 1, dtype=np.int64)
-    ids = np.arange(active.size, dtype=np.int64)
+    ids = np.arange(active.size, dtype=np.int32)  # int32 halves the bytes compaction moves
     # per id, the small value its orbit was finished from (0: not finished from the table)
     finished_from = np.zeros(active.size, dtype=np.int64) if keys is not None else None
     max_value = record
@@ -377,7 +425,13 @@ def _run_batch(
                 break
             top = int(active.max())
         r = active & (residues - 1)
-        residue_counts += np.bincount(r, minlength=residues)
+        # Counting costs one pass over the table's bins, so the residues wait
+        # until they outnumber the bins; the count then follows the visits.
+        pending.append(r)
+        pending_size += r.size
+        if pending_size > residues:
+            _count_into(residue_counts, pending)
+            pending_size = 0
         if keys is not None:
             keys.append(tables.classes[r] + (ids * mod)[:, None])
         if tables.growth * top > max_value:
@@ -392,9 +446,12 @@ def _run_batch(
         active += tables.add[r]
         steps += tables.k
 
-    owner, cls, visits = tables.small_visits(np.arange(tables.small))
+    if pending:
+        _count_into(residue_counts, pending)
+    hit = np.flatnonzero(finished)
+    owner, cls, visits = tables.small_visits(hit)
     counts = np.zeros(mod, dtype=np.int64)
-    np.add.at(counts, cls, visits * finished[owner])
+    np.add.at(counts, cls, visits * finished[hit][owner])
     for column in tables.classes.T:
         np.add.at(counts, column, residue_counts)
     if keys is not None:
@@ -499,6 +556,10 @@ def sweep(config: SweepConfig, shard_size: int = SHARD_SIZE) -> TrajectoryStats:
     his = [min(lo + shard_size - 1, config.n_max) for lo in los]
     kernel = partial(_sweep_shard, config)
     if config.workers > 1 and len(los) > 1:
+        # Imported here: concurrent.futures and multiprocessing add about 30 ms
+        # to every start-up, and most runs never open a pool.
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=min(config.workers, len(los))) as pool:
             return reduce(TrajectoryStats.merge, pool.map(kernel, los, his))
     return reduce(TrajectoryStats.merge, map(kernel, los, his))

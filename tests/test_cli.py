@@ -363,3 +363,23 @@ def test_python_dash_m_runs_the_cli():
     )
     assert proc.returncode == 0
     assert proc.stdout == run_cli("matrix", "--m", "1")[1]
+
+
+def test_cli_import_loads_no_process_pool():
+    # concurrent.futures and multiprocessing load only when a sweep opens a pool
+    src = str(Path(collatzmc.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    code = (
+        "import sys, collatzmc.cli; "
+        "print(*sorted(m for m in sys.modules if 'multiprocessing' in m or 'concurrent' in m))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=path),
+        timeout=60,
+        check=False,
+    )
+    assert proc.returncode == 0
+    assert proc.stdout == "\n"

@@ -1,5 +1,6 @@
 """Sweep kernel correctness against the pure-Python reference, and reports."""
 
+import concurrent.futures
 import dataclasses
 from collections import Counter
 from fractions import Fraction
@@ -23,7 +24,7 @@ from collatzmc.empirical import (
     to_json_dict,
 )
 from collatzmc.errors import CapacityError, TrajectoryCapError
-from collatzmc.maps import CYCLE, collatz_step, third_iterate
+from collatzmc.maps import CYCLE, MULTIPLIERS, OFFSETS, collatz_step, third_iterate
 from collatzmc.markov import build_matrix, stationary_distribution
 
 
@@ -91,6 +92,11 @@ class TestRunTrajectory:
     def test_step_cap(self):
         run = run_trajectory(27, step_cap=2)
         assert run.capped and run.steps == 2
+
+    def test_rejects_negative_step_cap(self):
+        with pytest.raises(ValueError, match="step_cap"):
+            run_trajectory(5, step_cap=-3)
+        assert run_trajectory(1, step_cap=0) == run_trajectory(1)
 
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
@@ -164,7 +170,7 @@ class TestSweep:
             def map(self, fn, *iterables):
                 return map(fn, *iterables)
 
-        monkeypatch.setattr(empirical, "ProcessPoolExecutor", InlinePool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
         stats = sweep(SweepConfig(n_max=3000, workers=8), shard_size=1500)
         assert opened == [2]
         assert stats_identical(stats, sweep(SweepConfig(n_max=3000), shard_size=1500))
@@ -192,6 +198,8 @@ class TestSweep:
             SweepConfig(n_max=10, workers=0)
         with pytest.raises(CapacityError):
             SweepConfig(n_max=10, level=7)
+        with pytest.raises(ValueError, match="step_cap"):
+            SweepConfig(n_max=10, step_cap=-1)
 
 
 def first_longer_than(step_cap, lo, hi):
@@ -341,7 +349,7 @@ class TestJumpTables:
     @pytest.mark.parametrize("level", range(1, 7))
     def test_shape(self, level):
         tables = _jump_tables(level)
-        assert tables.k == max(1, min(3, 6 - level))
+        assert tables.k == max(1, 6 - level)
         assert tables.small == 5 * 8 ** (tables.k - 1)
         assert tables.classes.shape == (8 ** (tables.k + level - 1), tables.k)
         assert tables.mult.size == tables.add.size == tables.classes.shape[0]
@@ -393,12 +401,32 @@ class TestJumpTables:
         values = np.arange(tables.small)
         owner, classes, visits = tables.small_visits(values)
         assert len(set(zip(owner.tolist(), classes.tolist()))) == owner.size
+        assert np.array_equal(owner, np.repeat(values, np.diff(tables.small_start)))
+        classes, visits = classes.tolist(), visits.tolist()
+        peaks, steps = tables.small_peak.tolist(), tables.small_steps.tolist()
+        starts = tables.small_start.tolist()
+        assert starts[0] == starts[1] == 0  # 0 starts no orbit
         for v in range(1, tables.small):
             run = run_trajectory(v, level)
-            mine = owner == v
-            assert dict(zip(classes[mine].tolist(), visits[mine].tolist())) == Counter(run.visits)
-            assert (tables.small_peak[v], tables.small_steps[v]) == (run.max_value, run.steps)
-        assert not (owner == 0).any()
+            mine = slice(starts[v], starts[v + 1])
+            assert dict(zip(classes[mine], visits[mine])) == Counter(run.visits)
+            assert (peaks[v], steps[v]) == (run.max_value, run.steps)
+
+    @pytest.mark.parametrize("level", range(1, 7))
+    def test_int32_jump_tables_are_exact(self, level):
+        # T3(n) = (M*n + R)/8 on each class mod 8; the jump form recomputed in int64
+        tables = _jump_tables(level)
+        branch_mult = np.array(MULTIPLIERS, dtype=np.int64)
+        branch_add = np.array(OFFSETS, dtype=np.int64)
+        r = np.arange(tables.classes.shape[0], dtype=np.int64)
+        value, mult = r, np.ones_like(r)
+        for _ in range(tables.k):
+            sigma = value & 7
+            mult = mult * branch_mult[sigma]
+            value = (branch_mult[sigma] * value + branch_add[sigma]) >> 3
+        add = value - mult * (r >> 3 * tables.k)
+        assert tables.mult.dtype == tables.add.dtype == np.int32
+        assert np.array_equal(tables.mult, mult) and np.array_equal(tables.add, add)
 
 
 class TestComparison:
