@@ -51,6 +51,28 @@ SIMULATE_GOLDENS = {
 }
 
 
+#: sha256 of the stdout of the exact chain commands: the stationary law and the
+#: checks that verify it.
+CHAIN_GOLDENS = {
+    "stationary --m 1": "2729380392884a2176e8859ec1ae0c58b403cc4a323de239c82e24bc5ae2c36d",
+    "stationary --m 2": "52e3ee850ce0c3391763c08b1b6513f9665c435c73f82b1b91971f47f1ae5dbb",
+    "stationary --m 3": "e805fdd421e08d9574cdd5d162ae78d9e5a5b7871d2d9c1370a4fbfafb385f96",
+    "stationary --m 4": "9a75451a4d1f9988c4d9a8fb336d545c580fcb1c57c329328aac85629212481a",
+    "stationary --m 5": "c92c95b2997e44b9a95def3fcc5d1a83d961ff6916336e573511e75dc8f40f34",
+    "verify --stationarity --m 1": "6d9c6449a47a506a9c9a1a97d42433957d513254c2d5d70a26ec435b8389cc19",
+    "verify --stationarity --m 2": "0a6bd4e1c9b181d29bde284b2eec206967f0501e4ec908ef146ea958e72fd579",
+    "verify --stationarity --m 3": "a89373cab128a3136b1c9aeb9d3d9ccb973d3efcbbee9784d50683fbba423e1f",
+    "verify --stationarity --m 4": "442bd077b78d4ca940e97640ad22621dc0e99fa6991932e35216adcf5ab42078",
+    "verify --all --m 3": "231463310b46dfc256159bf49c2e1f12e56346f9f0b49fa690aa7f3e25d8646b",
+}
+
+
+@pytest.mark.parametrize("argv, digest", CHAIN_GOLDENS.items(), ids=list(CHAIN_GOLDENS))
+def test_chain_golden_bytes(argv, digest):
+    code, text = run_cli(*argv.split())
+    assert code == 0 and sha256(text) == digest
+
+
 class TestStationary:
     def test_level1_lines(self):
         code, text = run_cli("stationary", "--m", "1")
