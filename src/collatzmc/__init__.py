@@ -36,7 +36,6 @@ from .empirical import (
 from .errors import CapacityError, ConsistencyError, TrajectoryCapError
 from .maps import collatz_step, fixed_points_upto, third_iterate
 from .markov import (
-    Distribution,
     TransitionMatrix,
     build_matrix,
     check_ergodicity,
@@ -55,7 +54,6 @@ __all__ = [
     "CongruenceClass",
     "ConsistencyError",
     "ContractionReport",
-    "Distribution",
     "SweepConfig",
     "TrajectoryCapError",
     "TrajectoryStats",

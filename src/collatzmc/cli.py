@@ -139,11 +139,24 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--chapman", action="store_true", help="k-step measure probabilities vs matrix powers")
     p.add_argument("--ergodicity", action="store_true", help="some matrix power strictly positive")
     p.add_argument("--all", action="store_true", dest="run_all")
-    p.add_argument("--force", action="store_true", help="lift the level cap on the measure check")
+    p.add_argument(
+        "--force",
+        action="store_true",
+        help=f"run the measure check above level {measure.DEFAULT_MAX_CHECK_LEVEL} "
+        f"(it stops at {measure.MAX_CHECK_LEVEL})",
+    )
     return parser
 
 
 def _cmd_preimage(args, out) -> int:
+    # Members are printed mod 8^(m+1), which may have at most the interpreter's
+    # int-to-str digit limit (4300 by default, 0 when off).  From level
+    # 2*limit on, 8^(m+1) > 64^limit is refused without being computed.
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit and (args.m >= 2 * limit or 8 ** (args.m + 1) >= 10**limit):
+        raise CapacityError(
+            f"level {args.m} prints moduli 8^{args.m + 1} of over {limit} decimal digits"
+        )
     modulus = 8**args.m
     if args.j >= modulus:
         print(f"error: --j must be below 8^m = {modulus}", file=sys.stderr)
@@ -167,8 +180,9 @@ def _cmd_matrix(args, out) -> int:
 
 
 def _cmd_stationary(args, out) -> int:
-    dist = markov.stationary_distribution(markov.build_matrix(args.m))
-    out.writelines(f"{i} {w}\n" for i, w in enumerate(dist.weights))
+    matrix = markov.build_matrix(args.m)
+    labels = [str(w) for w in markov.stationary_distribution(matrix)]
+    out.writelines(f"{i} {labels[i & 1]}\n" for i in range(matrix.size))
     return 0
 
 
@@ -262,6 +276,8 @@ def _cmd_verify(args, out) -> int:
         try:
             report = measure.check_invariance(args.m, allow_large=args.force)
         except CapacityError:
+            if args.m > measure.MAX_CHECK_LEVEL:
+                raise
             print(
                 f"error: level {args.m} enumerates 8^{args.m} classes; "
                 "pass --force to run the measure check",

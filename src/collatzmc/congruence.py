@@ -39,14 +39,6 @@ class CongruenceClass:
     def is_odd(self) -> bool:
         return self.residue % 2 == 1
 
-    def octal_digits(self) -> tuple[int, ...]:
-        """Base-8 digits of the residue, least significant first, padded to `level`."""
-        r, digits = self.residue, []
-        for _ in range(self.level):
-            digits.append(r & 7)
-            r >>= 3
-        return tuple(digits)
-
     def contains(self, n: int) -> bool:
         return n >= 0 and n % self.modulus == self.residue
 

@@ -543,13 +543,14 @@ def _sweep_shard(config: SweepConfig, lo: int, hi: int) -> TrajectoryStats:
     return TrajectoryStats(config.level, counts, max_value, hi - lo + 1, sums, counted)
 
 
-def sweep(config: SweepConfig, shard_size: int = SHARD_SIZE) -> TrajectoryStats:
+def sweep(config: SweepConfig) -> TrajectoryStats:
     """Aggregate all orbits starting in [1, n_max]; deterministic totals.
 
-    Shards of fixed width are processed independently (optionally by a
-    process pool) and merged in shard order, so results depend on shard_size
-    but never on the worker count.
+    Shards of fixed width SHARD_SIZE are processed independently (optionally
+    by a process pool) and merged in shard order, so results depend on the
+    shard size but never on the worker count.
     """
+    shard_size = SHARD_SIZE
     if config.per_trajectory:
         shard_size = min(shard_size, max(1024, PER_TRAJECTORY_CELLS // 8**config.level))
     los = range(1, config.n_max + 1, shard_size)

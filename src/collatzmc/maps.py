@@ -8,7 +8,6 @@ is driven by that branch table.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 #: The only values the third iterate can fix; also the 3-cycle of the Collatz map.
@@ -34,11 +33,6 @@ class AffineBranch:
         """Image of the branch's own residue, (multiplier*index + offset) / 8."""
         return (self.multiplier * self.index + self.offset) // 8
 
-    @property
-    def modulus_gcd(self) -> int:
-        """gcd(multiplier, 8); controls solvability of the preimage congruences."""
-        return math.gcd(self.multiplier, 8)
-
 
 #: Branch coefficients of the third iterate, indexed by n mod 8.
 BRANCHES: tuple[AffineBranch, ...] = (
@@ -55,15 +49,12 @@ BRANCHES: tuple[AffineBranch, ...] = (
 MULTIPLIERS = tuple(b.multiplier for b in BRANCHES)
 OFFSETS = tuple(b.offset for b in BRANCHES)
 
-# Derived per-branch constants are computed from the table, then locked against
+# The derived base images are computed from the table, then locked against
 # known values at import so there is a single source of truth.
 BASE_IMAGES = tuple(b.base_image for b in BRANCHES)
-MODULUS_GCDS = tuple(b.modulus_gcd for b in BRANCHES)
 
 if BASE_IMAGES != (0, 1, 2, 16, 4, 4, 5, 34):
     raise AssertionError(f"branch table corrupt: base images {BASE_IMAGES}")
-if MODULUS_GCDS != (1, 2, 2, 4, 2, 2, 2, 4):
-    raise AssertionError(f"branch table corrupt: gcds {MODULUS_GCDS}")
 
 
 def collatz_step(n: int) -> int:

@@ -1,17 +1,18 @@
-"""Exact stochastic matrices on the 8^m residue classes and their fixed vectors.
+"""Exact stochastic matrices on the 8^m residue classes and their stationary law.
 
 A matrix is stored as its image array: row i is a multiset of `width` columns,
 each carrying probability 1/width.  The class chain Q(m) has width 8, since
 row i lists the image classes of the 8 refining subclasses of B(i, 8^m)
 (forward_split), so its rows sum to 1 by construction and every product with
-it is a gather or a bincount.  The k-step transition probabilities computed
-from preimages and the invariant measure (kstep_measure_matrix) are kept as
-the independent cross-check.
+it is a gather or a bincount.  The stationary law is the invariant measure,
+which takes one value on even classes and another on odd ones, so it is kept
+as that (even, odd) pair and checked against the matrix.  The k-step
+transition probabilities computed from preimages and the invariant measure
+(kstep_measure_matrix) are kept as the independent cross-check.
 """
 
 from __future__ import annotations
 
-import math
 from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
@@ -105,29 +106,6 @@ def _by_count(width: int) -> list[Fraction]:
     return [Fraction(count, width) for count in range(width + 1)]
 
 
-@dataclass(frozen=True)
-class Distribution:
-    """Exact probability vector over the 8^level residue classes."""
-
-    level: int
-    weights: tuple[Fraction, ...]
-
-    def __post_init__(self):
-        if len(self.weights) != 8**self.level:
-            raise ValueError("weight count does not match level")
-        scale, scaled = _over_common_denominator(self.weights)
-        if min(scaled) < 0:
-            raise ValueError("weights must be nonnegative")
-        if sum(scaled) != scale:
-            raise ValueError("weights must sum to exactly 1")
-
-
-def _over_common_denominator(weights) -> tuple[int, list[int]]:
-    """(D, [D*w for w in weights]) for the least common denominator D."""
-    scale = math.lcm(*{w.denominator for w in weights})
-    return scale, [w.numerator * (scale // w.denominator) for w in weights]
-
-
 def build_matrix(level: int) -> TransitionMatrix:
     """Transition matrix Q(m) at level m from the branch table.
 
@@ -174,14 +152,9 @@ def left_multiply(weights, matrix: TransitionMatrix) -> list[Fraction]:
 
 
 def alternating_weights(level: int) -> tuple[Fraction, Fraction]:
-    """The closed-form fixed vector's values (even, odd): 1/(6*8^{m-1}) at even
-    indices, half that at odd."""
-    return Fraction(1, 6 * 8 ** (level - 1)), Fraction(1, 12 * 8 ** (level - 1))
-
-
-def alternating_distribution(level: int) -> Distribution:
-    """The closed-form fixed vector, alternating_weights(level) at every even/odd pair."""
-    return Distribution(level, alternating_weights(level) * (8**level // 2))
+    """The invariant measure of the classes mod 8^level as (even, odd) values:
+    1/(6*8^{m-1}) on every even class, half that on every odd one."""
+    return measure_class(CongruenceClass(0, level)), measure_class(CongruenceClass(1, level))
 
 
 def power_iteration(matrix: TransitionMatrix) -> np.ndarray:
@@ -199,19 +172,22 @@ def power_iteration(matrix: TransitionMatrix) -> np.ndarray:
     )
 
 
-def stationary_distribution(matrix: TransitionMatrix) -> Distribution:
-    """The stationary distribution of the class chain, verified two ways.
+def stationary_distribution(matrix: TransitionMatrix) -> tuple[Fraction, Fraction]:
+    """The stationary law of the class chain as its (even, odd) weights,
+    verified two ways.
 
-    The alternating closed form is checked to satisfy P*Q = P exactly, then
-    cross-checked against floating-point power iteration within POWER_TOL.
+    The vector with alternating_weights(level) at even and odd classes is
+    checked to satisfy P*Q = P exactly, then cross-checked against
+    floating-point power iteration within POWER_TOL.
     """
-    candidate = alternating_distribution(matrix.level)
-    # P*Q = P in integers: with P scaled by its common denominator D (12*8^(m-1),
-    # giving 2 at even and 1 at odd classes), column j must receive width*D*P[j]
-    # from the image columns of all rows.  The bincount sums are integers of at
-    # most width*D, far below 2^53 where float64 stops being exact.
-    scale, scaled = _over_common_denominator(candidate.weights)
-    scaled = np.array(scaled)
+    weights = alternating_weights(matrix.level)
+    # P*Q = P in integers: with P scaled by D = 12*8^(m-1), the odd weight's
+    # denominator, it is 2 at even and 1 at odd classes, and column j must
+    # receive width*D*P[j] from the image columns of all rows.  The bincount
+    # sums are integers of at most width*D, far below 2^53 where float64 stops
+    # being exact.
+    scale = weights[1].denominator
+    scaled = np.tile((2, 1), matrix.size // 2)
     inflow = np.bincount(
         matrix.images.ravel(), weights=np.repeat(scaled, matrix.width), minlength=matrix.size
     )
@@ -221,7 +197,7 @@ def stationary_distribution(matrix: TransitionMatrix) -> Distribution:
     drift = np.max(np.abs(scaled / scale - numeric))
     if drift > POWER_TOL:
         raise ConsistencyError(f"power iteration disagrees with exact vector by {drift:.3e}")
-    return candidate
+    return weights
 
 
 def matrix_power(matrix: TransitionMatrix, exponent: int) -> TransitionMatrix:

@@ -16,6 +16,10 @@ from .errors import CapacityError
 #: Levels above this need an explicit opt-in (8^level classes are enumerated).
 DEFAULT_MAX_CHECK_LEVEL = 3
 
+#: Levels above this are refused even with the opt-in; the class chain stops
+#: at the same level (markov.MAX_LEVEL).
+MAX_CHECK_LEVEL = 5
+
 
 def nu(sigma: int) -> Fraction:
     """Base weight of a residue mod 8: 1/6 when even, 1/12 when odd."""
@@ -78,10 +82,16 @@ def check_invariance(level: int, allow_large: bool = False) -> InvarianceReport:
     """Compare measure(preimage(B(j,8^m))) with measure(B(j,8^m)) for every j.
 
     Exact rational equality per class; levels above DEFAULT_MAX_CHECK_LEVEL
-    enumerate more than 512 preimages and require allow_large=True.
+    enumerate more than 512 preimages and require allow_large=True, and levels
+    above MAX_CHECK_LEVEL are refused.
     """
     if level < 1:
         raise ValueError(f"level must be >= 1, got {level}")
+    if level > MAX_CHECK_LEVEL:
+        raise CapacityError(
+            f"level {level} enumerates 8^{level} classes; the measure check stops at "
+            f"level {MAX_CHECK_LEVEL}"
+        )
     if level > DEFAULT_MAX_CHECK_LEVEL and not allow_large:
         raise CapacityError(
             f"level {level} enumerates 8^{level} classes; pass allow_large=True to force"

@@ -10,6 +10,7 @@ from fractions import Fraction
 
 import pytest
 
+from collatzmc import empirical
 from collatzmc.cli import main as cli_main
 from collatzmc.congruence import CongruenceClass, preimage_class
 from collatzmc.contraction import (
@@ -21,12 +22,12 @@ from collatzmc.contraction import (
 from collatzmc.empirical import SweepConfig, compare_to_theory, sweep
 from collatzmc.maps import collatz_step, third_iterate
 from collatzmc.markov import (
-    alternating_distribution,
     build_matrix,
     kstep_measure_matrix,
     left_multiply,
     matrix_power,
     power_iteration,
+    stationary_distribution,
 )
 from collatzmc.measure import check_invariance, nu
 
@@ -89,14 +90,13 @@ def test_criterion_05_stationarity():
     ok = True
     for level in (1, 2, 3, 4):
         matrix = build_matrix(level)
-        dist = alternating_distribution(level)
+        weights = stationary_distribution(matrix)
         a, b = Fraction(1, 6 * 8 ** (level - 1)), Fraction(1, 12 * 8 ** (level - 1))
-        ok = ok and dist.weights == tuple(
-            a if i % 2 == 0 else b for i in range(8**level)
-        )
-        ok = ok and left_multiply(dist.weights, matrix) == list(dist.weights)
+        ok = ok and weights == (a, b)
+        vector = list(weights) * (8**level // 2)
+        ok = ok and left_multiply(vector, matrix) == vector
         numeric = power_iteration(matrix)
-        ok = ok and max(abs(float(w) - x) for w, x in zip(dist.weights, numeric)) <= 1e-12
+        ok = ok and max(abs(float(w) - x) for w, x in zip(vector, numeric)) <= 1e-12
     report(5, ok, "alternating vector exactly stationary, levels 1-4; power iteration within 1e-12")
 
 
@@ -124,7 +124,7 @@ def test_criterion_08_contraction_constants():
     # alpha weights base residue sigma by nu(sigma), which is exactly the
     # stationary mass of the level-m classes over sigma at every level
     for level in (1, 2, 3, 4):
-        weights = alternating_distribution(level).weights
+        weights = list(stationary_distribution(build_matrix(level))) * (8**level // 2)
         ok = ok and all(sum(weights[sigma::8]) == nu(sigma) for sigma in range(8))
     report(
         8,
@@ -174,7 +174,7 @@ def test_criterion_11_max_excursion_long():
     )
 
 
-def test_criterion_12_determinism():
+def test_criterion_12_determinism(monkeypatch):
     def run_simulate():
         out = io.StringIO()
         code = cli_main(["simulate", "--max", "100000"], out=out)
@@ -183,7 +183,8 @@ def test_criterion_12_determinism():
     first = run_simulate()
     second = run_simulate()
     ok = first == second and first[0] == 0
-    single = sweep(SweepConfig(n_max=100_000, workers=1), shard_size=16_384)
-    multi = sweep(SweepConfig(n_max=100_000, workers=2), shard_size=16_384)
+    monkeypatch.setattr(empirical, "SHARD_SIZE", 16_384)
+    single = sweep(SweepConfig(n_max=100_000, workers=1))
+    multi = sweep(SweepConfig(n_max=100_000, workers=2))
     ok = ok and stats_identical(single, multi)
     report(12, ok, "byte-identical CSV across runs; 1-worker and 2-worker totals identical")

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import collatzmc
-from collatzmc import cli, empirical, markov
+from collatzmc import cli, empirical, markov, measure
 from collatzmc.cli import main
 
 
@@ -107,6 +107,21 @@ class TestPreimage:
     def test_out_of_range_j(self):
         code, _ = run_cli("preimage", "--j", "8", "--m", "1")
         assert code == 2
+
+    def test_level_bounded_by_the_digit_limit(self, capsys):
+        # 8^4761 has 4300 decimal digits, 8^4762 has 4301
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(4300)
+        try:
+            code, text = run_cli("preimage", "--j", "0", "--m", "4760")
+            assert code == 0 and text.endswith("even_members=5 odd_members=6\n")
+            for level in ("4761", "5000"):
+                code, text = run_cli("preimage", "--j", "0", "--m", level)
+                err = capsys.readouterr().err.splitlines()
+                assert code == 3 and text == ""
+                assert len(err) == 1 and err[0].startswith(f"error: level {level} ")
+        finally:
+            sys.set_int_max_str_digits(limit)
 
 
 class TestMatrix:
@@ -329,6 +344,22 @@ class TestVerify:
         assert "--force" in err and "allow_large" not in err
         code, _ = run_cli("verify", "--measure", "--m", "4", "--force")
         assert code == 0
+
+    @pytest.mark.parametrize(
+        "argv",
+        ["--measure --m 6 --force", "--measure --m 9 --force", "--all --m 6 --force", "--measure --m 6"],
+    )
+    def test_measure_hard_ceiling(self, monkeypatch, capsys, argv):
+        # refused with one line and no --force hint, forced or not, before a
+        # single preimage is enumerated
+        def enumerate_nothing(target):
+            raise AssertionError(f"enumerated {target}")
+
+        monkeypatch.setattr(measure, "preimage_class", enumerate_nothing)
+        code, text = run_cli("verify", *argv.split())
+        err = capsys.readouterr().err.splitlines()
+        assert code == 3 and text == ""
+        assert len(err) == 1 and err[0].startswith("error: level ") and "--force" not in err[0]
 
     def test_all_level4_forced(self):
         code, text = run_cli("verify", "--all", "--m", "4", "--force")

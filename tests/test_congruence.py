@@ -75,7 +75,6 @@ class TestCongruenceClass:
         assert cls.modulus == 64
         assert cls.base_residue == 6
         assert not cls.is_odd
-        assert cls.octal_digits() == (6, 2)
         assert cls.contains(22) and cls.contains(86) and not cls.contains(23)
         assert cls.label() == "B(22,64)"
 

@@ -119,17 +119,17 @@ class TestSweep:
         stats = sweep(config)
         assert stats_identical(stats, reference_sweep(800, per_trajectory=True))
 
-    def test_sharded_equals_unsharded(self):
+    def test_sharded_equals_unsharded(self, monkeypatch):
         config = SweepConfig(n_max=5000)
         whole = sweep(config)
-        sharded = sweep(config, shard_size=512)
+        monkeypatch.setattr(empirical, "SHARD_SIZE", 512)
+        sharded = sweep(config)
         assert stats_identical(whole, sharded)
 
-    def test_workers_identical_totals(self):
-        config1 = SweepConfig(n_max=20_000, workers=1)
-        config2 = SweepConfig(n_max=20_000, workers=2)
-        a = sweep(config1, shard_size=4096)
-        b = sweep(config2, shard_size=4096)
+    def test_workers_identical_totals(self, monkeypatch):
+        monkeypatch.setattr(empirical, "SHARD_SIZE", 4096)
+        a = sweep(SweepConfig(n_max=20_000, workers=1))
+        b = sweep(SweepConfig(n_max=20_000, workers=2))
         assert stats_identical(a, b)
 
     def test_max_value_monotone_in_n_max(self):
@@ -146,9 +146,10 @@ class TestSweep:
         assert run_trajectory(info.value.start).steps > 3
         assert info.value.start == first_longer_than(3, 1, 100)
 
-    def test_step_cap_crosses_process_pool(self):
+    def test_step_cap_crosses_process_pool(self, monkeypatch):
+        monkeypatch.setattr(empirical, "SHARD_SIZE", 1000)
         with pytest.raises(TrajectoryCapError) as info:
-            sweep(SweepConfig(n_max=5000, step_cap=3, workers=2), shard_size=1000)
+            sweep(SweepConfig(n_max=5000, step_cap=3, workers=2))
         assert 1 <= info.value.start <= 5000
         assert info.value.steps == 3
         assert run_trajectory(info.value.start).steps > 3
@@ -171,10 +172,12 @@ class TestSweep:
                 return map(fn, *iterables)
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
-        stats = sweep(SweepConfig(n_max=3000, workers=8), shard_size=1500)
+        monkeypatch.setattr(empirical, "SHARD_SIZE", 1500)
+        stats = sweep(SweepConfig(n_max=3000, workers=8))
         assert opened == [2]
-        assert stats_identical(stats, sweep(SweepConfig(n_max=3000), shard_size=1500))
-        sweep(SweepConfig(n_max=3000, workers=2), shard_size=500)
+        assert stats_identical(stats, sweep(SweepConfig(n_max=3000)))
+        monkeypatch.setattr(empirical, "SHARD_SIZE", 500)
+        sweep(SweepConfig(n_max=3000, workers=2))
         assert opened == [2, 2]
 
     def test_fallback_keeps_the_step_budget(self):
@@ -435,7 +438,7 @@ class TestComparison:
         assert table.theoretical * 4 == tuple(
             Fraction(1, 6) if i % 2 == 0 else Fraction(1, 12) for i in range(8)
         )
-        assert table.theoretical * 4 == stationary_distribution(build_matrix(1)).weights
+        assert table.theoretical == stationary_distribution(build_matrix(1))
 
     def test_table_against_small_sweep(self):
         stats = sweep(SweepConfig(n_max=10_000))

@@ -6,7 +6,6 @@ from collatzmc import maps
 from collatzmc.maps import (
     BASE_IMAGES,
     BRANCHES,
-    MODULUS_GCDS,
     MULTIPLIERS,
     OFFSETS,
     collatz_step,
@@ -57,7 +56,6 @@ def test_branch_table_constants():
     assert MULTIPLIERS == (1, 6, 6, 36, 6, 6, 6, 36)
     assert OFFSETS == (0, 2, 4, 20, 8, 2, 4, 20)
     assert BASE_IMAGES == (0, 1, 2, 16, 4, 4, 5, 34)
-    assert MODULUS_GCDS == (1, 2, 2, 4, 2, 2, 2, 4)
 
 
 def test_branch_invariants():

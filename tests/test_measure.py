@@ -5,8 +5,10 @@ from fractions import Fraction
 import pytest
 
 from collatzmc.congruence import ClassUnion, CongruenceClass, preimage_class
+from collatzmc import measure
 from collatzmc.errors import CapacityError
 from collatzmc.measure import (
+    MAX_CHECK_LEVEL,
     check_invariance,
     measure_class,
     measure_integer,
@@ -93,6 +95,17 @@ def test_invariance_level_cap():
         check_invariance(4)
     report = check_invariance(4, allow_large=True)
     assert report.passed
+
+
+def test_invariance_hard_ceiling(monkeypatch):
+    # refused even when forced, before a single preimage is enumerated
+    def enumerate_nothing(target):
+        raise AssertionError(f"enumerated {target}")
+
+    monkeypatch.setattr(measure, "preimage_class", enumerate_nothing)
+    for level in (MAX_CHECK_LEVEL + 1, 9):
+        with pytest.raises(CapacityError):
+            check_invariance(level, allow_large=True)
 
 
 def test_invariance_rejects_bad_level():
