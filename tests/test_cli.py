@@ -200,6 +200,18 @@ class TestContraction:
         code, text = run_cli(*argv)
         assert code == 0 and sha256(text) == digest
 
+    @pytest.mark.parametrize(
+        "argv, digest",
+        [
+            ("", "5a556f4eadba8ad3af047e1e804b3626173428d7dd4400309838f0ad33628530"),
+            ("--n-min 9", "f7e3c17dd7d9ea7990dc768c2ce3e93ffde78fd147bef92c9f0f5b8fea605ae0"),
+        ],
+        ids=["default", "n-min-9"],
+    )
+    def test_text_golden_bytes(self, argv, digest):
+        code, text = run_cli("contraction", *argv.split())
+        assert code == 0 and sha256(text) == digest
+
 
 class TestSimulate:
     def test_csv_deterministic(self):
@@ -241,8 +253,14 @@ class TestSimulate:
             ("30000", "2", "ce63798e3850b3b96eacf83fda46e62dba29be10c80b1eb36b6c1bf626803cbc", "false"),
             # 1, 2 and 4 have no visits, and 5's only visit, its start, is uncounted
             ("5", "3", "7086b774081edda83474f1c5f42f0b9f019473a49b55b3015cfe9b94cc29678b", "false"),
+            # four batches of 2^13 starts in one shard at level 1
+            ("30000", "1", "a1a1150fae7d6c1bc92facafad432ef06883d94ca3c121b04dc3e60fd2e3db63", "false"),
+            ("3000", "5", "f14fec41c72c93b675d3094e8b3829a3c3a022fa95d11ac4f15193b78e59c89b", "false"),
         ],
-        ids=["max2000-m2", "max20000-m3", "max5000-m4-nostart", "max30000-m2-nostart", "max5-m3-nostart"],
+        ids=[
+            "max2000-m2", "max20000-m3", "max5000-m4-nostart", "max30000-m2-nostart", "max5-m3-nostart",
+            "max30000-m1-nostart", "max3000-m5-nostart",
+        ],
     )
     def test_per_trajectory_golden_bytes(self, n_max, level, digest, include_start):
         code, text = run_cli(
