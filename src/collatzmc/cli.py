@@ -23,6 +23,10 @@ WORKERS_ENV = "COLLATZMC_WORKERS"
 #: "max <period>" when unlimited.
 CPU_MAX_PATH = "/sys/fs/cgroup/cpu.max"
 
+#: Highest preimage level: its members are printed mod 8^4761, which has 4300
+#: decimal digits, the interpreter's default int-to-str limit.
+MAX_PREIMAGE_LEVEL = 4760
+
 
 def _positive_int(text: str) -> int:
     value = int(text)
@@ -149,11 +153,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_preimage(args, out) -> int:
-    # Members are printed mod 8^(m+1), which may have at most the interpreter's
-    # int-to-str digit limit (4300 by default, 0 when off).  From level
-    # 2*limit on, 8^(m+1) > 64^limit is refused without being computed.
+    if args.m > MAX_PREIMAGE_LEVEL:
+        raise CapacityError(f"level {args.m} exceeds the preimage cap {MAX_PREIMAGE_LEVEL}")
+    # Below the cap the moduli have at most 4300 digits, so only an int-to-str
+    # limit (0 when off) lowered below that can refuse a level.
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-    if limit and (args.m >= 2 * limit or 8 ** (args.m + 1) >= 10**limit):
+    if 0 < limit < 4300 and 8 ** (args.m + 1) >= 10**limit:
         raise CapacityError(
             f"level {args.m} prints moduli 8^{args.m + 1} of over {limit} decimal digits"
         )
@@ -199,27 +204,25 @@ def _cmd_graph(args, out) -> int:
 
 def _cmd_contraction(args, out) -> int:
     report = contraction.build_report(n_min=args.n_min, level=args.m)
+    fields = {
+        "level": report.level,
+        "n_min": report.n_min,
+        "raw_factors": [str(f) for f in report.raw_factors],
+        "raw_geometric_mean": str(report.raw_mean),
+        "bound_factors": [str(c) for c in report.bound_factors],
+        "bounded_geometric_mean": report.bound_mean,
+        "alpha": report.alpha,
+        "beta": report.beta,
+    }
     if args.format == "json":
-        payload = {
-            "level": report.level,
-            "n_min": report.n_min,
-            "raw_factors": [str(f) for f in report.raw_factors],
-            "raw_geometric_mean": str(report.raw_mean),
-            "bound_factors": [str(c) for c in report.bound_factors],
-            "bounded_geometric_mean": report.bound_mean,
-            "alpha": report.alpha,
-            "beta": report.beta,
-        }
-        print(json.dumps(payload, indent=2), file=out)
-    else:
-        print(f"level                   {report.level}", file=out)
-        print(f"n_min                   {report.n_min}", file=out)
-        print(f"raw_factors             {' '.join(str(f) for f in report.raw_factors)}", file=out)
-        print(f"raw_geometric_mean      {report.raw_mean}", file=out)
-        print(f"bound_factors           {' '.join(str(c) for c in report.bound_factors)}", file=out)
-        print(f"bounded_geometric_mean  {report.bound_mean:.12g}", file=out)
-        print(f"alpha                   {report.alpha:.12g}", file=out)
-        print(f"beta                    {report.beta:.12g}", file=out)
+        print(json.dumps(fields, indent=2), file=out)
+        return 0
+    for name, value in fields.items():
+        if isinstance(value, list):
+            value = " ".join(value)
+        elif isinstance(value, float):
+            value = f"{value:.12g}"
+        print(f"{name:<24}{value}", file=out)
     return 0
 
 

@@ -318,17 +318,16 @@ def _jump_tables(level: int) -> _JumpTables:
     width = seen.size
     keys = owners * width + np.searchsorted(seen, classes)
     counts = np.bincount(keys, minlength=small * width).reshape(small, width)
-    # depth: the number of segments in a value's orbit, found by pointer
-    # jumping.  Orbits are completed in order of depth, each from the
-    # shallower orbit its segment drops to.
-    depth, target = (below > 0).astype(np.int64), below
-    while (further := depth[target]).any():
-        depth, target = depth + further, target[target]
-    for d in range(1, int(depth.max()) + 1):
-        v = np.flatnonzero(depth == d)
-        counts[v] += counts[below[v]]
-        peaks[v] = np.maximum(peaks[v], peaks[below[v]])
-        lengths[v] += lengths[below[v]]
+    # Pointer doubling completes the orbits: after each round a value holds
+    # the segments of twice as many links of its chain of drops, and target
+    # is the first link it does not hold yet.  0 has no segment and ends
+    # every chain.
+    target = below
+    while target.any():
+        counts += counts[target]
+        lengths += lengths[target]
+        np.maximum(peaks, peaks[target], out=peaks)
+        target = target[target]
     keys = np.flatnonzero(counts)
     # mult <= 36^k and 0 <= add <= growth * 8^k with k <= 5, so both fit
     # int32, which halves the bytes the kernel's two gathers move.  The
@@ -479,8 +478,8 @@ def _add_orbit_shares(
     """Add each orbit's share of visits per class into sums, in orbit order.
 
     keys holds one int32 key id * 8^m + class per visit of the orbits with
-    ids 0 .. size-1, and start_keys, when given, the key of each start to
-    uncount.  Returns the number of orbits with a visit.
+    ids 0 .. size-1, and start_keys, when given, the key of each start, whose
+    one visit is uncounted.  Returns the number of orbits with a visit.
 
     Sorted and run-length encoded, the keys are the (orbit, class) pairs in
     orbit order with their visit counts.  np.add.at adds in index order, so
@@ -491,17 +490,14 @@ def _add_orbit_shares(
     if not keys.size:
         return 0
     keys.sort()
+    if start_keys is not None:
+        keys = np.delete(keys, np.searchsorted(keys, start_keys))
     # int32 like the keys, so searchsorted does not copy them; (size - 1) * 8^m fits
     orbits = np.arange(size, dtype=np.int32) * mod
     totals = np.diff(np.searchsorted(keys, orbits), append=keys.size)
     edges = np.flatnonzero(np.r_[True, keys[1:] != keys[:-1], True])
     visits = np.diff(edges)
     keys = keys[edges[:-1]]
-    if start_keys is not None:
-        visits[np.searchsorted(keys, start_keys)] -= 1
-        totals[start_keys // mod] -= 1
-        kept = visits > 0  # an orbit whose only visit was its start keeps no pair
-        keys, visits = keys[kept], visits[kept]
     pairs = np.diff(np.searchsorted(keys, orbits), append=keys.size)  # per orbit
     shares = np.repeat(totals.astype(float), pairs)
     np.divide(visits, shares, out=shares)

@@ -49,13 +49,6 @@ BRANCHES: tuple[AffineBranch, ...] = (
 MULTIPLIERS = tuple(b.multiplier for b in BRANCHES)
 OFFSETS = tuple(b.offset for b in BRANCHES)
 
-# The derived base images are computed from the table, then locked against
-# known values at import so there is a single source of truth.
-BASE_IMAGES = tuple(b.base_image for b in BRANCHES)
-
-if BASE_IMAGES != (0, 1, 2, 16, 4, 4, 5, 34):
-    raise AssertionError(f"branch table corrupt: base images {BASE_IMAGES}")
-
 
 def collatz_step(n: int) -> int:
     """One Collatz step: n/2 for even n, 3n+1 for odd n.

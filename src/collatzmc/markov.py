@@ -256,7 +256,7 @@ class ErgodicityResult:
         return "reducible/periodic" if self.conclusive else "inconclusive (bound exhausted)"
 
 
-def check_ergodicity(matrix: TransitionMatrix, max_exponent: int | None = None) -> ErgodicityResult:
+def check_ergodicity(matrix: TransitionMatrix) -> ErgodicityResult:
     """Search for a power of the matrix with strictly positive entries.
 
     Works on row supports packed into bitmasks, 8 states per byte (no
@@ -264,10 +264,10 @@ def check_ergodicity(matrix: TransitionMatrix, max_exponent: int | None = None) 
     of Q^(e+1) = Q * Q^e is the union of the Q^e supports of the image
     columns of row i, so each step ORs `width` rows of masks.  Stops early if
     the supports stabilize below full, which is conclusive evidence of
-    reducibility/periodicity.
+    reducibility/periodicity.  The search gives up, inconclusive, after
+    exponent 2 * size.
     """
     size, images = matrix.size, matrix.images
-    bound = max_exponent if max_exponent is not None else 2 * size
 
     def times_q(masks: np.ndarray) -> np.ndarray:
         out = masks[images[:, 0]]
@@ -279,7 +279,7 @@ def check_ergodicity(matrix: TransitionMatrix, max_exponent: int | None = None) 
     current = np.zeros((size, size // 8), dtype=np.uint8)
     current[states, states >> 3] = 1 << (states & 7)  # Q^0, the identity
     current = times_q(current)
-    for exponent in range(1, bound + 1):
+    for exponent in range(1, 2 * size + 1):
         if (current == 0xFF).all():
             return ErgodicityResult(True, exponent, True)
         nxt = times_q(current)

@@ -123,6 +123,22 @@ class TestPreimage:
         finally:
             sys.set_int_max_str_digits(limit)
 
+    @pytest.mark.parametrize("digits, top", [(0, 4760), (640, 707)], ids=["limit-off", "limit-640"])
+    def test_level_cap(self, capsys, digits, top):
+        # the cap holds with the digit limit off; a limit of 640 digits
+        # refuses 8^709, which has 641, and prints 8^708
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(digits)
+        try:
+            code, text = run_cli("preimage", "--j", "0", "--m", str(top))
+            assert code == 0 and len(text.splitlines()) == 12
+            code, text = run_cli("preimage", "--j", "0", "--m", str(top + 1))
+            err = capsys.readouterr().err.splitlines()
+            assert code == 3 and text == "" and len(err) == 1
+            assert err[0].startswith(f"error: level {top + 1} ")
+        finally:
+            sys.set_int_max_str_digits(limit)
+
 
 class TestMatrix:
     def test_triplets(self):

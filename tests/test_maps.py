@@ -4,7 +4,6 @@ import pytest
 
 from collatzmc import maps
 from collatzmc.maps import (
-    BASE_IMAGES,
     BRANCHES,
     MULTIPLIERS,
     OFFSETS,
@@ -55,7 +54,7 @@ def test_third_iterate_rejects_nonpositive():
 def test_branch_table_constants():
     assert MULTIPLIERS == (1, 6, 6, 36, 6, 6, 6, 36)
     assert OFFSETS == (0, 2, 4, 20, 8, 2, 4, 20)
-    assert BASE_IMAGES == (0, 1, 2, 16, 4, 4, 5, 34)
+    assert tuple(b.base_image for b in BRANCHES) == (0, 1, 2, 16, 4, 4, 5, 34)
 
 
 def test_branch_invariants():
