@@ -51,8 +51,8 @@ SIMULATE_GOLDENS = {
 }
 
 
-#: sha256 of the stdout of the exact chain commands: the stationary law and the
-#: checks that verify it.
+#: sha256 of the stdout of the exact chain commands: the matrix triplets, the
+#: stationary law and the checks that verify it.
 CHAIN_GOLDENS = {
     "stationary --m 1": "2729380392884a2176e8859ec1ae0c58b403cc4a323de239c82e24bc5ae2c36d",
     "stationary --m 2": "52e3ee850ce0c3391763c08b1b6513f9665c435c73f82b1b91971f47f1ae5dbb",
@@ -64,6 +64,22 @@ CHAIN_GOLDENS = {
     "verify --stationarity --m 3": "a89373cab128a3136b1c9aeb9d3d9ccb973d3efcbbee9784d50683fbba423e1f",
     "verify --stationarity --m 4": "442bd077b78d4ca940e97640ad22621dc0e99fa6991932e35216adcf5ab42078",
     "verify --all --m 3": "231463310b46dfc256159bf49c2e1f12e56346f9f0b49fa690aa7f3e25d8646b",
+    "verify --all --m 4 --force": "976e8a9ba722ad76635245ce36796e8c71a8f7977359fcb03bebbaba5e73b9ff",
+    "verify --measure --m 1": "3667fa5960a21f45d2b844cfb72232f1570cfb58830e2026db72bd3c2fa83464",
+    "verify --measure --m 2": "a28b265628c9836bf06cbae77f830afb13708894d674e2e9913dd9981e0e08fb",
+    "verify --measure --m 3": "8e6a397a24f046bf6da9460f707143500b45b9737ac30660dd104d3336e0bf08",
+    "verify --measure --m 4 --force": "19a812fdd8ba159248af7b0aa7765383ddb38278cf787bba64610f19a8d883be",
+    "verify --measure --m 5 --force": "9b8c42fdcfc13ba666e1b1638f9a3d4022868590385391aa2b7606d9dc1b89b0",
+    "verify --stochasticity --m 1": "8df5c157e1c7c29e1f97536a0dd4a9eba7e856c13414a1c2bb60cf7790a5e5c4",
+    "verify --stochasticity --m 2": "7f25efe968fcf9242bb4d0d438e16bc4526ca7b447d26877fc3893976fc7a6e9",
+    "verify --stochasticity --m 3": "27bf6138c1bdb7ba9ab5ac2ae9da27163ff2cdc5bbc6cb69b3299b035b831f22",
+    "verify --stochasticity --m 4": "4e46165062f8e8b805bd9448d3bdd4eeda6d50de847bb6338de3dd53525afea1",
+    "verify --stochasticity --m 5": "bc4ae7edef699e6b21fc55aad6b549e294a16ce24e182fad6fe51ac351158b60",
+    "verify --chapman": "17c2652ea61aba532ec450c1691a2abb364c5ae222ac99ebee968bf2c9b2df20",
+    "matrix --m 1": "0efb6afd3f1458bc9efba953606b0833f2a34f43a30fd000eabac5346a129516",
+    "matrix --m 2": "5d5397f8ccf15deb2f09d7df0c9e93f53e1dab4a4831ac133f2fd3e4241c40d8",
+    "matrix --m 3": "794d06afcfc476260b0734fea0218abdf621c567f3a32fd0a0ad94b571040f34",
+    "matrix --m 4": "efefa00778b758b2c169290d3fd626b281111ce32511c943a9b144c527bf4de4",
 }
 
 
