@@ -12,7 +12,7 @@ from .congruence import (
     CongruenceClass,
     forward_split,
     preimage_class,
-    preimage_union,
+    preimage_targets,
     solve_linear_congruence,
 )
 from .contraction import (
@@ -78,7 +78,7 @@ __all__ = [
     "nu",
     "orbit_log_average",
     "preimage_class",
-    "preimage_union",
+    "preimage_targets",
     "raw_geometric_mean",
     "run_trajectory",
     "solve_linear_congruence",

@@ -2,13 +2,16 @@
 
 The preimage of a class B(j, 8^m) is always a disjoint union of classes one
 level finer (mod 8^{m+1}); its members are found by solving one linear
-congruence per branch of the map.
+congruence per branch of the map.  These preimages partition the finer level,
+so one array (preimage_targets) holds them all, solved for every class at once.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .maps import BRANCHES
 
@@ -62,9 +65,6 @@ class ClassUnion:
         if residues != sorted(residues):
             object.__setattr__(self, "members", tuple(sorted(self.members, key=lambda c: c.residue)))
 
-    def __len__(self) -> int:
-        return len(self.members)
-
     def __iter__(self):
         return iter(self.members)
 
@@ -112,12 +112,27 @@ def preimage_class(target: CongruenceClass) -> ClassUnion:
     return ClassUnion(target.level + 1, tuple(sorted(members, key=lambda c: c.residue)))
 
 
-def preimage_union(union: ClassUnion) -> ClassUnion:
-    """Preimage of a class union; members stay disjoint one level finer."""
-    members = []
-    for cls in union:
-        members.extend(preimage_class(cls).members)
-    return ClassUnion(union.level + 1, tuple(sorted(members, key=lambda c: c.residue)))
+def preimage_targets(level: int) -> np.ndarray:
+    """Entry r is the j mod 8^level whose preimage_class holds B(r, 8^{level+1}).
+
+    Per branch, preimage_class's congruence is solved for all j at once: with
+    d = gcd(multiplier, 8^level), each j with d | j - base_image gets d shifts
+    h.  Callers bound the level: the array has 8^{level+1} int64 entries.
+    """
+    if level < 1:
+        raise ValueError(f"level must be >= 1, got {level}")
+    modulus = 8**level
+    targets = np.full(8 * modulus, -1, dtype=np.int64)
+    classes = np.arange(modulus, dtype=np.int64)
+    for branch in BRANCHES:
+        d = math.gcd(branch.multiplier, modulus)
+        reduced = modulus // d
+        j = classes[(classes - branch.base_image) % d == 0]
+        inverse = pow(branch.multiplier // d, -1, reduced)
+        h = (j - branch.base_image) % modulus // d * inverse % reduced
+        for t in range(d):
+            targets[branch.index + 8 * (h + t * reduced)] = j
+    return targets
 
 
 def forward_split(source: CongruenceClass) -> list[tuple[CongruenceClass, CongruenceClass]]:
@@ -145,6 +160,6 @@ __all__ = [
     "ClassUnion",
     "solve_linear_congruence",
     "preimage_class",
-    "preimage_union",
+    "preimage_targets",
     "forward_split",
 ]

@@ -6,9 +6,9 @@ row i lists the image classes of the 8 refining subclasses of B(i, 8^m)
 (forward_split), so its rows sum to 1 by construction and every product with
 it is a gather or a bincount.  The stationary law is the invariant measure,
 which takes one value on even classes and another on odd ones, so it is kept
-as that (even, odd) pair and checked against the matrix.  The k-step
-transition probabilities computed from preimages and the invariant measure
-(kstep_measure_matrix) are kept as the independent cross-check.
+as that (even, odd) pair and checked against the matrix.  The independent
+cross-checks, check_stochasticity and kstep_measure_matrix, solve congruences
+(preimage_targets) instead of applying the forward images.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .congruence import ClassUnion, CongruenceClass, preimage_class, preimage_union
+from .congruence import CongruenceClass, preimage_targets
 from .errors import CapacityError, ConsistencyError
 from .maps import MULTIPLIERS, OFFSETS
 from .measure import measure_class
@@ -137,8 +137,8 @@ def check_stochasticity(matrix: TransitionMatrix) -> bool:
     size = matrix.size
     if matrix.images.shape != (size, 8):
         return False
-    indegree = np.bincount(matrix.images.ravel(), minlength=size).tolist()
-    return indegree == [len(preimage_class(CongruenceClass(j, matrix.level))) for j in range(size)]
+    indegree = np.bincount(matrix.images.ravel(), minlength=size)
+    return np.array_equal(indegree, np.bincount(preimage_targets(matrix.level), minlength=size))
 
 
 def left_multiply(weights, matrix: TransitionMatrix) -> list[Fraction]:
@@ -222,26 +222,27 @@ def matrix_power(matrix: TransitionMatrix, exponent: int) -> TransitionMatrix:
 def kstep_measure_matrix(steps: int, level: int = 1) -> list[list[Fraction]]:
     """k-step transition probabilities computed from iterated preimages.
 
-    Entry (i, j) is measure(B(i) and k-fold preimage of B(j)) / measure(B(i)),
-    with the intersection read off the preimage union at level k+level.
-    Independent of matrix multiplication; used to validate that the k-step
-    chain equals the k-th matrix power.
+    Entry (i, j) is measure(B(i) and k-fold preimage of B(j)) / measure(B(i)).
+    The preimage maps of levels level+k-1 down to level, composed, send each
+    residue mod 8^(level+k) to its class k steps on; those in B(i) weigh
+    measure(B(i)) / 8^k each.  Independent of matrix multiplication; used to
+    validate that the k-step chain equals the k-th matrix power.  The composed
+    map and the dense result are each capped at MAX_IMAGE_CELLS cells.
     """
     if steps < 1:
         raise ValueError(f"steps must be >= 1, got {steps}")
+    if level < 1:
+        raise ValueError(f"level must be >= 1, got {level}")
+    cells = 8 ** (level + max(steps, level))
+    if cells > MAX_IMAGE_CELLS:
+        raise CapacityError(f"level {level}, {steps} steps: {cells} cells, cap {MAX_IMAGE_CELLS}")
     size = 8**level
-    out = [[Fraction(0)] * size for _ in range(size)]
-    for j in range(size):
-        union = ClassUnion(level, (CongruenceClass(j, level),))
-        for _ in range(steps):
-            union = preimage_union(union)
-        buckets: dict[int, Fraction] = {}
-        for member in union:
-            i = member.residue % size
-            buckets[i] = buckets.get(i, Fraction(0)) + measure_class(member)
-        for i, mass in buckets.items():
-            out[i][j] = mass / measure_class(CongruenceClass(i, level))
-    return out
+    image = residues = np.arange(8 ** (level + steps))
+    for fine in reversed(range(level, level + steps)):
+        image = preimage_targets(fine)[image]
+    counts = np.bincount(residues % size * size + image, minlength=size * size)
+    probability = {c: Fraction(c, 8**steps) for c in np.unique(counts).tolist()}
+    return [[probability[c] for c in row] for row in counts.reshape(size, size).tolist()]
 
 
 @dataclass(frozen=True)

@@ -13,6 +13,7 @@ import pytest
 import collatzmc
 from collatzmc import cli, empirical, markov, measure
 from collatzmc.cli import main
+from collatzmc.congruence import preimage_targets
 
 
 def run_cli(*argv):
@@ -400,16 +401,37 @@ class TestVerify:
         ["--measure --m 6 --force", "--measure --m 9 --force", "--all --m 6 --force", "--measure --m 6"],
     )
     def test_measure_hard_ceiling(self, monkeypatch, capsys, argv):
-        # refused with one line and no --force hint, forced or not, before a
-        # single preimage is enumerated
-        def enumerate_nothing(target):
-            raise AssertionError(f"enumerated {target}")
+        # refused with one line and no --force hint, forced or not, before the
+        # preimage map is built
+        def build_nothing(level):
+            raise AssertionError(f"built the preimage map at level {level}")
 
-        monkeypatch.setattr(measure, "preimage_class", enumerate_nothing)
+        monkeypatch.setattr(measure, "preimage_targets", build_nothing)
         code, text = run_cli("verify", *argv.split())
         err = capsys.readouterr().err.splitlines()
         assert code == 3 and text == ""
         assert len(err) == 1 and err[0].startswith("error: level ") and "--force" not in err[0]
+
+    @pytest.mark.parametrize(
+        "level, moved, to, fails",
+        [
+            (1, 1, 0, ["FAIL B(0,8) preimage=17/96 class=1/6", "FAIL B(1,8) preimage=7/96 class=1/12"]),
+            (2, 0, 5, ["FAIL B(0,64) preimage=7/384 class=1/48", "FAIL B(5,64) preimage=5/384 class=1/96"]),
+        ],
+        ids=["odd-member", "even-member"],
+    )
+    def test_measure_can_fail(self, monkeypatch, level, moved, to, fails):
+        # one fine class moves to another class's preimage
+        targets = preimage_targets(level)
+        targets[moved] = to
+        monkeypatch.setattr(measure, "preimage_targets", lambda m: targets)
+        code, text = run_cli("verify", "--measure", "--m", str(level))
+        lines = text.splitlines()
+        size = 8**level
+        assert code == 1 and len(lines) == size + 1
+        assert [line for line in lines if not line.startswith("PASS B(")] == fails + [
+            f"FAIL measure-invariance m={level} ({size - 2}/{size} classes exact)"
+        ]
 
     def test_all_level4_forced(self):
         code, text = run_cli("verify", "--all", "--m", "4", "--force")

@@ -5,18 +5,23 @@ them is also re-derived here by direct enumeration.
 """
 
 import math
+from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from collatzmc.congruence import (
     ClassUnion,
     CongruenceClass,
     forward_split,
     preimage_class,
-    preimage_union,
+    preimage_targets,
     solve_linear_congruence,
 )
 from collatzmc.maps import third_iterate
+from collatzmc.measure import measure_class, measure_union
 
 # Preimage of each B(j, 8) as residues mod 64, sorted.
 PREIMAGE_RESIDUES_MOD64 = {
@@ -121,14 +126,39 @@ class TestPreimage:
             seen.extend(preimage_class(CongruenceClass(j, level)).residues())
         assert sorted(seen) == list(range(8 ** (level + 1)))
 
-    def test_preimage_union_composes(self):
-        single = ClassUnion(1, (CongruenceClass(1, 1),))
-        twice = preimage_union(preimage_union(single))
-        assert twice.level == 3
-        # every member maps into B(1,8) after two applications
-        for member in twice:
-            n = member.residue
-            assert third_iterate(third_iterate(n)) % 8 == 1
+
+
+@pytest.fixture(scope="module")
+def target_maps():
+    return {level: preimage_targets(level) for level in range(1, 6)}
+
+
+class TestPreimageTargets:
+    @given(data=st.data())
+    def test_matches_preimage_class(self, target_maps, data):
+        level = data.draw(st.integers(1, 5), label="level")
+        j = data.draw(st.integers(0, 8**level - 1), label="j")
+        targets = target_maps[level]
+        assert targets.dtype == np.int64 and len(targets) == 8 ** (level + 1)
+        assert targets.min() >= 0
+        union = preimage_class(CongruenceClass(j, level))
+        members = np.flatnonzero(targets == j).tolist()
+        assert tuple(members) == union.residues()
+        total = sum((measure_class(CongruenceClass(r, level + 1)) for r in members), Fraction(0))
+        assert total == measure_union(union) == measure_class(CongruenceClass(j, level))
+
+    def test_two_maps_compose(self):
+        twice = preimage_targets(1)[preimage_targets(2)]
+        # every residue mod 8^3 lands in its class mod 8 after two applications
+        assert twice[1:].tolist() == [third_iterate(third_iterate(n)) % 8 for n in range(1, 512)]
+        # the twofold preimage of B(1,8) is the preimage of its preimage's members
+        once = preimage_class(CongruenceClass(1, 1))
+        expected = sorted(r for member in once for r in preimage_class(member).residues())
+        assert np.flatnonzero(twice == 1).tolist() == expected
+
+    def test_rejects_bad_level(self):
+        with pytest.raises(ValueError):
+            preimage_targets(0)
 
 
 class TestForwardSplit:

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from collatzmc import markov
 from collatzmc.congruence import CongruenceClass, forward_split
 from collatzmc.errors import CapacityError, ConsistencyError
 from collatzmc.markov import (
@@ -177,6 +178,26 @@ class TestPowers:
     def test_measure_kstep_equals_power(self, k):
         base = build_matrix(1)
         assert kstep_measure_matrix(k) == matrix_power(base, k).dense()
+
+    def test_measure_kstep_at_the_cell_cap(self):
+        # 8^7 residues mod 8^7 composed through six preimage maps
+        assert kstep_measure_matrix(6) == matrix_power(build_matrix(1), 6).dense()
+
+    def test_measure_kstep_guards(self, monkeypatch):
+        with pytest.raises(ValueError):
+            kstep_measure_matrix(1, 0)
+        with pytest.raises(ValueError):
+            kstep_measure_matrix(0)
+
+        # refused before a preimage map is built
+        def build_nothing(level):
+            raise AssertionError(f"built the preimage map at level {level}")
+
+        monkeypatch.setattr(markov, "preimage_targets", build_nothing)
+        # 8^(level+steps) residues, or a dense 8^level x 8^level result, above 8^7
+        for steps, level in ((7, 1), (6, 3), (2, 4), (1, 4)):
+            with pytest.raises(CapacityError):
+                kstep_measure_matrix(steps, level)
 
     def test_capacity_guards(self):
         with pytest.raises(CapacityError):

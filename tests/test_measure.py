@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from collatzmc.congruence import ClassUnion, CongruenceClass, preimage_class
+from collatzmc.congruence import ClassUnion, CongruenceClass, preimage_class, preimage_targets
 from collatzmc import measure
 from collatzmc.errors import CapacityError
 from collatzmc.measure import (
@@ -83,26 +83,40 @@ def test_measure_union_examples():
 @pytest.mark.parametrize("level", [1, 2, 3])
 def test_invariance_exact(level):
     report = check_invariance(level)
-    assert report.passed
-    assert len(report.rows) == 8**level
-    assert report.failures == ()
-    for row in report.rows:
-        assert row.preimage_measure == row.class_measure
+    assert report.passed and report.exact.all()
+    # the integer counts are the Fraction measures in units of 1/(12*8^m)
+    unit = 12 * 8**level
+    for j, (got, want) in enumerate(zip(report.preimage.tolist(), report.measure.tolist())):
+        target = CongruenceClass(j, level)
+        assert Fraction(got, unit) == measure_union(preimage_class(target))
+        assert Fraction(want, unit) == measure_class(target)
 
 
 def test_invariance_level_cap():
     with pytest.raises(CapacityError):
         check_invariance(4)
-    report = check_invariance(4, allow_large=True)
-    assert report.passed
+    for level in (4, MAX_CHECK_LEVEL):
+        report = check_invariance(level, allow_large=True)
+        assert report.passed and len(report.preimage) == 8**level
+
+
+def test_moved_member_fails(monkeypatch):
+    # B(1,64), odd, moves from the preimage of B(1,8) to that of B(0,8)
+    targets = preimage_targets(1)
+    targets[1] = 0
+    monkeypatch.setattr(measure, "preimage_targets", lambda level: targets)
+    report = check_invariance(1)
+    assert not report.passed
+    assert report.exact.tolist() == [False, False] + [True] * 6
+    assert report.preimage[:2].tolist() == [17, 7] and report.measure[:2].tolist() == [16, 8]
 
 
 def test_invariance_hard_ceiling(monkeypatch):
-    # refused even when forced, before a single preimage is enumerated
-    def enumerate_nothing(target):
-        raise AssertionError(f"enumerated {target}")
+    # refused even when forced, before the preimage map is built
+    def build_nothing(level):
+        raise AssertionError(f"built the preimage map at level {level}")
 
-    monkeypatch.setattr(measure, "preimage_class", enumerate_nothing)
+    monkeypatch.setattr(measure, "preimage_targets", build_nothing)
     for level in (MAX_CHECK_LEVEL + 1, 9):
         with pytest.raises(CapacityError):
             check_invariance(level, allow_large=True)
