@@ -17,8 +17,6 @@ from . import contraction, empirical, markov, measure
 from .congruence import CongruenceClass, preimage_class
 from .errors import CapacityError, ConsistencyError, TrajectoryCapError
 
-WORKERS_ENV = "COLLATZMC_WORKERS"
-
 #: cgroup v2 CPU bandwidth limit: "<quota> <period>" in microseconds, or
 #: "max <period>" when unlimited.
 CPU_MAX_PATH = "/sys/fs/cgroup/cpu.max"
@@ -28,18 +26,22 @@ CPU_MAX_PATH = "/sys/fs/cgroup/cpu.max"
 MAX_PREIMAGE_LEVEL = 4760
 
 
+def _int_at_least(text: str, low: int, kind: str) -> int:
+    try:
+        value = int(text)
+        if value >= low:
+            return value
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"must be a {kind} integer, got {text}")
+
+
 def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text}")
-    return value
+    return _int_at_least(text, 1, "positive")
 
 
 def _nonnegative_int(text: str) -> int:
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be a nonnegative integer, got {text}")
-    return value
+    return _int_at_least(text, 0, "nonnegative")
 
 
 def _bool_flag(text: str) -> bool:
@@ -61,16 +63,7 @@ def _cpu_quota() -> int | None:
 
 
 def _default_workers() -> int:
-    """$COLLATZMC_WORKERS when set, else the CPUs this process may run on,
-    capped by the cgroup CPU quota.
-
-    Raises ValueError when the variable holds anything but a positive integer.
-    """
-    env = os.environ.get(WORKERS_ENV)
-    if env:
-        if not env.isdecimal() or int(env) < 1:
-            raise ValueError(f"{WORKERS_ENV} must be a positive integer, got {env!r}")
-        return int(env)
+    """The CPUs this process may run on, capped by the cgroup CPU quota."""
     if hasattr(os, "sched_getaffinity"):
         cpus = len(os.sched_getaffinity(0))
     else:
@@ -104,9 +97,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("stationary", help="exact stationary distribution at level m")
     p.add_argument("--m", type=_positive_int, default=1)
 
-    p = sub.add_parser("graph", help="DOT graph of the 8-state class chain")
+    p = sub.add_parser("graph", help="DOT graph of the class chain at level m")
     p.add_argument("--m", type=_positive_int, default=1)
-    p.add_argument("--force", action="store_true", help="allow levels above 1")
 
     p = sub.add_parser("contraction", help="contraction factors, bounds, and log averages")
     p.add_argument("--n-min", type=_positive_int, default=3, dest="n_min")
@@ -128,7 +120,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--workers",
         type=_positive_int,
         default=None,
-        help=f"process count (default: ${WORKERS_ENV}, else the CPUs this process may use)",
+        help="process count (default: the CPUs this process may use)",
     )
 
     p = sub.add_parser("verify", help="run exact verification checks; exit 1 on any FAIL")
@@ -143,12 +135,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--chapman", action="store_true", help="k-step measure probabilities vs matrix powers")
     p.add_argument("--ergodicity", action="store_true", help="some matrix power strictly positive")
     p.add_argument("--all", action="store_true", dest="run_all")
-    p.add_argument(
-        "--force",
-        action="store_true",
-        help=f"run the measure check above level {measure.DEFAULT_MAX_CHECK_LEVEL} "
-        f"(it stops at {measure.MAX_CHECK_LEVEL})",
-    )
     return parser
 
 
@@ -192,13 +178,7 @@ def _cmd_stationary(args, out) -> int:
 
 
 def _cmd_graph(args, out) -> int:
-    matrix = markov.build_matrix(args.m)
-    try:
-        text = markov.emit_chain_graph(matrix, force=args.force)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    out.write(text)
+    out.write(markov.emit_chain_graph(markov.build_matrix(args.m)))
     return 0
 
 
@@ -227,13 +207,6 @@ def _cmd_contraction(args, out) -> int:
 
 
 def _cmd_simulate(args, out) -> int:
-    workers = args.workers
-    if workers is None:
-        try:
-            workers = _default_workers()
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
     try:
         config = empirical.SweepConfig(
             n_max=args.n_max,
@@ -241,7 +214,7 @@ def _cmd_simulate(args, out) -> int:
             include_start=args.include_start,
             # CSV output has no per-trajectory column, so skip the tally there
             per_trajectory=args.per_trajectory and args.format == "json",
-            workers=workers,
+            workers=args.workers or _default_workers(),
         )
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -276,17 +249,7 @@ def _cmd_verify(args, out) -> int:
     failed = False
 
     if checks["measure"]:
-        try:
-            report = measure.check_invariance(args.m, allow_large=args.force)
-        except CapacityError:
-            if args.m > measure.MAX_CHECK_LEVEL:
-                raise
-            print(
-                f"error: level {args.m} enumerates 8^{args.m} classes; "
-                "pass --force to run the measure check",
-                file=sys.stderr,
-            )
-            return 3
+        report = measure.check_invariance(args.m)
         if not args.run_all:
             modulus, unit = 8**args.m, 12 * 8**args.m
             for j, (got, want) in enumerate(zip(report.preimage.tolist(), report.measure.tolist())):

@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import CapacityError, TrajectoryCapError
 from .maps import CYCLE, MULTIPLIERS, OFFSETS, collatz_step
-from .markov import alternating_weights
+from .measure import alternating_weights
 
 #: Largest value for which one triple step (36*n + 20) stays inside int64.
 INT64_SAFE = (2**63 - 21) // 36

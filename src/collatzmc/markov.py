@@ -19,13 +19,11 @@ from fractions import Fraction
 
 import numpy as np
 
-from .congruence import CongruenceClass, preimage_targets
+from .congruence import preimage_targets
 from .errors import CapacityError, ConsistencyError
 from .maps import MULTIPLIERS, OFFSETS
-from .measure import measure_class
-
-#: Matrices above this level (8^5 = 32768 states) are refused.
-MAX_LEVEL = 5
+# Matrices above the measure check's level cap (8^5 = 32768 states) are refused.
+from .measure import MAX_CHECK_LEVEL as MAX_LEVEL, alternating_weights
 
 #: Exact dense output and powering are limited to this level.
 MAX_POWER_LEVEL = 2
@@ -149,12 +147,6 @@ def left_multiply(weights, matrix: TransitionMatrix) -> list[Fraction]:
         if weights[i]:
             out[j] += weights[i] * probability[count]
     return out
-
-
-def alternating_weights(level: int) -> tuple[Fraction, Fraction]:
-    """The invariant measure of the classes mod 8^level as (even, odd) values:
-    1/(6*8^{m-1}) on every even class, half that on every odd one."""
-    return measure_class(CongruenceClass(0, level)), measure_class(CongruenceClass(1, level))
 
 
 def power_iteration(matrix: TransitionMatrix) -> np.ndarray:
@@ -290,13 +282,8 @@ def check_ergodicity(matrix: TransitionMatrix) -> ErgodicityResult:
     return ErgodicityResult(False, None, False)
 
 
-def emit_chain_graph(matrix: TransitionMatrix, force: bool = False) -> str:
-    """DOT digraph of the class chain, nodes labelled B(i,8^m), exact edge weights.
-
-    Meant for the 8-state chain; larger levels are refused unless forced.
-    """
-    if matrix.level > 1 and not force:
-        raise ValueError(f"graph emission intended for level 1; got level {matrix.level} (use force)")
+def emit_chain_graph(matrix: TransitionMatrix) -> str:
+    """DOT digraph of the class chain, nodes labelled B(i,8^m), exact edge weights."""
     modulus = matrix.size
     probability = _by_count(matrix.width)
     lines = ["digraph residue_chain {", "  rankdir=LR;"]

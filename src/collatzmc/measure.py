@@ -16,11 +16,8 @@ import numpy as np
 from .congruence import ClassUnion, CongruenceClass, preimage_targets
 from .errors import CapacityError
 
-#: Levels above this need an explicit opt-in (the CLI prints 8^level class lines).
-DEFAULT_MAX_CHECK_LEVEL = 3
-
-#: Levels above this are refused even with the opt-in; the class chain stops
-#: at the same level (markov.MAX_LEVEL).
+#: Highest level of the measure check and of the class chain, which imports
+#: it as markov.MAX_LEVEL: 8^5 = 32768 classes.
 MAX_CHECK_LEVEL = 5
 
 
@@ -56,6 +53,12 @@ def measure_union(union: ClassUnion) -> Fraction:
     return sum((measure_class(c) for c in union), Fraction(0))
 
 
+def alternating_weights(level: int) -> tuple[Fraction, Fraction]:
+    """The invariant measure of the classes mod 8^level as (even, odd) values:
+    1/(6*8^{m-1}) on every even class, half that on every odd one."""
+    return measure_class(CongruenceClass(0, level)), measure_class(CongruenceClass(1, level))
+
+
 @dataclass(frozen=True)
 class InvarianceReport:
     """Per class mod 8^level, its preimage's measure and its own, in units of 1/(12*8^level)."""
@@ -73,12 +76,11 @@ class InvarianceReport:
         return bool(self.exact.all())
 
 
-def check_invariance(level: int, allow_large: bool = False) -> InvarianceReport:
+def check_invariance(level: int) -> InvarianceReport:
     """Compare measure(preimage(B(j,8^m))) with measure(B(j,8^m)) for every j.
 
-    Exact integer equality per class.  Levels above DEFAULT_MAX_CHECK_LEVEL
-    need allow_large=True, the CLI's opt-in to its 8^m per-class lines, and
-    levels above MAX_CHECK_LEVEL are refused.
+    Exact integer equality per class; levels above MAX_CHECK_LEVEL are refused
+    before the preimage map is built.
     """
     if level < 1:
         raise ValueError(f"level must be >= 1, got {level}")
@@ -86,10 +88,6 @@ def check_invariance(level: int, allow_large: bool = False) -> InvarianceReport:
         raise CapacityError(
             f"level {level} enumerates 8^{level} classes; the measure check stops at "
             f"level {MAX_CHECK_LEVEL}"
-        )
-    if level > DEFAULT_MAX_CHECK_LEVEL and not allow_large:
-        raise CapacityError(
-            f"level {level} enumerates 8^{level} classes; pass allow_large=True to force"
         )
     size = 8**level
     targets = preimage_targets(level)

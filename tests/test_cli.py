@@ -53,7 +53,7 @@ SIMULATE_GOLDENS = {
 
 
 #: sha256 of the stdout of the exact chain commands: the matrix triplets, the
-#: stationary law and the checks that verify it.
+#: stationary law, the checks that verify it and the DOT graph.
 CHAIN_GOLDENS = {
     "stationary --m 1": "2729380392884a2176e8859ec1ae0c58b403cc4a323de239c82e24bc5ae2c36d",
     "stationary --m 2": "52e3ee850ce0c3391763c08b1b6513f9665c435c73f82b1b91971f47f1ae5dbb",
@@ -65,12 +65,12 @@ CHAIN_GOLDENS = {
     "verify --stationarity --m 3": "a89373cab128a3136b1c9aeb9d3d9ccb973d3efcbbee9784d50683fbba423e1f",
     "verify --stationarity --m 4": "442bd077b78d4ca940e97640ad22621dc0e99fa6991932e35216adcf5ab42078",
     "verify --all --m 3": "231463310b46dfc256159bf49c2e1f12e56346f9f0b49fa690aa7f3e25d8646b",
-    "verify --all --m 4 --force": "976e8a9ba722ad76635245ce36796e8c71a8f7977359fcb03bebbaba5e73b9ff",
+    "verify --all --m 4": "976e8a9ba722ad76635245ce36796e8c71a8f7977359fcb03bebbaba5e73b9ff",
     "verify --measure --m 1": "3667fa5960a21f45d2b844cfb72232f1570cfb58830e2026db72bd3c2fa83464",
     "verify --measure --m 2": "a28b265628c9836bf06cbae77f830afb13708894d674e2e9913dd9981e0e08fb",
     "verify --measure --m 3": "8e6a397a24f046bf6da9460f707143500b45b9737ac30660dd104d3336e0bf08",
-    "verify --measure --m 4 --force": "19a812fdd8ba159248af7b0aa7765383ddb38278cf787bba64610f19a8d883be",
-    "verify --measure --m 5 --force": "9b8c42fdcfc13ba666e1b1638f9a3d4022868590385391aa2b7606d9dc1b89b0",
+    "verify --measure --m 4": "19a812fdd8ba159248af7b0aa7765383ddb38278cf787bba64610f19a8d883be",
+    "verify --measure --m 5": "9b8c42fdcfc13ba666e1b1638f9a3d4022868590385391aa2b7606d9dc1b89b0",
     "verify --stochasticity --m 1": "8df5c157e1c7c29e1f97536a0dd4a9eba7e856c13414a1c2bb60cf7790a5e5c4",
     "verify --stochasticity --m 2": "7f25efe968fcf9242bb4d0d438e16bc4526ca7b447d26877fc3893976fc7a6e9",
     "verify --stochasticity --m 3": "27bf6138c1bdb7ba9ab5ac2ae9da27163ff2cdc5bbc6cb69b3299b035b831f22",
@@ -81,6 +81,8 @@ CHAIN_GOLDENS = {
     "matrix --m 2": "5d5397f8ccf15deb2f09d7df0c9e93f53e1dab4a4831ac133f2fd3e4241c40d8",
     "matrix --m 3": "794d06afcfc476260b0734fea0218abdf621c567f3a32fd0a0ad94b571040f34",
     "matrix --m 4": "efefa00778b758b2c169290d3fd626b281111ce32511c943a9b144c527bf4de4",
+    "graph --m 1": "737311055b8d065cd17d0caca3060d8618ae002bc6f3138b65b0ffa13afa7b40",
+    "graph --m 2": "5b29dec748f4a7807ade069168af464b7a62d800687a118dbb40fddbc1810d7b",
 }
 
 
@@ -88,6 +90,16 @@ CHAIN_GOLDENS = {
 def test_chain_golden_bytes(argv, digest):
     code, text = run_cli(*argv.split())
     assert code == 0 and sha256(text) == digest
+
+
+@pytest.fixture
+def corrupt_chain(monkeypatch):
+    """Every build_matrix call returns Q(2) with one image column of row 0
+    moved to the next class."""
+    images = markov.build_matrix(2).images.copy()
+    images[0, 0] = (images[0, 0] + 1) % 64
+    corrupt = markov.TransitionMatrix(2, images)
+    monkeypatch.setattr(markov, "build_matrix", lambda level: corrupt)
 
 
 class TestStationary:
@@ -110,6 +122,12 @@ class TestStationary:
         lines = text.splitlines()
         assert code == 0 and len(lines) == 64
         assert lines[0] == "0 1/48" and lines[1] == "1 1/96"
+
+    def test_inconsistency_exits_1(self, corrupt_chain, capsys):
+        code, text = run_cli("stationary", "--m", "2")
+        err = capsys.readouterr().err.splitlines()
+        assert code == 1 and text == ""
+        assert err == ["error: closed-form vector is not exactly stationary; matrix is corrupt"]
 
 
 class TestPreimage:
@@ -187,11 +205,14 @@ class TestGraph:
         assert text.startswith("digraph")
         assert text.count("->") == 32
 
-    def test_level_guard_and_force(self):
-        code, _ = run_cli("graph", "--m", "2")
-        assert code == 2
-        code, text = run_cli("graph", "--m", "2", "--force")
+    def test_level2(self):
+        code, text = run_cli("graph", "--m", "2")
         assert code == 0 and text.count("->") == 256
+
+    def test_level_capacity(self, capsys):
+        code, text = run_cli("graph", "--m", "6")
+        assert code == 3 and text == ""
+        assert len(capsys.readouterr().err.splitlines()) == 1
 
 
 class TestContraction:
@@ -317,24 +338,21 @@ class TestSimulate:
         assert sha256(text) == "b8826e31ac7454b51978ca63dda638ee14798234a46f7b8ae21298681008888c"
 
     @pytest.mark.parametrize("value", ["0", "-2", "two", "1.5"])
-    def test_bad_workers_env_is_usage_error(self, monkeypatch, capsys, value):
-        monkeypatch.setenv(cli.WORKERS_ENV, value)
-        code, text = run_cli("simulate", "--max", "100")
-        assert code == 2 and text == ""
-        assert f"{cli.WORKERS_ENV} must be a positive integer" in capsys.readouterr().err
-        code, _ = run_cli("simulate", "--max", "100", "--workers", "1")
-        assert code == 0
+    def test_bad_workers_is_usage_error(self, capsys, value):
+        with pytest.raises(SystemExit) as info:
+            main(["simulate", "--max", "100", "--workers", value])
+        captured = capsys.readouterr()
+        assert info.value.code == 2 and captured.out == ""
+        assert f"argument --workers: must be a positive integer, got {value}" in captured.err
 
-    def test_workers_env_reaches_the_sweep(self, monkeypatch):
+    def test_workers_flag_reaches_the_sweep(self, monkeypatch):
         seen = []
         real_sweep = empirical.sweep
         monkeypatch.setattr(empirical, "sweep", lambda config: seen.append(config) or real_sweep(config))
-        monkeypatch.setenv(cli.WORKERS_ENV, "3")
-        assert run_cli("simulate", "--max", "100")[0] == 0
+        assert run_cli("simulate", "--max", "100", "--workers", "3")[0] == 0
         assert seen[0].workers == 3
 
     def test_default_workers_follow_cpu_affinity(self, monkeypatch):
-        monkeypatch.delenv(cli.WORKERS_ENV, raising=False)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
         monkeypatch.setattr(os, "cpu_count", lambda: 64)
         assert cli._default_workers() == 1
@@ -349,7 +367,6 @@ class TestSimulate:
         if cpu_max is not None:
             path.write_text(cpu_max)
         monkeypatch.setattr(cli, "CPU_MAX_PATH", str(path))
-        monkeypatch.delenv(cli.WORKERS_ENV, raising=False)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(4)), raising=False)
         assert cli._default_workers() == workers
 
@@ -389,20 +406,15 @@ class TestVerify:
         assert lines[8].startswith("PASS measure-invariance")
 
     def test_measure_level_cap(self, capsys):
-        code, _ = run_cli("verify", "--measure", "--m", "4")
-        assert code == 3
-        err = capsys.readouterr().err
-        assert "--force" in err and "allow_large" not in err
-        code, _ = run_cli("verify", "--measure", "--m", "4", "--force")
-        assert code == 0
+        # the top level runs with no opt-in, one level above it is refused
+        code, text = run_cli("verify", "--measure", "--m", str(measure.MAX_CHECK_LEVEL))
+        assert code == 0 and len(text.splitlines()) == 8**measure.MAX_CHECK_LEVEL + 1
+        code, text = run_cli("verify", "--measure", "--m", str(measure.MAX_CHECK_LEVEL + 1))
+        assert code == 3 and text == "" and len(capsys.readouterr().err.splitlines()) == 1
 
-    @pytest.mark.parametrize(
-        "argv",
-        ["--measure --m 6 --force", "--measure --m 9 --force", "--all --m 6 --force", "--measure --m 6"],
-    )
+    @pytest.mark.parametrize("argv", ["--measure --m 6", "--measure --m 9", "--all --m 6"])
     def test_measure_hard_ceiling(self, monkeypatch, capsys, argv):
-        # refused with one line and no --force hint, forced or not, before the
-        # preimage map is built
+        # refused with one line before the preimage map is built
         def build_nothing(level):
             raise AssertionError(f"built the preimage map at level {level}")
 
@@ -410,7 +422,7 @@ class TestVerify:
         code, text = run_cli("verify", *argv.split())
         err = capsys.readouterr().err.splitlines()
         assert code == 3 and text == ""
-        assert len(err) == 1 and err[0].startswith("error: level ") and "--force" not in err[0]
+        assert len(err) == 1 and err[0].startswith("error: level ")
 
     @pytest.mark.parametrize(
         "level, moved, to, fails",
@@ -433,20 +445,21 @@ class TestVerify:
             f"FAIL measure-invariance m={level} ({size - 2}/{size} classes exact)"
         ]
 
-    def test_all_level4_forced(self):
-        code, text = run_cli("verify", "--all", "--m", "4", "--force")
+    def test_all_level4(self):
+        code, text = run_cli("verify", "--all", "--m", "4")
         lines = text.splitlines()
         assert code == 0
         assert len(lines) == 5 and all(line.startswith("PASS ") for line in lines)
         assert lines[-1] == "PASS ergodicity m=4 (all entries positive at exponent 8)"
 
-    def test_stochasticity_can_fail(self, monkeypatch):
-        images = markov.build_matrix(2).images.copy()
-        images[0, 0] = (images[0, 0] + 1) % 64
-        corrupt = markov.TransitionMatrix(2, images)
-        monkeypatch.setattr(markov, "build_matrix", lambda level: corrupt)
+    def test_stochasticity_can_fail(self, corrupt_chain):
         code, text = run_cli("verify", "--stochasticity", "--m", "2")
         assert code == 1 and text.startswith("FAIL stochasticity m=2")
+
+    def test_stationarity_can_fail(self, corrupt_chain):
+        code, text = run_cli("verify", "--stationarity", "--m", "2")
+        assert code == 1
+        assert text == "FAIL stationarity m=2 (closed-form vector is not exactly stationary; matrix is corrupt)\n"
 
     def test_requires_a_check(self):
         code, _ = run_cli("verify")
@@ -468,6 +481,21 @@ class TestUsageErrors:
         with pytest.raises(SystemExit) as info:
             main(["simulate", "--max", "100", "--include-start", "maybe"])
         assert info.value.code == 2
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            ("simulate --max 1e7", "argument --max: must be a positive integer, got 1e7"),
+            ("preimage --j 1.0", "argument --j: must be a nonnegative integer, got 1.0"),
+        ],
+        ids=["max-1e7", "j-1.0"],
+    )
+    def test_non_integer_names_the_argument(self, capsys, argv, message):
+        with pytest.raises(SystemExit) as info:
+            main(argv.split())
+        err = capsys.readouterr().err
+        assert info.value.code == 2
+        assert err.splitlines()[-1] == f"collatzmc {argv.split()[0]}: error: {message}"
 
     def test_too_small_max(self, capsys):
         code, text = run_cli("simulate", "--max", "4")

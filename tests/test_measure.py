@@ -93,22 +93,20 @@ def test_invariance_exact(level):
 
 
 def test_invariance_level_cap():
-    with pytest.raises(CapacityError):
-        check_invariance(4)
     for level in (4, MAX_CHECK_LEVEL):
-        report = check_invariance(level, allow_large=True)
+        report = check_invariance(level)
         assert report.passed and len(report.preimage) == 8**level
 
 
 def test_invariance_hard_ceiling(monkeypatch):
-    # refused even when forced, before the preimage map is built
+    # refused before the preimage map is built
     def build_nothing(level):
         raise AssertionError(f"built the preimage map at level {level}")
 
     monkeypatch.setattr(measure, "preimage_targets", build_nothing)
     for level in (MAX_CHECK_LEVEL + 1, 9):
         with pytest.raises(CapacityError):
-            check_invariance(level, allow_large=True)
+            check_invariance(level)
 
 
 def test_invariance_rejects_bad_level():
