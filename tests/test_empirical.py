@@ -275,7 +275,7 @@ def test_step_cap_is_exact(step_cap, level, include_start, lo, width, jump_offse
         assert (info.value.start, info.value.steps) == (offender, step_cap)
 
 
-@pytest.mark.parametrize("level", range(1, 5))
+@pytest.mark.parametrize("level", range(1, 7))
 @pytest.mark.parametrize("include_start", [True, False])
 @pytest.mark.parametrize("where", ["small", "jump-bound"])
 def test_batches_change_no_result(monkeypatch, level, include_start, where):

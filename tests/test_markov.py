@@ -8,7 +8,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from collatzmc import markov
-from collatzmc.congruence import CongruenceClass, forward_split
+from collatzmc.congruence import CongruenceClass, forward_split, preimage_targets
 from collatzmc.errors import CapacityError, ConsistencyError
 from collatzmc.markov import (
     TransitionMatrix,
@@ -39,6 +39,11 @@ EIGHT_STATE_GOLDEN = [
 ]
 
 
+def eight_wide(columns):
+    """Level-1 matrix whose row i is 8 copies of columns[i]: i -> columns[i] surely."""
+    return TransitionMatrix(1, np.repeat(np.array(columns)[:, None], 8, axis=1))
+
+
 def stationary_vector(level):
     """The 8^level stationary vector, built from the verified (even, odd) pair."""
     return list(stationary_distribution(build_matrix(level))) * (8**level // 2)
@@ -63,6 +68,14 @@ def test_image_rows_equal_forward_split(chains, data):
     i = data.draw(st.integers(0, 8**level - 1), label="i")
     expected = [image.residue for _, image in forward_split(CongruenceClass(i, level))]
     assert chains[level].images[i].tolist() == expected
+
+
+@pytest.mark.parametrize("level", [1, 2, 3, 4, 5])
+def test_images_are_the_preimage_map(level):
+    # column h of row i is the image of B(i + 8^m*h, 8^(m+1)), which is entry
+    # i + 8^m*h of the congruence-solved map; the in-degree check would miss
+    # two rows trading columns
+    assert np.array_equal(build_matrix(level).images, preimage_targets(level).reshape(8, -1).T)
 
 
 @pytest.mark.parametrize("level", [1, 2, 3, 4])
@@ -133,7 +146,8 @@ class TestStochasticity:
 
     def test_wrong_width_fails(self):
         images = build_matrix(1).images
-        assert not check_stochasticity(TransitionMatrix(1, np.hstack([images, images])))
+        with pytest.raises(ValueError, match=r"expected a \(8, 8\) image array"):
+            TransitionMatrix(1, np.hstack([images, images]))
 
 
 class TestStationary:
@@ -158,7 +172,7 @@ class TestStationary:
         assert max(abs(float(w) - x) for w, x in zip(exact, numeric)) < 1e-12
 
     def test_detects_non_stationary_matrix(self):
-        identity = TransitionMatrix(1, np.arange(8)[:, None])
+        identity = eight_wide(range(8))
         with pytest.raises(ConsistencyError):
             stationary_distribution(identity)
 
@@ -176,7 +190,7 @@ class TestStationary:
     def test_power_iteration_can_fail_to_converge(self, monkeypatch):
         # 0 and 1 swap and 2..7 feed 0, so the mass on 0 and 1 alternates 7/8, 1/8
         monkeypatch.setattr(markov, "POWER_MAX_ITER", 50)
-        periodic = TransitionMatrix(1, [[1], [0], [0], [0], [0], [0], [0], [0]])
+        periodic = eight_wide([1, 0, 0, 0, 0, 0, 0, 0])
         with pytest.raises(ConsistencyError, match="did not converge .* in 50 steps"):
             power_iteration(periodic)
 
@@ -184,22 +198,23 @@ class TestStationary:
 class TestPowers:
     def test_first_power_is_identity_operation(self):
         base = build_matrix(1)
-        assert matrix_power(base, 1).rows == base.rows
+        assert matrix_power(base, 1) == base.dense()
 
     def test_square_has_uniform_floor(self):
-        square = matrix_power(build_matrix(1), 2).dense()
+        square = matrix_power(build_matrix(1), 2)
         for row in square:
             for entry in row:
                 assert entry >= Fraction(1, 16)
 
     @pytest.mark.parametrize("k", [1, 2, 3])
-    def test_measure_kstep_equals_power(self, k):
-        base = build_matrix(1)
-        assert kstep_measure_matrix(k) == matrix_power(base, k).dense()
+    @pytest.mark.parametrize("level", [1, 2])
+    def test_measure_kstep_equals_power(self, level, k):
+        # at level 2 the powers are 64 x 64 with denominators 8, 64 and 512
+        assert kstep_measure_matrix(k, level) == matrix_power(build_matrix(level), k)
 
     def test_measure_kstep_at_the_cell_cap(self):
         # 8^7 residues mod 8^7 composed through six preimage maps
-        assert kstep_measure_matrix(6) == matrix_power(build_matrix(1), 6).dense()
+        assert kstep_measure_matrix(6) == matrix_power(build_matrix(1), 6)
 
     def test_measure_kstep_guards(self, monkeypatch):
         with pytest.raises(ValueError):
@@ -271,14 +286,14 @@ class TestErgodicity:
         assert result.positive and result.exponent is not None
 
     def test_identity_is_not_ergodic(self):
-        identity = TransitionMatrix(1, np.arange(8)[:, None])
+        identity = eight_wide(range(8))
         result = check_ergodicity(identity)
         assert not result.positive and result.conclusive
 
     def test_bound_exhaustion_is_inconclusive(self):
         # two-state swap is periodic: its powers alternate and never settle,
         # so the search uses up its bound of 2 * 8 steps
-        swap = TransitionMatrix(1, [[7], [1], [2], [3], [4], [5], [6], [0]])
+        swap = eight_wide([7, 1, 2, 3, 4, 5, 6, 0])
         result = check_ergodicity(swap)
         assert not result.positive and not result.conclusive
 
@@ -306,5 +321,7 @@ def test_build_capacity():
 def test_matrix_validation():
     with pytest.raises(ValueError):
         TransitionMatrix(1, np.full((8, 8), 8))
-    with pytest.raises(ValueError):
-        TransitionMatrix(1, np.zeros((7, 8), dtype=int))
+    shapes = ((1, (7, 8)), (1, (8, 1)), (1, (8, 9)), (1, (64,)), (1, (8, 8, 1)), (2, (8, 8)))
+    for level, shape in shapes:
+        with pytest.raises(ValueError, match="image array"):
+            TransitionMatrix(level, np.zeros(shape, dtype=int))
