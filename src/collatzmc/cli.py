@@ -129,7 +129,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--stochasticity",
         action="store_true",
-        help="column in-degrees of the 8-column image rows equal preimage sizes",
+        help="the image columns, read as a class map, equal the solved preimage map",
     )
     p.add_argument("--stationarity", action="store_true", help="exact fixed vector + power iteration")
     p.add_argument("--chapman", action="store_true", help="k-step measure probabilities vs matrix powers")
@@ -274,7 +274,7 @@ def _cmd_verify(args, out) -> int:
         if markov.check_stochasticity(matrix):
             print(f"PASS stochasticity m={args.m} ({matrix.size} rows sum to 1)", file=out)
         else:
-            print(f"FAIL stochasticity m={args.m} (in-degrees differ from preimage sizes)", file=out)
+            print(f"FAIL stochasticity m={args.m} (image columns differ from the preimage map)", file=out)
             failed = True
 
     if checks["stationarity"]:

@@ -36,15 +36,9 @@ def raw_geometric_mean() -> Fraction:
     denominator 6, so the identity is checked on sixth powers, avoiding
     irrational intermediates: (1/8) * (3/4)^4 * (9/2) must equal (3/4)^6.
     """
-    weights = _weights_by_factor(RAW_FACTORS)
-    if sum(weights.values()) != 1:
-        raise ConsistencyError("stationary weights do not sum to 1")
     sixth_power = Fraction(1)
-    for factor, weight in weights.items():
-        exponent = weight * 6
-        if exponent.denominator != 1:
-            raise ConsistencyError("weights are not sixths")
-        sixth_power *= factor ** int(exponent)
+    for factor, weight in _weights_by_factor(RAW_FACTORS).items():
+        sixth_power *= factor ** int(weight * 6)
     mean = Fraction(3, 4)
     if mean**6 != sixth_power:
         raise ConsistencyError(f"sixth-power identity failed: {sixth_power}")
@@ -106,7 +100,7 @@ def domination_scan(lo: int, hi: int, n_min: int = 3) -> DominationScan:
     """Exact integer check of image <= c_i(n_min) * n over [lo, hi].
 
     Comparisons are cross-multiplied, no rounding.  For class 0 the bound is
-    an identity (image * 8 == n, checked).  For other classes the inequality
+    the identity image * 8 == n.  For other classes the inequality
     is strict except at n == n_min itself, where the factor is by construction
     the image-to-argument ratio; such equality points are reported, not hidden.
     """
@@ -117,8 +111,6 @@ def domination_scan(lo: int, hi: int, n_min: int = 3) -> DominationScan:
         branch = BRANCHES[n & 7]
         image = third_iterate(n)
         if branch.index == 0:
-            if image * 8 != n:
-                raise ConsistencyError(f"class-0 identity failed at n={n}")
             continue
         # image <=> c*n  with  c = (mult*n_min + off)/(8*n_min)
         lhs = image * 8 * n_min
@@ -144,9 +136,8 @@ def orbit_log_average(n0: int, steps: int, n_min: int = 3) -> OrbitLogAverage:
     """Mean of log c over the classes an orbit visits before reaching the cycle.
 
     Iterates the third iterate at most `steps` times from n0, accumulating
-    log c_{n mod 8}(n_min) for each visited value, and checks the per-step
-    bound image <= c * n exactly whenever n >= n_min (strict above n_min).
-    Starts inside the cycle are reported as not applicable.
+    log c_{n mod 8}(n_min) for each visited value.  Starts inside the cycle
+    are reported as not applicable.
     """
     if n0 < 1:
         raise ValueError(f"n0 must be >= 1, got {n0}")
@@ -157,16 +148,9 @@ def orbit_log_average(n0: int, steps: int, n_min: int = 3) -> OrbitLogAverage:
         return OrbitLogAverage(n0, False, None, 0)
     total, taken, n = 0.0, 0, n0
     while taken < steps and n not in CYCLE:
-        sigma = n & 7
-        total += math.log(c[sigma])
-        nxt = third_iterate(n)
-        if n >= n_min and sigma != 0:
-            lhs = nxt * c[sigma].denominator
-            rhs = c[sigma].numerator * n
-            if lhs > rhs or (lhs == rhs and n != n_min):
-                raise ConsistencyError(f"per-step bound failed at n={n}")
+        total += math.log(c[n & 7])
         taken += 1
-        n = nxt
+        n = third_iterate(n)
     return OrbitLogAverage(n0, True, total / taken, taken)
 
 

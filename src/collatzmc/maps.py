@@ -22,12 +22,6 @@ class AffineBranch:
     multiplier: int
     offset: int
 
-    def __post_init__(self):
-        if not 0 <= self.index < 8:
-            raise ValueError(f"branch index {self.index} out of range")
-        if (self.multiplier * self.index + self.offset) % 8 != 0:
-            raise ValueError(f"branch {self.index} does not map integers to integers")
-
     @property
     def base_image(self) -> int:
         """Image of the branch's own residue, (multiplier*index + offset) / 8."""

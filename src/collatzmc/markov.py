@@ -1,14 +1,14 @@
 """Exact stochastic matrices on the 8^m residue classes and their stationary law.
 
-A matrix is stored as its image array: row i lists the image classes of the 8
-refining subclasses of B(i, 8^m) (forward_split), each carrying probability
-1/8, so its rows sum to 1 by construction and every product with it is a
-gather or a bincount.  Its powers and the k-step measure matrix, capped to
-small levels, are exact dense rows.  The stationary law is the invariant
-measure, which takes one value on even classes and another on odd ones, so it
-is kept as that (even, odd) pair and checked against the matrix.  The
-independent cross-checks, check_stochasticity and kstep_measure_matrix, solve
-congruences (preimage_targets) instead of applying the forward images.
+A matrix is stored as its image array: column h of row i is the image class of
+B(i + 8^m*h, 8^(m+1)) (forward_split), with probability 1/8, so rows sum to 1
+by construction and images.T.ravel() is the class map mod 8^(m+1).  Its powers
+and the k-step measure matrix, capped to small levels, are exact dense rows.
+The stationary law is the invariant measure, which takes one value on even
+classes and another on odd ones, so it is kept as that (even, odd) pair and
+checked on the class map by measure.weigh_fibres.  The independent
+cross-checks, check_stochasticity and kstep_measure_matrix, solve congruences
+(preimage_targets) instead of applying the forward images.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from .congruence import preimage_targets
 from .errors import CapacityError, ConsistencyError
 from .maps import MULTIPLIERS, OFFSETS
 # Matrices above the measure check's level cap (8^5 = 32768 states) are refused.
-from .measure import MAX_CHECK_LEVEL as MAX_LEVEL, alternating_weights
+from .measure import MAX_CHECK_LEVEL as MAX_LEVEL, alternating_weights, weigh_fibres
 
 #: Exact dense output and powering are limited to this level.
 MAX_POWER_LEVEL = 2
@@ -122,16 +122,14 @@ def build_matrix(level: int) -> TransitionMatrix:
 
 
 def check_stochasticity(matrix: TransitionMatrix) -> bool:
-    """Independent check that the matrix has the in-degrees of the class chain.
+    """Independent check that the matrix is the class chain, image for image.
 
     Every row is 8 image columns in range (checked on construction), so it
-    sums to 1, and column j must be hit once per member of the preimage of
-    B(j, 8^m): the subclasses that the forward splits send into B(j) are
-    exactly that preimage, found here by solving congruences instead.
+    sums to 1.  Its class map images.T.ravel() must equal preimage_targets
+    entry for entry: the class each subclass B(i + 8^m*h, 8^(m+1)) maps
+    into, found there by solving congruences instead.
     """
-    size = matrix.size
-    indegree = np.bincount(matrix.images.ravel(), minlength=size)
-    return np.array_equal(indegree, np.bincount(preimage_targets(matrix.level), minlength=size))
+    return np.array_equal(matrix.images.T.ravel(), preimage_targets(matrix.level))
 
 
 def left_multiply(weights, matrix: TransitionMatrix) -> list[Fraction]:
@@ -162,23 +160,17 @@ def stationary_distribution(matrix: TransitionMatrix) -> tuple[Fraction, Fractio
     """The stationary law of the class chain as its (even, odd) weights,
     verified two ways.
 
-    The vector with alternating_weights(level) at even and odd classes is
-    checked to satisfy P*Q = P exactly, then cross-checked against
-    floating-point power iteration within POWER_TOL.
+    The vector P with alternating_weights(level) at even and odd classes
+    satisfies P*Q = P exactly when measure.weigh_fibres passes on the class
+    map images.T.ravel(): entry (i, j) of Q is the share of B(i)'s measure
+    that maps into B(j).  P is then cross-checked against floating-point
+    power iteration within POWER_TOL.
     """
-    weights = alternating_weights(matrix.level)
-    # P*Q = P in integers: with P scaled by D = 12*8^(m-1), the odd weight's
-    # denominator, it is 2 at even and 1 at odd classes, and column j must
-    # receive 8*D*P[j] from the image columns of all rows.  The bincount
-    # sums are integers of at most 8*D, far below 2^53 where float64 stops
-    # being exact.
-    scale = weights[1].denominator
-    scaled = np.tile((2, 1), matrix.size // 2)
-    inflow = np.bincount(matrix.images.ravel(), weights=np.repeat(scaled, 8), minlength=matrix.size)
-    if not np.array_equal(inflow, 8 * scaled):
+    if not weigh_fibres(matrix.images.T.ravel(), matrix.level).passed:
         raise ConsistencyError("closed-form vector is not exactly stationary; matrix is corrupt")
+    weights = alternating_weights(matrix.level)
     numeric = power_iteration(matrix)
-    drift = np.max(np.abs(scaled / scale - numeric))
+    drift = np.max(np.abs(numeric.reshape(-1, 2) - np.array(weights, dtype=float)))
     if drift > POWER_TOL:
         raise ConsistencyError(f"power iteration disagrees with exact vector by {drift:.3e}")
     return weights

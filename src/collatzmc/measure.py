@@ -4,6 +4,8 @@ Even base residues carry weight 1/6, odd ones 1/12, scaled by 8^{-(m-1)} at
 level m.  The measure of every class equals the measure of its preimage; this
 module verifies that equality exactly, with no floating point anywhere: in units
 of 1/(12*8^m), even and odd classes mod 8^m weigh 16 and 8, finer ones 2 and 1.
+weigh_fibres applies it to a class map mod 8^(m+1) -> 8^m: the solved preimage
+map here, and the class chain's image columns in markov as its P*Q = P test.
 """
 
 from __future__ import annotations
@@ -76,11 +78,24 @@ class InvarianceReport:
         return bool(self.exact.all())
 
 
+def weigh_fibres(targets: np.ndarray, level: int) -> InvarianceReport:
+    """Weigh each class mod 8^level's fibre under a class map against the class.
+
+    Entry r of `targets` is the class mod 8^level that B(r, 8^(level+1)) maps
+    into.  In units of 1/(12*8^level) residue r weighs 2 when even and 1 when
+    odd, and a class 16 when even and 8 when odd, so the measure is invariant
+    under the map exactly when every fibre weighs what its class does.
+    """
+    size = 8**level
+    even, odd = (np.bincount(targets[start::2], minlength=size) for start in (0, 1))
+    return InvarianceReport(level, 2 * even + odd, np.tile((16, 8), size // 2))
+
+
 def check_invariance(level: int) -> InvarianceReport:
     """Compare measure(preimage(B(j,8^m))) with measure(B(j,8^m)) for every j.
 
-    Exact integer equality per class; levels above MAX_CHECK_LEVEL are refused
-    before the preimage map is built.
+    Exact integer equality per class, weigh_fibres on preimage_targets; levels
+    above MAX_CHECK_LEVEL are refused before the preimage map is built.
     """
     if level < 1:
         raise ValueError(f"level must be >= 1, got {level}")
@@ -89,7 +104,4 @@ def check_invariance(level: int) -> InvarianceReport:
             f"level {level} enumerates 8^{level} classes; the measure check stops at "
             f"level {MAX_CHECK_LEVEL}"
         )
-    size = 8**level
-    targets = preimage_targets(level)
-    even, odd = (np.bincount(targets[start::2], minlength=size) for start in (0, 1))
-    return InvarianceReport(level, 2 * even + odd, np.tile((16, 8), size // 2))
+    return weigh_fibres(preimage_targets(level), level)

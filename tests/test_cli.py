@@ -4,6 +4,7 @@ import hashlib
 import io
 import json
 import os
+import runpy
 import subprocess
 import sys
 from pathlib import Path
@@ -92,14 +93,28 @@ def test_chain_golden_bytes(argv, digest):
     assert code == 0 and sha256(text) == digest
 
 
+def serve_chain(monkeypatch, images):
+    """Make every build_matrix call return the level-2 chain with these images."""
+    chain = markov.TransitionMatrix(2, images)
+    monkeypatch.setattr(markov, "build_matrix", lambda level: chain)
+
+
 @pytest.fixture
 def corrupt_chain(monkeypatch):
     """Every build_matrix call returns Q(2) with one image column of row 0
     moved to the next class."""
     images = markov.build_matrix(2).images.copy()
     images[0, 0] = (images[0, 0] + 1) % 64
-    corrupt = markov.TransitionMatrix(2, images)
-    monkeypatch.setattr(markov, "build_matrix", lambda level: corrupt)
+    serve_chain(monkeypatch, images)
+
+
+@pytest.fixture
+def swapped_chain(monkeypatch):
+    """Every build_matrix call returns Q(2) with images[0, 0] and images[1, 0]
+    swapped, which leaves every column in-degree unchanged."""
+    images = markov.build_matrix(2).images.copy()
+    images[[0, 1], 0] = images[[1, 0], 0]
+    serve_chain(monkeypatch, images)
 
 
 class TestStationary:
@@ -357,6 +372,14 @@ class TestSimulate:
         monkeypatch.setattr(os, "cpu_count", lambda: 64)
         assert cli._default_workers() == 1
 
+    @pytest.mark.parametrize("cpu_count, workers", [(3, 3), (None, 1)])
+    def test_default_workers_without_affinity(self, monkeypatch, tmp_path, cpu_count, workers):
+        # platforms without sched_getaffinity count every CPU, or 1 if unknown
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: cpu_count)
+        monkeypatch.setattr(cli, "CPU_MAX_PATH", str(tmp_path / "missing"))
+        assert cli._default_workers() == workers
+
     @pytest.mark.parametrize(
         "cpu_max, workers",
         [("max 100000\n", 4), ("150000 100000\n", 2), ("50000 100000\n", 1), (None, 4)],
@@ -380,6 +403,9 @@ class TestSimulate:
         assert [config.per_trajectory for config in seen] == [False, False]
         run_cli("simulate", "--max", "3000", "--per-trajectory", "--format", "json")
         assert seen[-1].per_trajectory
+
+
+STOCHASTICITY_FAIL = "FAIL stochasticity m=2 (image columns differ from the preimage map)"
 
 
 class TestVerify:
@@ -454,7 +480,11 @@ class TestVerify:
 
     def test_stochasticity_can_fail(self, corrupt_chain):
         code, text = run_cli("verify", "--stochasticity", "--m", "2")
-        assert code == 1 and text.startswith("FAIL stochasticity m=2")
+        assert code == 1 and text == f"{STOCHASTICITY_FAIL}\n"
+
+    def test_stochasticity_catches_rows_trading_columns(self, swapped_chain):
+        code, text = run_cli("verify", "--stochasticity", "--m", "2")
+        assert code == 1 and text == f"{STOCHASTICITY_FAIL}\n"
 
     def test_stationarity_can_fail(self, corrupt_chain):
         code, text = run_cli("verify", "--stationarity", "--m", "2")
@@ -516,6 +546,15 @@ def test_python_dash_m_runs_the_cli():
     )
     assert proc.returncode == 0
     assert proc.stdout == run_cli("matrix", "--m", "1")[1]
+
+
+def test_main_module_runs_the_cli(monkeypatch, capsys):
+    # the same entry point in this process: __main__ exits with main's code
+    monkeypatch.setattr(sys, "argv", ["collatzmc", "matrix", "--m", "1"])
+    with pytest.raises(SystemExit) as info:
+        runpy.run_module("collatzmc", run_name="__main__")
+    assert info.value.code == 0
+    assert capsys.readouterr().out == run_cli("matrix", "--m", "1")[1]
 
 
 def test_cli_import_loads_no_process_pool():

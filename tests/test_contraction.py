@@ -118,7 +118,7 @@ class TestOrbitLogAverage:
         assert not outcome.applicable and outcome.mean is None
 
     def test_famous_orbit_27(self):
-        # per-step bound holds along the whole orbit (checked internally)
+        # 111 Collatz steps reach 1, so 37 steps of the third iterate
         outcome = orbit_log_average(27, 10**6)
         assert outcome.applicable and outcome.steps == 37
 
@@ -149,3 +149,8 @@ def test_report_fields():
     assert report.bound_factors == BOUND_FACTORS_AT_3
     assert report.alpha < 0 < report.beta < 1
     assert abs(report.bound_mean - math.exp(report.alpha)) < 1e-15
+
+
+def test_report_rejects_bad_level():
+    with pytest.raises(ValueError, match="level must be >= 1"):
+        build_report(level=0)

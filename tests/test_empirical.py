@@ -199,6 +199,8 @@ class TestSweep:
             SweepConfig(n_max=4)
         with pytest.raises(ValueError):
             SweepConfig(n_max=10, workers=0)
+        with pytest.raises(ValueError, match="level must be >= 1"):
+            SweepConfig(n_max=10, level=0)
         with pytest.raises(CapacityError):
             SweepConfig(n_max=10, level=7)
         with pytest.raises(ValueError, match="step_cap"):

@@ -22,6 +22,7 @@ from collatzmc.markov import (
     power_iteration,
     stationary_distribution,
 )
+from collatzmc.measure import alternating_weights, weigh_fibres
 
 H, Q, E = Fraction(1, 2), Fraction(1, 4), Fraction(1, 8)
 Z = Fraction(0)
@@ -73,8 +74,7 @@ def test_image_rows_equal_forward_split(chains, data):
 @pytest.mark.parametrize("level", [1, 2, 3, 4, 5])
 def test_images_are_the_preimage_map(level):
     # column h of row i is the image of B(i + 8^m*h, 8^(m+1)), which is entry
-    # i + 8^m*h of the congruence-solved map; the in-degree check would miss
-    # two rows trading columns
+    # i + 8^m*h of the congruence-solved map
     assert np.array_equal(build_matrix(level).images, preimage_targets(level).reshape(8, -1).T)
 
 
@@ -144,13 +144,61 @@ class TestStochasticity:
         images[5, 3] = (images[5, 3] + 1) % 64
         assert not check_stochasticity(TransitionMatrix(2, images))
 
+    def test_rows_trading_columns_fail(self):
+        # every column in-degree is unchanged, but B(0) and B(1) no longer map
+        # their own subclasses
+        images = build_matrix(2).images.copy()
+        images[[0, 1], 0] = images[[1, 0], 0]
+        assert images[0, 0] != images[1, 0]
+        assert not check_stochasticity(TransitionMatrix(2, images))
+
     def test_wrong_width_fails(self):
         images = build_matrix(1).images
         with pytest.raises(ValueError, match=r"expected a \(8, 8\) image array"):
             TransitionMatrix(1, np.hstack([images, images]))
 
 
+def image_arrays(level):
+    """Random (8^level, 8) image arrays, and Q(level) with the columns of its
+    even rows shuffled among themselves and those of its odd rows too, which
+    keeps every class's inflow from each parity, so P*Q = P still holds."""
+    size = 8**level
+    images = build_matrix(level).images
+
+    def reassemble(even, odd):
+        shuffled = np.empty((size, 8), dtype=int)
+        shuffled[0::2], shuffled[1::2] = np.reshape(even, (-1, 8)), np.reshape(odd, (-1, 8))
+        return shuffled
+
+    columns = st.integers(0, size - 1)
+    uniform = st.lists(columns, min_size=8 * size, max_size=8 * size).map(lambda c: np.reshape(c, (size, 8)))
+    parity_shuffles = st.builds(
+        reassemble,
+        st.permutations(images[0::2].ravel().tolist()),
+        st.permutations(images[1::2].ravel().tolist()),
+    )
+    return st.one_of(uniform, parity_shuffles)
+
+
+#: Q(2) with one image column of row 0 moved to the next class.
+MOVED_Q2 = build_matrix(2).images.copy()
+MOVED_Q2[0, 0] = (MOVED_Q2[0, 0] + 1) % 64
+
+
 class TestStationary:
+    @given(images=st.sampled_from([1, 2]).flatmap(image_arrays))
+    @example(images=build_matrix(1).images)
+    @example(images=build_matrix(2).images)
+    @example(images=MOVED_Q2)
+    def test_fibre_weights_decide_stationarity(self, images):
+        # the integer invariance identity on the class map and the exact
+        # Fraction product P*Q = P accept the same matrices
+        level = {8: 1, 64: 2}[len(images)]
+        matrix = TransitionMatrix(level, images)
+        vector = list(alternating_weights(level)) * (matrix.size // 2)
+        fibres = weigh_fibres(matrix.images.T.ravel(), level)
+        assert fibres.passed == (left_multiply(vector, matrix) == vector)
+
     def test_level1_golden(self):
         assert stationary_distribution(build_matrix(1)) == (Fraction(1, 6), Fraction(1, 12))
 
@@ -182,10 +230,8 @@ class TestStationary:
             raise AssertionError("power iteration ran")
 
         monkeypatch.setattr(markov, "power_iteration", iterate_nothing)
-        images = build_matrix(2).images.copy()
-        images[0, 0] = (images[0, 0] + 1) % 64
         with pytest.raises(ConsistencyError, match="not exactly stationary"):
-            stationary_distribution(TransitionMatrix(2, images))
+            stationary_distribution(TransitionMatrix(2, MOVED_Q2))
 
     def test_power_iteration_can_fail_to_converge(self, monkeypatch):
         # 0 and 1 swap and 2..7 feed 0, so the mass on 0 and 1 alternates 7/8, 1/8
@@ -263,6 +309,7 @@ class TestErgodicity:
     def test_level1_positive_at_two(self):
         result = check_ergodicity(build_matrix(1))
         assert result.positive and result.exponent == 2
+        assert str(result) == "all entries positive at exponent 2"
 
     @pytest.mark.parametrize("level, exponent", [(3, 6), (4, 8)])
     def test_known_exponents(self, level, exponent):
@@ -289,6 +336,7 @@ class TestErgodicity:
         identity = eight_wide(range(8))
         result = check_ergodicity(identity)
         assert not result.positive and result.conclusive
+        assert str(result) == "reducible/periodic"
 
     def test_bound_exhaustion_is_inconclusive(self):
         # two-state swap is periodic: its powers alternate and never settle,
@@ -296,6 +344,7 @@ class TestErgodicity:
         swap = eight_wide([7, 1, 2, 3, 4, 5, 6, 0])
         result = check_ergodicity(swap)
         assert not result.positive and not result.conclusive
+        assert str(result) == "inconclusive (bound exhausted)"
 
 
 class TestGraph:

@@ -53,6 +53,8 @@ def test_measure_integer_examples():
     assert measure_integer(10, 1) == Fraction(1, 24)
     with pytest.raises(ValueError):
         measure_integer(0, 1)
+    with pytest.raises(ValueError, match="level must be >= 1"):
+        measure_integer(9, 0)
 
 
 @pytest.mark.parametrize("level", [1, 2])
