@@ -162,8 +162,7 @@ def _cmd_preimage(args, out) -> int:
 def _cmd_matrix(args, out) -> int:
     matrix = markov.build_matrix(args.m)
     if args.format == "triplets":
-        labels = [str(p) for p in markov.EIGHTHS]
-        out.writelines(f"{i} {j} {labels[count]}\n" for i, j, count in matrix.entries())
+        out.write(markov.emit_triplets(matrix))
     else:
         for row in matrix.dense():
             print(" ".join(str(p) for p in row), file=out)
@@ -171,9 +170,8 @@ def _cmd_matrix(args, out) -> int:
 
 
 def _cmd_stationary(args, out) -> int:
-    matrix = markov.build_matrix(args.m)
-    labels = [str(w) for w in markov.stationary_distribution(matrix)]
-    out.writelines(f"{i} {labels[i & 1]}\n" for i in range(matrix.size))
+    weights = markov.stationary_distribution(markov.build_matrix(args.m))
+    out.write(markov.emit_stationary(args.m, weights))
     return 0
 
 
@@ -250,20 +248,21 @@ def _cmd_verify(args, out) -> int:
 
     if checks["measure"]:
         report = measure.check_invariance(args.m)
+        lines = []
         if not args.run_all:
             modulus, unit = 8**args.m, 12 * 8**args.m
             for j, (got, want) in enumerate(zip(report.preimage.tolist(), report.measure.tolist())):
                 if got == want:
-                    print(f"PASS B({j},{modulus})", file=out)
+                    lines.append(f"PASS B({j},{modulus})\n")
                 else:
-                    print(
+                    lines.append(
                         f"FAIL B({j},{modulus}) preimage={Fraction(got, unit)} "
-                        f"class={Fraction(want, unit)}",
-                        file=out,
+                        f"class={Fraction(want, unit)}\n"
                     )
         status = "PASS" if report.passed else "FAIL"
         exact = f"{report.exact.sum()}/{len(report.exact)} classes exact"
-        print(f"{status} measure-invariance m={args.m} ({exact})", file=out)
+        lines.append(f"{status} measure-invariance m={args.m} ({exact})\n")
+        out.write("".join(lines))
         failed |= not report.passed
 
     matrix = None

@@ -8,7 +8,9 @@ The stationary law is the invariant measure, which takes one value on even
 classes and another on odd ones, so it is kept as that (even, odd) pair and
 checked on the class map by measure.weigh_fibres.  The independent
 cross-checks, check_stochasticity and kstep_measure_matrix, solve congruences
-(preimage_targets) instead of applying the forward images.
+(preimage_targets) instead of applying the forward images.  The triplet and
+stationary texts are built as one byte array each (emit_triplets,
+emit_stationary), so the CLI writes each in one call.
 """
 
 from __future__ import annotations
@@ -67,16 +69,19 @@ class TransitionMatrix:
     def size(self) -> int:
         return 8**self.level
 
-    def entries(self) -> Iterator[tuple[int, int, int]]:
-        """(row, column, count) of every nonzero entry in row-major order, by
-        column within a row; the entry is count / 8."""
+    def runs(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Row, column and count arrays of every nonzero entry in row-major
+        order, by column within a row; the entry is count / 8."""
         ordered = np.sort(self.images, axis=1)
         starts = np.ones(ordered.shape, dtype=bool)
         starts[:, 1:] = ordered[:, 1:] != ordered[:, :-1]
         flat = np.flatnonzero(starts)
         # every row opens a run, so a run ends where the next one starts
-        counts = np.diff(flat, append=ordered.size)
-        return zip((flat // 8).tolist(), ordered.ravel()[flat].tolist(), counts.tolist())
+        return flat // 8, ordered.ravel()[flat], np.diff(flat, append=ordered.size)
+
+    def entries(self) -> Iterator[tuple[int, int, int]]:
+        """(row, column, count) of every nonzero entry, in the order of runs()."""
+        return zip(*(array.tolist() for array in self.runs()))
 
     @property
     def rows(self) -> tuple[tuple[tuple[int, Fraction], ...], ...]:
@@ -275,3 +280,43 @@ def emit_chain_graph(matrix: TransitionMatrix) -> str:
         lines.append(f'  "B({i},{modulus})" -> "B({j},{modulus})" [label="{EIGHTHS[count]}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"
+
+
+def _ascii_lines(*fields: tuple[np.ndarray, np.ndarray]) -> str:
+    """Text lines built as one byte array: field k of line n is
+    labels_k[index_k[n]], fields joined by single spaces.
+
+    Each labels_k is an array of ASCII byte strings (numpy dtype S), which
+    numpy pads with NUL bytes to a common width; its bytes form a uint8 table
+    with one row per label.  The gathered tables and constant space and
+    newline columns are stacked side by side and the padding is dropped.
+    """
+    lines = len(fields[0][1])
+    cells = []
+    for labels, index in fields:
+        table = labels.view(np.uint8).reshape(len(labels), -1)
+        cells += [table[index], np.full((lines, 1), ord(" "), dtype=np.uint8)]
+    cells[-1] = np.full((lines, 1), ord("\n"), dtype=np.uint8)
+    block = np.hstack(cells).ravel()
+    return block[block != 0].tobytes().decode("ascii")
+
+
+def _decimals(size: int) -> np.ndarray:
+    """0, 1, ..., size - 1 in decimal, as ASCII byte strings."""
+    return np.arange(size).astype(f"S{len(str(size - 1))}")
+
+
+def emit_triplets(matrix: TransitionMatrix) -> str:
+    """Lines "row column probability" of every nonzero entry, in entries() order."""
+    rows, columns, counts = matrix.runs()
+    decimals = _decimals(matrix.size)
+    labels = np.array([str(p) for p in EIGHTHS], dtype="S")
+    return _ascii_lines((decimals, rows), (decimals, columns), (labels, counts))
+
+
+def emit_stationary(level: int, weights: tuple[Fraction, Fraction]) -> str:
+    """Lines "class weight" for every class mod 8^level, with the (even, odd)
+    weights at even and odd classes."""
+    classes = np.arange(8**level)
+    labels = np.array([str(w) for w in weights], dtype="S")
+    return _ascii_lines((_decimals(len(classes)), classes), (labels, classes & 1))

@@ -82,6 +82,7 @@ CHAIN_GOLDENS = {
     "matrix --m 2": "5d5397f8ccf15deb2f09d7df0c9e93f53e1dab4a4831ac133f2fd3e4241c40d8",
     "matrix --m 3": "794d06afcfc476260b0734fea0218abdf621c567f3a32fd0a0ad94b571040f34",
     "matrix --m 4": "efefa00778b758b2c169290d3fd626b281111ce32511c943a9b144c527bf4de4",
+    "matrix --m 5": "7547062562b18b31700b655bd456e17775fa69d55992218e001086b19485d20d",
     "graph --m 1": "737311055b8d065cd17d0caca3060d8618ae002bc6f3138b65b0ffa13afa7b40",
     "graph --m 2": "5b29dec748f4a7807ade069168af464b7a62d800687a118dbb40fddbc1810d7b",
 }
@@ -91,6 +92,26 @@ CHAIN_GOLDENS = {
 def test_chain_golden_bytes(argv, digest):
     code, text = run_cli(*argv.split())
     assert code == 0 and sha256(text) == digest
+
+
+class CountingOut(io.StringIO):
+    """A text buffer that counts its write calls."""
+
+    def __init__(self):
+        super().__init__()
+        self.writes = 0
+
+    def write(self, text):
+        self.writes += 1
+        return super().write(text)
+
+
+@pytest.mark.parametrize("argv", ["matrix --m 2", "stationary --m 3", "verify --measure --m 2"])
+def test_chain_text_is_one_write(argv):
+    # one write call is one write(2) on an unbuffered stdout, not one per line
+    out = CountingOut()
+    assert main(argv.split(), out=out) == 0
+    assert out.writes == 1 and out.getvalue().count("\n") >= 64
 
 
 def serve_chain(monkeypatch, images):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from collatzmc import markov
 from collatzmc.congruence import CongruenceClass, forward_split, preimage_targets
@@ -16,6 +17,8 @@ from collatzmc.markov import (
     check_ergodicity,
     check_stochasticity,
     emit_chain_graph,
+    emit_stationary,
+    emit_triplets,
     kstep_measure_matrix,
     left_multiply,
     matrix_power,
@@ -358,6 +361,33 @@ class TestGraph:
     def test_level2(self):
         text = emit_chain_graph(build_matrix(2))
         assert text.count("->") == sum(len(r) for r in build_matrix(2).rows)
+
+
+def clumped_image_arrays(level):
+    """Random (8^level, 8) image arrays over a few classes, so that rows
+    repeat columns (counts 2-8)."""
+    size = 8**level
+    classes = st.lists(st.integers(0, size - 1), min_size=1, max_size=9, unique=True)
+    return classes.flatmap(lambda c: arrays(np.intp, (size, 8), elements=st.sampled_from(c)))
+
+
+class TestText:
+    @given(images=st.integers(1, 3).flatmap(clumped_image_arrays))
+    @example(images=np.zeros((8, 8), dtype=int))
+    @example(images=build_matrix(1).images)
+    @example(images=build_matrix(3).images)
+    def test_triplets_match_the_line_reference(self, images):
+        matrix = TransitionMatrix({8: 1, 64: 2, 512: 3}[len(images)], images)
+        reference = [f"{i} {j} {markov.EIGHTHS[c]}\n" for i, j, c in matrix.entries()]
+        # lists, not one string: pytest reports the first differing line
+        assert emit_triplets(matrix).splitlines(keepends=True) == reference
+
+    @given(level=st.integers(1, 5), weights=st.tuples(st.fractions(), st.fractions()))
+    @example(level=5, weights=(Fraction(1, 6 * 8**4), Fraction(1, 12 * 8**4)))
+    def test_stationary_lines_match_the_line_reference(self, level, weights):
+        labels = [str(w) for w in weights]
+        reference = [f"{i} {labels[i & 1]}\n" for i in range(8**level)]
+        assert emit_stationary(level, weights).splitlines(keepends=True) == reference
 
 
 def test_build_capacity():
