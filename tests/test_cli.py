@@ -27,8 +27,9 @@ def sha256(text):
     return hashlib.sha256(text.encode()).hexdigest()
 
 
-#: sha256 of the stdout of `simulate ARGV --workers 1`; the last case runs three
-#: per-trajectory shards of 1024 starts.
+#: sha256 of the stdout of `simulate ARGV --workers 1`; the `--m 5
+#: --per-trajectory` case runs three per-trajectory shards of 1024 starts, and
+#: the last two are the benchmark's sweep outputs.
 SIMULATE_GOLDENS = {
     "--max 3000 --m 1": "a72d27d9e761a0b289d1b086e51b1045aca2f568b4e5fb730292235f329fe00e",
     "--max 20000 --m 1": "2e3782e73e93a2dbe17476a4022005d07106f8ad85588099f9bafa8d94cff22f",
@@ -49,6 +50,10 @@ SIMULATE_GOLDENS = {
     "--max 20000 --m 4 --format json": "4a86f582a57bbeb8e4bc629ba39650f939ea40800b229a3be5ab7d8e6fd4be75",
     "--max 3000 --m 5 --per-trajectory --format json": (
         "f1dccccb9118bae9adb9894d17ef98500d348449d723bc90196abf8d6881fff1"
+    ),
+    "--max 2000000 --m 1": "981d5f91f0a8d917f7ed14ca6423d4d924003e319c5d0e4935f42f55108898f0",
+    "--max 200000 --m 3 --per-trajectory --format json": (
+        "dd42025527fcea7a09a1f4de1d110760efefae6801b08c05fbca25fc36c09748"
     ),
 }
 
@@ -85,6 +90,9 @@ CHAIN_GOLDENS = {
     "matrix --m 5": "7547062562b18b31700b655bd456e17775fa69d55992218e001086b19485d20d",
     "graph --m 1": "737311055b8d065cd17d0caca3060d8618ae002bc6f3138b65b0ffa13afa7b40",
     "graph --m 2": "5b29dec748f4a7807ade069168af464b7a62d800687a118dbb40fddbc1810d7b",
+    "graph --m 3": "7810fe150c250aabbb2202ebeeaf83f055fcf7a8100a2d568ab1cefde284eae8",
+    "matrix --m 1 --format dense": "e017d4ffc2990d29764d8d66bf806548d617702397684a521011155c2ec898e2",
+    "matrix --m 2 --format dense": "4ecdcf854823cd315cc6ace90aadbb5ac708946352315c884b8b30ee3318cd8c",
 }
 
 
