@@ -120,7 +120,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--workers",
         type=_positive_int,
         default=None,
-        help="process count (default: the CPUs this process may use)",
+        help="process count, at most the CPUs this process may use (default: all of them)",
     )
 
     p = sub.add_parser("verify", help="run exact verification checks; exit 1 on any FAIL")
@@ -205,6 +205,7 @@ def _cmd_contraction(args, out) -> int:
 
 
 def _cmd_simulate(args, out) -> int:
+    cpus = _default_workers()
     try:
         config = empirical.SweepConfig(
             n_max=args.n_max,
@@ -212,7 +213,7 @@ def _cmd_simulate(args, out) -> int:
             include_start=args.include_start,
             # CSV output has no per-trajectory column, so skip the tally there
             per_trajectory=args.per_trajectory and args.format == "json",
-            workers=args.workers or _default_workers(),
+            workers=min(args.workers or cpus, cpus),
         )
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -109,7 +109,7 @@ def preimage_class(target: CongruenceClass) -> ClassUnion:
         rhs = target.residue - branch.base_image
         for h in solve_linear_congruence(branch.multiplier, rhs, level_mod):
             members.append(CongruenceClass(branch.index + 8 * h, target.level + 1))
-    return ClassUnion(target.level + 1, tuple(sorted(members, key=lambda c: c.residue)))
+    return ClassUnion(target.level + 1, tuple(members))
 
 
 def preimage_targets(level: int) -> np.ndarray:

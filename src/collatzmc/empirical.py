@@ -66,14 +66,12 @@ class TrajectoryRun:
     capped: bool
 
 
-def run_trajectory(
-    n0: int, level: int = 1, include_start: bool = True, step_cap: int = 10**9
-) -> TrajectoryRun:
+def run_trajectory(n0: int, level: int = 1, step_cap: int = 10**9) -> TrajectoryRun:
     """Pure-Python exact reference orbit; also the overflow fallback path.
 
-    Records the class of every value outside {1, 2, 4} (the start too, when
-    include_start) and stops on first arrival in the cycle.  All three
-    intermediate Collatz values of each triple step count toward max_value.
+    Records the class of every value outside {1, 2, 4}, the start included,
+    and stops on first arrival in the cycle.  All three intermediate Collatz
+    values of each triple step count toward max_value.
     """
     if n0 < 1:
         raise ValueError(f"n0 must be >= 1, got {n0}")
@@ -82,7 +80,7 @@ def run_trajectory(
     mod = 8**level
     visits: list[int] = []
     n, max_value, steps = n0, n0, 0
-    if include_start and n0 not in CYCLE:
+    if n0 not in CYCLE:
         visits.append(n0 % mod)
     while n not in CYCLE:
         if steps >= step_cap:
@@ -361,7 +359,7 @@ def _count_into(counts: np.ndarray, pending: list[np.ndarray]) -> None:
 
 
 def _run_batch(
-    config: SweepConfig, tables: _JumpTables, lo: int, hi: int, record: int, keys: _VisitKeys | None
+    config: SweepConfig, lo: int, hi: int, record: int, keys: _VisitKeys | None
 ) -> tuple[np.ndarray, int]:
     """Vectorized kernel over starting values [lo, hi]: their class counts
     (starts included) and the max excursion, at least record.
@@ -379,6 +377,7 @@ def _run_batch(
     TrajectoryCapError names the smallest start in [lo, hi] whose orbit is
     longer than step_cap.
     """
+    tables = _jump_tables(config.level)
     mod = 8**config.level
     residues = tables.classes.shape[0]
     residue_counts = np.zeros(residues, dtype=np.int64)
@@ -516,7 +515,6 @@ def _sweep_shard(config: SweepConfig, lo: int, hi: int) -> TrajectoryStats:
     in order, so the first TrajectoryCapError names the smallest offender in
     the shard.  Each batch's starts are uncounted unless include_start.
     """
-    tables = _jump_tables(config.level)
     mod = 8**config.level
     counts = np.zeros(mod, dtype=np.int64)
     max_value = hi
@@ -526,7 +524,7 @@ def _sweep_shard(config: SweepConfig, lo: int, hi: int) -> TrajectoryStats:
     keys = _VisitKeys() if config.per_trajectory else None
     for first in range(lo, hi + 1, batch):
         last = min(first + batch - 1, hi)
-        batch_counts, max_value = _run_batch(config, tables, first, last, max_value, keys)
+        batch_counts, max_value = _run_batch(config, first, last, max_value, keys)
         counts += batch_counts
         start_keys = None
         if not config.include_start:

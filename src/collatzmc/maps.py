@@ -66,5 +66,4 @@ def fixed_points_upto(limit: int) -> set[int]:
     """All n <= limit fixed by the third iterate (expected: {1, 2, 4})."""
     if limit < 4:
         raise ValueError(f"limit must be >= 4, got {limit}")
-    mult, offs = MULTIPLIERS, OFFSETS
-    return {n for n in range(1, limit + 1) if (mult[n & 7] * n + offs[n & 7]) >> 3 == n}
+    return {n for n in range(1, limit + 1) if third_iterate(n) == n}

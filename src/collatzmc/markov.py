@@ -24,8 +24,7 @@ import numpy as np
 from .congruence import preimage_targets
 from .errors import CapacityError, ConsistencyError
 from .maps import MULTIPLIERS, OFFSETS
-# Matrices above the measure check's level cap (8^5 = 32768 states) are refused.
-from .measure import MAX_CHECK_LEVEL as MAX_LEVEL, alternating_weights, weigh_fibres
+from .measure import MAX_CHECK_LEVEL, alternating_weights, weigh_fibres
 
 #: Exact dense output and powering are limited to this level.
 MAX_POWER_LEVEL = 2
@@ -49,16 +48,18 @@ class TransitionMatrix:
     """Row-stochastic matrix on the 8^level residue classes, as an image array.
 
     `images` has one row of 8 column indices per state, and entry (i, j) is
-    (occurrences of j in images[i]) / 8.  The array is read-only.
+    (occurrences of j in images[i]) / 8.  The level is read off the row
+    count, 8^level with level >= 1.  The array is read-only.
     """
 
     __slots__ = ("level", "images")
 
-    def __init__(self, level: int, images) -> None:
-        size = 8**level
+    def __init__(self, images) -> None:
         images = np.array(images, dtype=np.intp)
-        if images.shape != (size, 8):
-            raise ValueError(f"expected a ({size}, 8) image array, got shape {images.shape}")
+        size = images.size // 8
+        level = (size.bit_length() - 1) // 3  # 8^level has 3 * level + 1 bits
+        if level < 1 or images.shape != (8**level, 8):
+            raise ValueError(f"expected an (8^m, 8) image array, m >= 1, got shape {images.shape}")
         if images.min() < 0 or images.max() >= size:
             raise ValueError("image column out of range")
         images.flags.writeable = False
@@ -94,15 +95,15 @@ class TransitionMatrix:
     def dense(self) -> list[list[Fraction]]:
         if self.level > MAX_POWER_LEVEL:
             raise CapacityError(f"dense output refused above level {MAX_POWER_LEVEL}")
-        return _dense(self.images, 8)
+        return _dense(self.images)
 
 
-def _dense(images: np.ndarray, denominator: int) -> list[list[Fraction]]:
-    """Exact dense rows of a square image array: entry (i, j) is
-    (occurrences of j in images[i]) / denominator."""
-    size = len(images)
+def _dense(images: np.ndarray) -> list[list[Fraction]]:
+    """Exact dense rows of an image array with one row per class: entry
+    (i, j) is (occurrences of j in images[i]) / (columns per row)."""
+    size, width = images.shape
     counts = np.bincount((np.arange(size)[:, None] * size + images).ravel(), minlength=size * size)
-    probability = {c: Fraction(c, denominator) for c in np.unique(counts).tolist()}
+    probability = {c: Fraction(c, width) for c in np.unique(counts).tolist()}
     return [[probability[c] for c in row] for row in counts.reshape(size, size).tolist()]
 
 
@@ -116,14 +117,14 @@ def build_matrix(level: int) -> TransitionMatrix:
     """
     if level < 1:
         raise ValueError(f"level must be >= 1, got {level}")
-    if level > MAX_LEVEL:
-        raise CapacityError(f"level {level} exceeds cap {MAX_LEVEL} (8^{level} states)")
+    if level > MAX_CHECK_LEVEL:
+        raise CapacityError(f"level {level} exceeds cap {MAX_CHECK_LEVEL} (8^{level} states)")
     size = 8**level
     residues = np.arange(size)
     multiplier = np.array(MULTIPLIERS)[residues & 7]
     base = (multiplier * residues + np.array(OFFSETS)[residues & 7]) >> 3
     stride = multiplier * 8 ** (level - 1)
-    return TransitionMatrix(level, (base[:, None] + stride[:, None] * np.arange(8)) % size)
+    return TransitionMatrix((base[:, None] + stride[:, None] * np.arange(8)) % size)
 
 
 def check_stochasticity(matrix: TransitionMatrix) -> bool:
@@ -171,7 +172,7 @@ def stationary_distribution(matrix: TransitionMatrix) -> tuple[Fraction, Fractio
     that maps into B(j).  P is then cross-checked against floating-point
     power iteration within POWER_TOL.
     """
-    if not weigh_fibres(matrix.images.T.ravel(), matrix.level).passed:
+    if not weigh_fibres(matrix.images.T.ravel()).passed:
         raise ConsistencyError("closed-form vector is not exactly stationary; matrix is corrupt")
     weights = alternating_weights(matrix.level)
     numeric = power_iteration(matrix)
@@ -198,7 +199,7 @@ def matrix_power(matrix: TransitionMatrix, exponent: int) -> list[list[Fraction]
     images = matrix.images
     for _ in range(exponent - 1):
         images = matrix.images[images].reshape(matrix.size, -1)
-    return _dense(images, 8**exponent)
+    return _dense(images)
 
 
 def kstep_measure_matrix(steps: int, level: int = 1) -> list[list[Fraction]]:
@@ -222,7 +223,7 @@ def kstep_measure_matrix(steps: int, level: int = 1) -> list[list[Fraction]]:
     for fine in reversed(range(level, level + steps)):
         image = preimage_targets(fine)[image]
     # residue i + 8^level * h lies in B(i): row i gathers the images over h
-    return _dense(image.reshape(-1, 8**level).T, 8**steps)
+    return _dense(image.reshape(-1, 8**level).T)
 
 
 @dataclass(frozen=True)

@@ -18,8 +18,7 @@ import numpy as np
 from .congruence import ClassUnion, CongruenceClass, preimage_targets
 from .errors import CapacityError
 
-#: Highest level of the measure check and of the class chain, which imports
-#: it as markov.MAX_LEVEL: 8^5 = 32768 classes.
+#: Highest level of the measure check and of the class chain: 8^5 = 32768 classes.
 MAX_CHECK_LEVEL = 5
 
 
@@ -63,9 +62,8 @@ def alternating_weights(level: int) -> tuple[Fraction, Fraction]:
 
 @dataclass(frozen=True)
 class InvarianceReport:
-    """Per class mod 8^level, its preimage's measure and its own, in units of 1/(12*8^level)."""
+    """Per class mod 8^m, its preimage's measure and its own, in units of 1/(12*8^m)."""
 
-    level: int
     preimage: np.ndarray
     measure: np.ndarray
 
@@ -78,17 +76,18 @@ class InvarianceReport:
         return bool(self.exact.all())
 
 
-def weigh_fibres(targets: np.ndarray, level: int) -> InvarianceReport:
-    """Weigh each class mod 8^level's fibre under a class map against the class.
+def weigh_fibres(targets: np.ndarray) -> InvarianceReport:
+    """Weigh each class mod 8^m's fibre under a class map against the class.
 
-    Entry r of `targets` is the class mod 8^level that B(r, 8^(level+1)) maps
-    into.  In units of 1/(12*8^level) residue r weighs 2 when even and 1 when
-    odd, and a class 16 when even and 8 when odd, so the measure is invariant
-    under the map exactly when every fibre weighs what its class does.
+    Entry r of `targets`, which has 8^(m+1) entries, is the class mod 8^m
+    that B(r, 8^(m+1)) maps into.  In units of 1/(12*8^m) residue r weighs 2
+    when even and 1 when odd, and a class 16 when even and 8 when odd, so the
+    measure is invariant under the map exactly when every fibre weighs what
+    its class does.
     """
-    size = 8**level
+    size = len(targets) // 8
     even, odd = (np.bincount(targets[start::2], minlength=size) for start in (0, 1))
-    return InvarianceReport(level, 2 * even + odd, np.tile((16, 8), size // 2))
+    return InvarianceReport(2 * even + odd, np.tile((16, 8), size // 2))
 
 
 def check_invariance(level: int) -> InvarianceReport:
@@ -104,4 +103,4 @@ def check_invariance(level: int) -> InvarianceReport:
             f"level {level} enumerates 8^{level} classes; the measure check stops at "
             f"level {MAX_CHECK_LEVEL}"
         )
-    return weigh_fibres(preimage_targets(level), level)
+    return weigh_fibres(preimage_targets(level))

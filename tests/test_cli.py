@@ -124,7 +124,7 @@ def test_chain_text_is_one_write(argv):
 
 def serve_chain(monkeypatch, images):
     """Make every build_matrix call return the level-2 chain with these images."""
-    chain = markov.TransitionMatrix(2, images)
+    chain = markov.TransitionMatrix(images)
     monkeypatch.setattr(markov, "build_matrix", lambda level: chain)
 
 
@@ -311,6 +311,15 @@ class TestContraction:
         assert code == 0 and sha256(text) == digest
 
 
+@pytest.fixture
+def sweep_configs(monkeypatch):
+    """The config of every empirical.sweep call, which still runs."""
+    seen = []
+    real_sweep = empirical.sweep
+    monkeypatch.setattr(empirical, "sweep", lambda config: seen.append(config) or real_sweep(config))
+    return seen
+
+
 class TestSimulate:
     def test_csv_deterministic(self):
         first = run_cli("simulate", "--max", "2000")
@@ -389,12 +398,16 @@ class TestSimulate:
         assert info.value.code == 2 and captured.out == ""
         assert f"argument --workers: must be a positive integer, got {value}" in captured.err
 
-    def test_workers_flag_reaches_the_sweep(self, monkeypatch):
-        seen = []
-        real_sweep = empirical.sweep
-        monkeypatch.setattr(empirical, "sweep", lambda config: seen.append(config) or real_sweep(config))
+    def test_workers_flag_reaches_the_sweep(self, monkeypatch, sweep_configs):
+        monkeypatch.setattr(cli, "_default_workers", lambda: 4)
         assert run_cli("simulate", "--max", "100", "--workers", "3")[0] == 0
-        assert seen[0].workers == 3
+        assert sweep_configs[0].workers == 3
+
+    def test_workers_capped_at_the_cpus(self, monkeypatch, sweep_configs):
+        # one shard of 100 starts, so no process starts either way
+        monkeypatch.setattr(cli, "_default_workers", lambda: 2)
+        assert run_cli("simulate", "--max", "100", "--workers", "5000")[0] == 0
+        assert sweep_configs[0].workers == 2
 
     def test_default_workers_follow_cpu_affinity(self, monkeypatch):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
@@ -422,16 +435,13 @@ class TestSimulate:
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(4)), raising=False)
         assert cli._default_workers() == workers
 
-    def test_csv_skips_the_per_trajectory_tally(self, monkeypatch):
-        seen = []
-        real_sweep = empirical.sweep
-        monkeypatch.setattr(empirical, "sweep", lambda config: seen.append(config) or real_sweep(config))
+    def test_csv_skips_the_per_trajectory_tally(self, sweep_configs):
         plain = run_cli("simulate", "--max", "3000", "--m", "2")
         flagged = run_cli("simulate", "--max", "3000", "--m", "2", "--per-trajectory")
         assert plain == flagged and plain[0] == 0
-        assert [config.per_trajectory for config in seen] == [False, False]
+        assert [config.per_trajectory for config in sweep_configs] == [False, False]
         run_cli("simulate", "--max", "3000", "--per-trajectory", "--format", "json")
-        assert seen[-1].per_trajectory
+        assert sweep_configs[-1].per_trajectory
 
 
 STOCHASTICITY_FAIL = "FAIL stochasticity m=2 (image columns differ from the preimage map)"

@@ -44,20 +44,22 @@ def stats_identical(actual, expected):
 
 
 def reference_sweep(n_max, level=1, include_start=True, lo=1, per_trajectory=False):
-    """Per-start aggregation over [lo, n_max] with the exact scalar path; the kernel oracle."""
+    """Per-start aggregation over [lo, n_max] with the exact scalar path; the kernel oracle.
+
+    run_trajectory records the start first, so without include_start its
+    visits drop their first entry."""
     mod = 8**level
     counts, max_value = [0] * mod, 0
     freq_sums, counted = [0.0] * mod, 0
     for n0 in range(lo, n_max + 1):
-        run = run_trajectory(n0, level=level, include_start=include_start)
+        run = run_trajectory(n0, level=level)
+        visits = run.visits if include_start else run.visits[1:]
         max_value = max(max_value, run.max_value)
-        for visit in run.visits:
+        for visit in visits:
             counts[visit] += 1
-        if run.visits:
+        if visits:
             counted += 1
-            for visit, share in (
-                (v, run.visits.count(v) / len(run.visits)) for v in set(run.visits)
-            ):
+            for visit, share in ((v, visits.count(v) / len(visits)) for v in set(visits)):
                 freq_sums[visit] += share
     if not per_trajectory:
         freq_sums, counted = None, 0
@@ -83,11 +85,8 @@ class TestRunTrajectory:
         assert run.steps == 37
         assert len(run.visits) == 37
 
-    def test_include_start_flag(self):
-        with_start = run_trajectory(27, include_start=True)
-        without = run_trajectory(27, include_start=False)
-        assert with_start.visits[0] == 3
-        assert with_start.visits[1:] == without.visits
+    def test_start_is_recorded(self):
+        assert run_trajectory(27).visits[0] == 3
 
     def test_step_cap(self):
         run = run_trajectory(27, step_cap=2)

@@ -45,7 +45,7 @@ EIGHT_STATE_GOLDEN = [
 
 def eight_wide(columns):
     """Level-1 matrix whose row i is 8 copies of columns[i]: i -> columns[i] surely."""
-    return TransitionMatrix(1, np.repeat(np.array(columns)[:, None], 8, axis=1))
+    return TransitionMatrix(np.repeat(np.array(columns)[:, None], 8, axis=1))
 
 
 def stationary_vector(level):
@@ -145,7 +145,7 @@ class TestStochasticity:
     def test_moved_image_column_fails(self):
         images = build_matrix(2).images.copy()
         images[5, 3] = (images[5, 3] + 1) % 64
-        assert not check_stochasticity(TransitionMatrix(2, images))
+        assert not check_stochasticity(TransitionMatrix(images))
 
     def test_rows_trading_columns_fail(self):
         # every column in-degree is unchanged, but B(0) and B(1) no longer map
@@ -153,12 +153,12 @@ class TestStochasticity:
         images = build_matrix(2).images.copy()
         images[[0, 1], 0] = images[[1, 0], 0]
         assert images[0, 0] != images[1, 0]
-        assert not check_stochasticity(TransitionMatrix(2, images))
+        assert not check_stochasticity(TransitionMatrix(images))
 
     def test_wrong_width_fails(self):
         images = build_matrix(1).images
-        with pytest.raises(ValueError, match=r"expected a \(8, 8\) image array"):
-            TransitionMatrix(1, np.hstack([images, images]))
+        with pytest.raises(ValueError, match=r"image array, m >= 1, got shape \(8, 16\)"):
+            TransitionMatrix(np.hstack([images, images]))
 
 
 def image_arrays(level):
@@ -196,10 +196,9 @@ class TestStationary:
     def test_fibre_weights_decide_stationarity(self, images):
         # the integer invariance identity on the class map and the exact
         # Fraction product P*Q = P accept the same matrices
-        level = {8: 1, 64: 2}[len(images)]
-        matrix = TransitionMatrix(level, images)
-        vector = list(alternating_weights(level)) * (matrix.size // 2)
-        fibres = weigh_fibres(matrix.images.T.ravel(), level)
+        matrix = TransitionMatrix(images)
+        vector = list(alternating_weights(matrix.level)) * (matrix.size // 2)
+        fibres = weigh_fibres(matrix.images.T.ravel())
         assert fibres.passed == (left_multiply(vector, matrix) == vector)
 
     def test_level1_golden(self):
@@ -234,7 +233,7 @@ class TestStationary:
 
         monkeypatch.setattr(markov, "power_iteration", iterate_nothing)
         with pytest.raises(ConsistencyError, match="not exactly stationary"):
-            stationary_distribution(TransitionMatrix(2, MOVED_Q2))
+            stationary_distribution(TransitionMatrix(MOVED_Q2))
 
     def test_power_iteration_can_fail_to_converge(self, monkeypatch):
         # 0 and 1 swap and 2..7 feed 0, so the mass on 0 and 1 alternates 7/8, 1/8
@@ -314,8 +313,9 @@ class TestErgodicity:
         assert result.positive and result.exponent == 2
         assert str(result) == "all entries positive at exponent 2"
 
-    @pytest.mark.parametrize("level, exponent", [(3, 6), (4, 8)])
+    @pytest.mark.parametrize("level, exponent", [(1, 2), (2, 4), (3, 6), (4, 8)])
     def test_known_exponents(self, level, exponent):
+        # Q(m)^k is strictly positive from k = 2m on
         assert check_ergodicity(build_matrix(level)).exponent == exponent
 
     @given(masks=st.lists(ROW_SUPPORT, min_size=8, max_size=8))
@@ -326,14 +326,10 @@ class TestErgodicity:
         support = np.array([[(mask >> j) & 1 for j in range(8)] for mask in masks], dtype=bool)
         # each support's columns, repeated cyclically up to width 8
         images = [np.resize(np.flatnonzero(row), 8) for row in support]
-        result = check_ergodicity(TransitionMatrix(1, images))
+        result = check_ergodicity(TransitionMatrix(images))
         assert (result.positive, result.exponent, result.conclusive) == brute_force_ergodicity(
             support, 16
         )
-
-    def test_level2_positive(self):
-        result = check_ergodicity(build_matrix(2))
-        assert result.positive and result.exponent is not None
 
     def test_identity_is_not_ergodic(self):
         identity = eight_wide(range(8))
@@ -377,7 +373,7 @@ class TestText:
     @example(images=build_matrix(1).images)
     @example(images=build_matrix(3).images)
     def test_triplets_match_the_line_reference(self, images):
-        matrix = TransitionMatrix({8: 1, 64: 2, 512: 3}[len(images)], images)
+        matrix = TransitionMatrix(images)
         reference = [f"{i} {j} {markov.EIGHTHS[c]}\n" for i, j, c in matrix.entries()]
         # lists, not one string: pytest reports the first differing line
         assert emit_triplets(matrix).splitlines(keepends=True) == reference
@@ -397,10 +393,15 @@ def test_build_capacity():
         build_matrix(0)
 
 
+@pytest.mark.parametrize("level", [1, 2, 3])
+def test_level_is_read_off_the_rows(level):
+    assert TransitionMatrix(np.zeros((8**level, 8), dtype=int)).level == level
+
+
 def test_matrix_validation():
-    with pytest.raises(ValueError):
-        TransitionMatrix(1, np.full((8, 8), 8))
-    shapes = ((1, (7, 8)), (1, (8, 1)), (1, (8, 9)), (1, (64,)), (1, (8, 8, 1)), (2, (8, 8)))
-    for level, shape in shapes:
+    with pytest.raises(ValueError, match="out of range"):
+        TransitionMatrix(np.full((8, 8), 8))
+    shapes = ((7, 8), (8, 1), (8, 9), (64,), (8, 8, 1), (0, 8), (9, 8), ())
+    for shape in shapes:
         with pytest.raises(ValueError, match="image array"):
-            TransitionMatrix(level, np.zeros(shape, dtype=int))
+            TransitionMatrix(np.zeros(shape, dtype=int))
