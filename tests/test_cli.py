@@ -381,8 +381,10 @@ class TestSimulate:
         code, text = run_cli("simulate", *argv.split(), "--workers", "1")
         assert code == 0 and sha256(text) == digest
 
-    def test_process_pool_golden_bytes(self):
-        # three per-trajectory shards of 16384 starts at level 3, merged across two processes
+    def test_process_pool_golden_bytes(self, monkeypatch):
+        # three per-trajectory shards of 16384 starts at level 3, merged across
+        # two processes on any runner, since --workers is capped at the CPUs
+        monkeypatch.setattr(cli, "_default_workers", lambda: 2)
         code, text = run_cli(
             "simulate", "--max", "40000", "--m", "3", "--per-trajectory", "--format", "json",
             "--workers", "2",

@@ -315,7 +315,7 @@ class TestErgodicity:
 
     @pytest.mark.parametrize("level, exponent", [(1, 2), (2, 4), (3, 6), (4, 8)])
     def test_known_exponents(self, level, exponent):
-        # Q(m)^k is strictly positive from k = 2m on
+        # at these levels the first strictly positive power of Q(m) is Q(m)^(2m)
         assert check_ergodicity(build_matrix(level)).exponent == exponent
 
     @given(masks=st.lists(ROW_SUPPORT, min_size=8, max_size=8))
