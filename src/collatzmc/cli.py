@@ -9,17 +9,12 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from fractions import Fraction
 
 from . import contraction, empirical, markov, measure
 from .congruence import CongruenceClass, preimage_class
 from .errors import CapacityError, ConsistencyError, TrajectoryCapError
-
-#: cgroup v2 CPU bandwidth limit: "<quota> <period>" in microseconds, or
-#: "max <period>" when unlimited.
-CPU_MAX_PATH = "/sys/fs/cgroup/cpu.max"
 
 #: Highest preimage level: its members are printed mod 8^4761, which has 4300
 #: decimal digits, the interpreter's default int-to-str limit.
@@ -49,27 +44,6 @@ def _bool_flag(text: str) -> bool:
     if lowered not in ("true", "false"):
         raise argparse.ArgumentTypeError(f"expected true or false, got {text}")
     return lowered == "true"
-
-
-def _cpu_quota() -> int | None:
-    """CPUs the cgroup CPU quota allows, rounded up; None when the quota is
-    "max" or the file cannot be read."""
-    try:
-        with open(CPU_MAX_PATH) as handle:
-            quota, period = handle.read().split()
-        return None if quota == "max" else max(1, -(-int(quota) // int(period)))
-    except (OSError, ValueError):
-        return None
-
-
-def _default_workers() -> int:
-    """The CPUs this process may run on, capped by the cgroup CPU quota."""
-    if hasattr(os, "sched_getaffinity"):
-        cpus = len(os.sched_getaffinity(0))
-    else:
-        cpus = os.cpu_count() or 1
-    quota = _cpu_quota()
-    return cpus if quota is None else min(cpus, quota)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -205,7 +179,6 @@ def _cmd_contraction(args, out) -> int:
 
 
 def _cmd_simulate(args, out) -> int:
-    cpus = _default_workers()
     try:
         config = empirical.SweepConfig(
             n_max=args.n_max,
@@ -213,7 +186,7 @@ def _cmd_simulate(args, out) -> int:
             include_start=args.include_start,
             # CSV output has no per-trajectory column, so skip the tally there
             per_trajectory=args.per_trajectory and args.format == "json",
-            workers=min(args.workers or cpus, cpus),
+            workers=args.workers or empirical.usable_cpus(),
         )
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -228,7 +201,7 @@ def _cmd_simulate(args, out) -> int:
             if args.per_trajectory
             else None
         )
-        print(json.dumps(empirical.to_json_dict(table, per_traj), indent=2), file=out)
+        empirical.write_json(out, table, per_traj)
     return 0
 
 

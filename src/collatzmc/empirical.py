@@ -13,9 +13,10 @@ count.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache, partial, reduce
+from functools import cached_property, lru_cache, partial, reduce
 
 import numpy as np
 
@@ -39,11 +40,18 @@ PER_TRAJECTORY_CELLS = 1 << 23
 #: fold each batch's visit keys into the running sums before the next.
 PER_TRAJECTORY_BATCH = 1 << 13
 
+#: JSON rows rendered per write: a few hundred KB of text at a time.
+JSON_BLOCK = 1 << 12
+
 #: Keys reserved per shard for the visit-key buffer; np.empty maps its pages
 #: only as keys are written, and the buffer doubles if a batch needs more.
 VISIT_KEYS_RESERVE = 1 << 22
 
 MAX_SWEEP_LEVEL = 6
+
+#: cgroup v2 CPU bandwidth limit: "<quota> <period>" in microseconds, or
+#: "max <period>" when unlimited.
+CPU_MAX_PATH = "/sys/fs/cgroup/cpu.max"
 
 _M8 = np.array(MULTIPLIERS, dtype=np.int64)
 _R8 = np.array(OFFSETS, dtype=np.int64)
@@ -205,6 +213,41 @@ class _JumpTables:
         at = np.arange(owner.size) + (first - np.cumsum(lengths) + lengths)[owner]
         return owner, self.small_class[at], self.small_count[at]
 
+    @cached_property
+    def tail_visits(self) -> tuple[np.ndarray, np.ndarray]:
+        """The small-value orbits' visits as one int32 class list, each class
+        repeated by its count, and where each value's visits start in it:
+        those of v are classes[starts[v] : starts[v+1]].  Only per-trajectory
+        sweeps read it: 2.5 MB at level 1, 20 KB at level 3."""
+        starts = np.r_[0, np.cumsum(self.small_count)][self.small_start]
+        classes = np.repeat(self.small_class.astype(np.int32), self.small_count)
+        starts.setflags(write=False)
+        classes.setflags(write=False)
+        return starts, classes
+
+
+class _ShardTally:
+    """A shard's visit counts before the fold into classes: per kernel
+    residue, each standing for the k classes its jump lists, per small value
+    whose tabulated orbit ended an orbit, and per class for the rest.  The
+    batches of a shard add into one tally, so the fold runs once a shard."""
+
+    def __init__(self, level: int):
+        self._tables = _jump_tables(level)
+        self.residues = np.zeros(self._tables.classes.shape[0], dtype=np.int64)
+        self.finished = np.zeros(self._tables.small, dtype=np.int64)
+        self.classes = np.zeros(8**level, dtype=np.int64)
+
+    def fold(self) -> np.ndarray:
+        """Add the residue and small-value counts into classes, and return
+        them: the visits per class mod 8^m."""
+        hit = np.flatnonzero(self.finished)
+        owner, cls, visits = self._tables.small_visits(hit)
+        np.add.at(self.classes, cls, visits * self.finished[hit][owner])
+        for column in self._tables.classes.T:
+            np.add.at(self.classes, column, self.residues)
+        return self.classes
+
 
 class _VisitKeys:
     """Grow-only int32 buffer of one batch's visit keys id * 8^m + class.
@@ -218,14 +261,19 @@ class _VisitKeys:
         self._buffer = np.empty(VISIT_KEYS_RESERVE, dtype=np.int32)
         self._size = 0
 
-    def append(self, keys: np.ndarray) -> None:
-        end = self._size + keys.size
+    def extend(self, count: int) -> np.ndarray:
+        """Room for count more keys, as a view the caller fills in; the
+        kernel writes its keys there, with no temporary array to copy."""
+        start, end = self._size, self._size + count
         if end > self._buffer.size:
             grown = np.empty(max(end, 2 * self._buffer.size), dtype=np.int32)
-            grown[: self._size] = self._buffer[: self._size]
+            grown[:start] = self._buffer[:start]
             self._buffer = grown
-        self._buffer[self._size : end] = keys.ravel()
         self._size = end
+        return self._buffer[start:end]
+
+    def append(self, keys: np.ndarray) -> None:
+        self.extend(keys.size)[:] = keys.ravel()
 
     def take(self) -> np.ndarray:
         """The keys appended since the last take, as a view into the buffer."""
@@ -359,10 +407,11 @@ def _count_into(counts: np.ndarray, pending: list[np.ndarray]) -> None:
 
 
 def _run_batch(
-    config: SweepConfig, lo: int, hi: int, record: int, keys: _VisitKeys | None
-) -> tuple[np.ndarray, int]:
-    """Vectorized kernel over starting values [lo, hi]: their class counts
-    (starts included) and the max excursion, at least record.
+    config: SweepConfig, lo: int, hi: int, record: int, tally: _ShardTally, keys: _VisitKeys | None
+) -> int:
+    """Vectorized kernel over starting values [lo, hi]: adds their visits
+    (starts included) into tally and returns the max excursion, at least
+    record.
 
     Every live orbit has taken the same number of triple steps.  Each pass
     finishes the values below the small-value bound from the orbit tables,
@@ -380,10 +429,8 @@ def _run_batch(
     tables = _jump_tables(config.level)
     mod = 8**config.level
     residues = tables.classes.shape[0]
-    residue_counts = np.zeros(residues, dtype=np.int64)
     pending: list[np.ndarray] = []  # residues of the passes not yet counted
     pending_size = 0
-    finished = np.zeros(tables.small, dtype=np.int64)  # orbits finished per small value
     active = np.arange(lo, hi + 1, dtype=np.int64)
     ids = np.arange(active.size, dtype=np.int32)  # int32 halves the bytes compaction moves
     # per id, the small value its orbit was finished from (0: not finished from the table)
@@ -397,7 +444,7 @@ def _run_batch(
         if small.any():
             at = np.flatnonzero(small)
             done, done_ids = active[at], ids[at]
-            finished += np.bincount(done, minlength=tables.small)
+            tally.finished += np.bincount(done, minlength=tables.small)
             max_value = max(max_value, int(tables.small_peak[done].max()))
             over = tables.small_steps[done] > config.step_cap - steps
             if over.any():
@@ -428,10 +475,13 @@ def _run_batch(
         pending.append(r)
         pending_size += r.size
         if pending_size > residues:
-            _count_into(residue_counts, pending)
+            _count_into(tally.residues, pending)
             pending_size = 0
         if keys is not None:
-            keys.append(tables.classes[r] + (ids * mod)[:, None])
+            # mode="clip" lets take write into the buffer unbuffered; r is in range
+            block = keys.extend(r.size * tables.k).reshape(r.size, tables.k)
+            np.take(tables.classes, r, axis=0, out=block, mode="clip")
+            block += (ids * mod)[:, None]
         if tables.growth * top > max_value:
             # The top slice first: its peaks raise the record, which prunes the rest.
             upper = active > top - top // tables.growth
@@ -445,17 +495,15 @@ def _run_batch(
         steps += tables.k
 
     if pending:
-        _count_into(residue_counts, pending)
-    hit = np.flatnonzero(finished)
-    owner, cls, visits = tables.small_visits(hit)
-    counts = np.zeros(mod, dtype=np.int64)
-    np.add.at(counts, cls, visits * finished[hit][owner])
-    for column in tables.classes.T:
-        np.add.at(counts, column, residue_counts)
+        _count_into(tally.residues, pending)
     if keys is not None:
         ended = np.flatnonzero(finished_from)
-        owner, cls, visits = tables.small_visits(finished_from[ended])
-        keys.append(np.repeat(ended[owner] * mod + cls, visits))
+        starts, classes = tables.tail_visits
+        first = starts[finished_from[ended]]
+        lengths = starts[finished_from[ended] + 1] - first
+        at = np.repeat(first - np.cumsum(lengths) + lengths, lengths)
+        at += np.arange(at.size)
+        np.add(np.repeat((ended * mod).astype(np.int32), lengths), classes[at], out=keys.extend(at.size))
     for traj_id, value, taken in exact_continuations:
         run = run_trajectory(value, level=config.level, step_cap=config.step_cap - taken)
         if run.capped:
@@ -463,12 +511,12 @@ def _run_batch(
             continue
         max_value = max(max_value, run.max_value)
         tail = np.asarray(run.visits, dtype=np.int64)
-        counts += np.bincount(tail, minlength=mod)
+        tally.classes += np.bincount(tail, minlength=mod)
         if keys is not None:
             keys.append(traj_id * mod + tail)
     if offenders:
         raise TrajectoryCapError(lo + min(offenders), config.step_cap)
-    return counts, max_value
+    return max_value
 
 
 def _add_orbit_shares(
@@ -493,11 +541,12 @@ def _add_orbit_shares(
         keys = np.delete(keys, np.searchsorted(keys, start_keys))
     # int32 like the keys, so searchsorted does not copy them; (size - 1) * 8^m fits
     orbits = np.arange(size, dtype=np.int32) * mod
-    totals = np.diff(np.searchsorted(keys, orbits), append=keys.size)
     edges = np.flatnonzero(np.r_[True, keys[1:] != keys[:-1], True])
     visits = np.diff(edges)
     keys = keys[edges[:-1]]
-    pairs = np.diff(np.searchsorted(keys, orbits), append=keys.size)  # per orbit
+    first = np.searchsorted(keys, orbits)  # each orbit's first pair
+    pairs = np.diff(first, append=keys.size)
+    totals = np.diff(edges[first], append=edges[-1])  # visits per orbit
     shares = np.repeat(totals.astype(float), pairs)
     np.divide(visits, shares, out=shares)
     np.add.at(sums, keys & (mod - 1), shares)
@@ -516,7 +565,7 @@ def _sweep_shard(config: SweepConfig, lo: int, hi: int) -> TrajectoryStats:
     the shard.  Each batch's starts are uncounted unless include_start.
     """
     mod = 8**config.level
-    counts = np.zeros(mod, dtype=np.int64)
+    tally = _ShardTally(config.level)
     max_value = hi
     sums = np.zeros(mod) if config.per_trajectory else None
     counted = 0
@@ -524,17 +573,37 @@ def _sweep_shard(config: SweepConfig, lo: int, hi: int) -> TrajectoryStats:
     keys = _VisitKeys() if config.per_trajectory else None
     for first in range(lo, hi + 1, batch):
         last = min(first + batch - 1, hi)
-        batch_counts, max_value = _run_batch(config, first, last, max_value, keys)
-        counts += batch_counts
+        max_value = _run_batch(config, first, last, max_value, tally, keys)
         start_keys = None
         if not config.include_start:
             starts = np.arange(first, last + 1, dtype=np.int64)
             starts = starts[~np.isin(starts, tuple(CYCLE))]
-            counts -= np.bincount(starts & (mod - 1), minlength=mod)
+            tally.classes -= np.bincount(starts & (mod - 1), minlength=mod)
             start_keys = ((starts - first) * mod + (starts & (mod - 1))).astype(np.int32)
         if keys is not None:
             counted += _add_orbit_shares(sums, keys.take(), last - first + 1, start_keys)
-    return TrajectoryStats(config.level, counts, max_value, hi - lo + 1, sums, counted)
+    return TrajectoryStats(config.level, tally.fold(), max_value, hi - lo + 1, sums, counted)
+
+
+def _cpu_quota() -> int | None:
+    """CPUs the cgroup CPU quota allows, rounded up; None when the quota is
+    "max" or the file cannot be read."""
+    try:
+        with open(CPU_MAX_PATH) as handle:
+            quota, period = handle.read().split()
+        return None if quota == "max" else max(1, -(-int(quota) // int(period)))
+    except (OSError, ValueError):
+        return None
+
+
+def usable_cpus() -> int:
+    """The CPUs this process may run on, capped by the cgroup CPU quota."""
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
+    quota = _cpu_quota()
+    return cpus if quota is None else min(cpus, quota)
 
 
 def sweep(config: SweepConfig) -> TrajectoryStats:
@@ -542,7 +611,8 @@ def sweep(config: SweepConfig) -> TrajectoryStats:
 
     Shards of fixed width SHARD_SIZE are processed independently (optionally
     by a process pool) and merged in shard order, so results depend on the
-    shard size but never on the worker count.
+    shard size but never on the worker count.  The pool has at most
+    config.workers processes, one per shard and one per usable CPU.
     """
     shard_size = SHARD_SIZE
     if config.per_trajectory:
@@ -550,12 +620,13 @@ def sweep(config: SweepConfig) -> TrajectoryStats:
     los = range(1, config.n_max + 1, shard_size)
     his = [min(lo + shard_size - 1, config.n_max) for lo in los]
     kernel = partial(_sweep_shard, config)
-    if config.workers > 1 and len(los) > 1:
+    workers = min(config.workers, len(los), usable_cpus())
+    if workers > 1:
         # Imported here: concurrent.futures and multiprocessing add about 30 ms
         # to every start-up, and most runs never open a pool.
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=min(config.workers, len(los))) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             return reduce(TrajectoryStats.merge, pool.map(kernel, los, his))
     return reduce(TrajectoryStats.merge, map(kernel, los, his))
 
@@ -601,7 +672,8 @@ def to_csv(table: ComparisonTable) -> str:
 
 
 def to_json_dict(table: ComparisonTable, per_trajectory: ComparisonTable | None = None) -> dict:
-    """JSON payload mirroring the CSV fields, plus per-trajectory rows if collected."""
+    """JSON payload mirroring the CSV fields, plus per-trajectory rows if
+    collected.  write_json prints it without building it."""
 
     def row_list(t: ComparisonTable) -> list[dict]:
         theoretical = [float(w) for w in t.theoretical]
@@ -621,3 +693,44 @@ def to_json_dict(table: ComparisonTable, per_trajectory: ComparisonTable | None 
     if per_trajectory is not None:
         payload["per_trajectory_rows"] = row_list(per_trajectory)
     return payload
+
+
+def _write_json_rows(out, table: ComparisonTable) -> None:
+    """The rows of table as json.dumps(..., indent=2) prints them inside the
+    payload, a block of JSON_BLOCK rows per write."""
+    theoretical = [repr(float(w)) for w in table.theoretical]
+    empirical, deviation = table.empirical.tolist(), table.deviation.tolist()
+    for lo in range(0, len(empirical), JSON_BLOCK):
+        hi = min(lo + JSON_BLOCK, len(empirical))
+        if lo:
+            out.write(",\n")
+        out.write(
+            ",\n".join(
+                [
+                    f'    {{\n      "class": {i},\n      "theoretical": {theoretical[i & 1]},\n'
+                    f'      "empirical": {e!r},\n      "deviation": {d!r}\n    }}'
+                    for i, e, d in zip(range(lo, hi), empirical[lo:hi], deviation[lo:hi])
+                ]
+            )
+        )
+
+
+def write_json(out, table: ComparisonTable, per_trajectory: ComparisonTable | None = None) -> None:
+    """Write the bytes of json.dumps(to_json_dict(table, per_trajectory),
+    indent=2) + "\n" to the text stream out, without building the payload.
+
+    json's indent mode runs its pure-Python encoder, which spent seconds on a
+    level-6 table.  Its floats are float.__repr__, as here; every value a
+    table holds is finite, so json's NaN and Infinity spellings never apply.
+    """
+    out.write(f'{{\n  "level": {table.level},\n  "rows": [\n')
+    _write_json_rows(out, table)
+    out.write(
+        f'\n  ],\n  "max_value": {table.max_value},\n  "total_visits": {table.total_visits},\n'
+        f'  "trajectories": {table.trajectories},\n  "max_deviation": {table.max_deviation!r}'
+    )
+    if per_trajectory is not None:
+        out.write(',\n  "per_trajectory_rows": [\n')
+        _write_json_rows(out, per_trajectory)
+        out.write("\n  ]")
+    out.write("\n}\n")

@@ -103,7 +103,8 @@ def _dense(images: np.ndarray) -> list[list[Fraction]]:
     (i, j) is (occurrences of j in images[i]) / (columns per row)."""
     size, width = images.shape
     counts = np.bincount((np.arange(size)[:, None] * size + images).ravel(), minlength=size * size)
-    probability = {c: Fraction(c, width) for c in np.unique(counts).tolist()}
+    # a count is at most the width; np.unique here would import numpy.ma
+    probability = [Fraction(c, width) for c in range(width + 1)]
     return [[probability[c] for c in row] for row in counts.reshape(size, size).tolist()]
 
 

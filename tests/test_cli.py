@@ -55,6 +55,12 @@ SIMULATE_GOLDENS = {
     "--max 200000 --m 3 --per-trajectory --format json": (
         "dd42025527fcea7a09a1f4de1d110760efefae6801b08c05fbca25fc36c09748"
     ),
+    "--max 20000 --m 6 --per-trajectory --format json": (
+        "d0c9890d3b407cc78246ef8345080ae077293eb0fa96510329488ec0a9768532"
+    ),
+    "--max 20000 --m 1 --per-trajectory --format json": (
+        "4168c3e528bdcae4783533b026319cbe3f7de6d0a74c2443d104f4914e3be395"
+    ),
 }
 
 
@@ -384,7 +390,7 @@ class TestSimulate:
     def test_process_pool_golden_bytes(self, monkeypatch):
         # three per-trajectory shards of 16384 starts at level 3, merged across
         # two processes on any runner, since --workers is capped at the CPUs
-        monkeypatch.setattr(cli, "_default_workers", lambda: 2)
+        monkeypatch.setattr(empirical, "usable_cpus", lambda: 2)
         code, text = run_cli(
             "simulate", "--max", "40000", "--m", "3", "--per-trajectory", "--format", "json",
             "--workers", "2",
@@ -401,28 +407,30 @@ class TestSimulate:
         assert f"argument --workers: must be a positive integer, got {value}" in captured.err
 
     def test_workers_flag_reaches_the_sweep(self, monkeypatch, sweep_configs):
-        monkeypatch.setattr(cli, "_default_workers", lambda: 4)
+        monkeypatch.setattr(empirical, "usable_cpus", lambda: 4)
         assert run_cli("simulate", "--max", "100", "--workers", "3")[0] == 0
-        assert sweep_configs[0].workers == 3
+        assert run_cli("simulate", "--max", "100")[0] == 0
+        assert [config.workers for config in sweep_configs] == [3, 4]
 
-    def test_workers_capped_at_the_cpus(self, monkeypatch, sweep_configs):
-        # one shard of 100 starts, so no process starts either way
-        monkeypatch.setattr(cli, "_default_workers", lambda: 2)
-        assert run_cli("simulate", "--max", "100", "--workers", "5000")[0] == 0
-        assert sweep_configs[0].workers == 2
+    def test_workers_capped_at_the_cpus(self, monkeypatch, inline_pool):
+        # six shards of 500 starts: the sweep opens one process per usable CPU
+        monkeypatch.setattr(empirical, "usable_cpus", lambda: 2)
+        monkeypatch.setattr(empirical, "SHARD_SIZE", 500)
+        assert run_cli("simulate", "--max", "3000", "--workers", "5000")[0] == 0
+        assert inline_pool == [2]
 
     def test_default_workers_follow_cpu_affinity(self, monkeypatch):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
         monkeypatch.setattr(os, "cpu_count", lambda: 64)
-        assert cli._default_workers() == 1
+        assert empirical.usable_cpus() == 1
 
     @pytest.mark.parametrize("cpu_count, workers", [(3, 3), (None, 1)])
     def test_default_workers_without_affinity(self, monkeypatch, tmp_path, cpu_count, workers):
         # platforms without sched_getaffinity count every CPU, or 1 if unknown
         monkeypatch.delattr(os, "sched_getaffinity", raising=False)
         monkeypatch.setattr(os, "cpu_count", lambda: cpu_count)
-        monkeypatch.setattr(cli, "CPU_MAX_PATH", str(tmp_path / "missing"))
-        assert cli._default_workers() == workers
+        monkeypatch.setattr(empirical, "CPU_MAX_PATH", str(tmp_path / "missing"))
+        assert empirical.usable_cpus() == workers
 
     @pytest.mark.parametrize(
         "cpu_max, workers",
@@ -433,9 +441,9 @@ class TestSimulate:
         path = tmp_path / "cpu.max"
         if cpu_max is not None:
             path.write_text(cpu_max)
-        monkeypatch.setattr(cli, "CPU_MAX_PATH", str(path))
+        monkeypatch.setattr(empirical, "CPU_MAX_PATH", str(path))
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(4)), raising=False)
-        assert cli._default_workers() == workers
+        assert empirical.usable_cpus() == workers
 
     def test_csv_skips_the_per_trajectory_tally(self, sweep_configs):
         plain = run_cli("simulate", "--max", "3000", "--m", "2")
@@ -616,3 +624,24 @@ def test_cli_import_loads_no_process_pool():
     )
     assert proc.returncode == 0
     assert proc.stdout == "\n"
+
+
+def test_verify_loads_no_masked_arrays():
+    # np.unique imports numpy.ma under numpy 2.x, about 10 ms of every verify
+    src = str(Path(collatzmc.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    code = (
+        "import io, sys; from collatzmc.cli import main; "
+        "code = main(['verify', '--all', '--m', '3'], out=io.StringIO()); "
+        "print(code, 'numpy.ma' in sys.modules)"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=path),
+        timeout=60,
+        check=False,
+    )
+    assert proc.returncode == 0
+    assert proc.stdout == "0 False\n"

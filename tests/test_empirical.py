@@ -1,7 +1,8 @@
 """Sweep kernel correctness against the pure-Python reference, and reports."""
 
-import concurrent.futures
 import dataclasses
+import io
+import json
 from collections import Counter
 from fractions import Fraction
 
@@ -13,6 +14,7 @@ from hypothesis import strategies as st
 import collatzmc.empirical as empirical
 from collatzmc.empirical import (
     INT64_SAFE,
+    ComparisonTable,
     SweepConfig,
     TrajectoryStats,
     _jump_tables,
@@ -22,10 +24,12 @@ from collatzmc.empirical import (
     sweep,
     to_csv,
     to_json_dict,
+    write_json,
 )
 from collatzmc.errors import CapacityError, TrajectoryCapError
 from collatzmc.maps import CYCLE, MULTIPLIERS, OFFSETS, collatz_step, third_iterate
 from collatzmc.markov import build_matrix, stationary_distribution
+from collatzmc.measure import alternating_weights
 
 
 def stats_identical(actual, expected):
@@ -126,6 +130,7 @@ class TestSweep:
         assert stats_identical(whole, sharded)
 
     def test_workers_identical_totals(self, monkeypatch):
+        monkeypatch.setattr(empirical, "usable_cpus", lambda: 2)  # a pool on any runner
         monkeypatch.setattr(empirical, "SHARD_SIZE", 4096)
         a = sweep(SweepConfig(n_max=20_000, workers=1))
         b = sweep(SweepConfig(n_max=20_000, workers=2))
@@ -146,6 +151,7 @@ class TestSweep:
         assert info.value.start == first_longer_than(3, 1, 100)
 
     def test_step_cap_crosses_process_pool(self, monkeypatch):
+        monkeypatch.setattr(empirical, "usable_cpus", lambda: 2)  # a pool on any runner
         monkeypatch.setattr(empirical, "SHARD_SIZE", 1000)
         with pytest.raises(TrajectoryCapError) as info:
             sweep(SweepConfig(n_max=5000, step_cap=3, workers=2))
@@ -154,30 +160,17 @@ class TestSweep:
         assert run_trajectory(info.value.start).steps > 3
         assert info.value.start == first_longer_than(3, 1, 5000)
 
-    def test_pool_has_no_idle_workers(self, monkeypatch):
-        opened = []
-
-        class InlinePool:
-            def __init__(self, max_workers):
-                opened.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, *iterables):
-                return map(fn, *iterables)
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
+    def test_pool_has_no_idle_workers(self, monkeypatch, inline_pool):
+        # at most one process per shard and per usable CPU, for library callers too
+        monkeypatch.setattr(empirical, "usable_cpus", lambda: 3)
         monkeypatch.setattr(empirical, "SHARD_SIZE", 1500)
         stats = sweep(SweepConfig(n_max=3000, workers=8))
-        assert opened == [2]
+        assert inline_pool == [2]
         assert stats_identical(stats, sweep(SweepConfig(n_max=3000)))
         monkeypatch.setattr(empirical, "SHARD_SIZE", 500)
         sweep(SweepConfig(n_max=3000, workers=2))
-        assert opened == [2, 2]
+        sweep(SweepConfig(n_max=3000, workers=5000))
+        assert inline_pool == [2, 2, 3]
 
     def test_fallback_keeps_the_step_budget(self):
         # largest n <= INT64_SAFE with n % 8 == 7: one step leaves int64, 286 more follow
@@ -409,12 +402,24 @@ class TestJumpTables:
         classes, visits = classes.tolist(), visits.tolist()
         peaks, steps = tables.small_peak.tolist(), tables.small_steps.tolist()
         starts = tables.small_start.tolist()
+        tail_starts, tail = (array.tolist() for array in tables.tail_visits)
         assert starts[0] == starts[1] == 0  # 0 starts no orbit
+        assert tail_starts[0] == tail_starts[1] == 0
         for v in range(1, tables.small):
             run = run_trajectory(v, level)
             mine = slice(starts[v], starts[v + 1])
             assert dict(zip(classes[mine], visits[mine])) == Counter(run.visits)
             assert (peaks[v], steps[v]) == (run.max_value, run.steps)
+            assert tail[tail_starts[v] : tail_starts[v + 1]] == sorted(run.visits)
+        assert tables.tail_visits[1].dtype == np.int32
+        assert not tables.tail_visits[1].flags.writeable
+
+    def test_plain_sweep_builds_no_tail_list(self):
+        _jump_tables.cache_clear()
+        sweep(SweepConfig(n_max=3000, level=2))
+        assert "tail_visits" not in vars(_jump_tables(2))
+        sweep(SweepConfig(n_max=3000, level=2, per_trajectory=True))
+        assert "tail_visits" in vars(_jump_tables(2))
 
     @pytest.mark.parametrize("level", range(1, 7))
     def test_int32_jump_tables_are_exact(self, level):
@@ -560,6 +565,52 @@ def test_rendering_matches_per_row_reference(level, seed, bits, max_value, count
     row_types = [("class", int), ("theoretical", float), ("empirical", float), ("deviation", float)]
     for row in payload["rows"] + payload["per_trajectory_rows"]:
         assert [(key, type(value)) for key, value in row.items()] == row_types
+
+
+# Floats of every kind a table can hold: zero, subnormals, values near 1 and
+# in between.
+TABLE_FLOATS = st.one_of(
+    st.just(0.0),
+    st.floats(min_value=5e-324, max_value=2.2250738585072009e-308),
+    st.floats(min_value=1 - 2**-20, max_value=1.0, exclude_max=True),
+    st.just(1.0),
+    st.floats(min_value=0.0, max_value=1.0),
+)
+
+
+def random_table(level, pool, seed, max_value):
+    rng = np.random.default_rng(seed)
+    empirical, deviation = rng.choice(np.array(pool), size=(2, 8**level))
+    return ComparisonTable(
+        level, alternating_weights(level), empirical, deviation, max_value,
+        int(rng.integers(1, 2**62)), int(rng.integers(1, 2**40)),
+    )
+
+
+# A level-6 oracle takes seconds in json's pure-Python encoder, so level 6
+# runs as the pinned example only; JSON_BLOCK is drawn small so that lower
+# levels cross block bounds too.
+@settings(max_examples=25, deadline=None)
+@given(
+    level=st.integers(1, 5),
+    pool=st.lists(TABLE_FLOATS, min_size=1, max_size=6),
+    seeds=st.tuples(st.integers(0, 2**32 - 1), st.integers(0, 2**32 - 1)),
+    max_value=st.integers(1, 2**70),
+    per_trajectory=st.booleans(),
+    block=st.integers(1, 5000),
+)
+@example(level=6, pool=[0.0, 5e-324, 1 - 2**-53, 0.5], seeds=(0, 1), max_value=2**64,
+         per_trajectory=False, block=empirical.JSON_BLOCK)
+def test_write_json_bytes_match_json_dumps(level, pool, seeds, max_value, per_trajectory, block):
+    table = random_table(level, pool, seeds[0], max_value)
+    per_traj = random_table(level, pool, seeds[1], max_value) if per_trajectory else None
+    out = io.StringIO()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(empirical, "JSON_BLOCK", block)
+        write_json(out, table, per_traj)
+    want = json.dumps(to_json_dict(table, per_traj), indent=2) + "\n"
+    # lines, not whole strings: pytest's diff of two level-6 texts runs for minutes
+    assert out.getvalue().splitlines(keepends=True) == want.splitlines(keepends=True)
 
 
 def test_merge_is_commutative():

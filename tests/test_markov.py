@@ -57,6 +57,12 @@ def test_level1_matches_golden():
     assert build_matrix(1).dense() == EIGHT_STATE_GOLDEN
 
 
+def test_dense_entry_of_a_whole_row():
+    # every column of a row on one class: the count equals the width
+    rows = eight_wide([1, 2, 3, 4, 5, 6, 7, 0]).dense()
+    assert rows == [[Fraction(int(j == (i + 1) % 8)) for j in range(8)] for i in range(8)]
+
+
 def test_level1_row7():
     assert build_matrix(1).rows[7] == ((2, Fraction(1, 2)), (6, Fraction(1, 2)))
 
