@@ -5,84 +5,69 @@ package computes its preimages on classes mod 8^m, the invariant probability
 measure on those classes, the induced exact stochastic matrices and their
 stationary distributions, class-wise contraction bounds, and large empirical
 trajectory sweeps that compare visit frequencies against the theory.
+
+The public names load lazily (PEP 562): importing the package loads no
+submodule and no numpy, and the first access to a name imports the submodule
+that defines it.
 """
 
-from .congruence import (
-    ClassUnion,
-    CongruenceClass,
-    forward_split,
-    preimage_class,
-    preimage_targets,
-    solve_linear_congruence,
-)
-from .contraction import (
-    ContractionReport,
-    birkhoff_alpha,
-    bound_factors,
-    bounded_geometric_mean,
-    build_report,
-    domination_scan,
-    orbit_log_average,
-    raw_geometric_mean,
-)
-from .empirical import (
-    ComparisonTable,
-    SweepConfig,
-    TrajectoryStats,
-    compare_to_theory,
-    run_trajectory,
-    sweep,
-)
-from .errors import CapacityError, ConsistencyError, TrajectoryCapError
-from .maps import collatz_step, fixed_points_upto, third_iterate
-from .markov import (
-    TransitionMatrix,
-    build_matrix,
-    check_ergodicity,
-    emit_chain_graph,
-    matrix_power,
-    stationary_distribution,
-)
-from .measure import check_invariance, measure_class, measure_integer, measure_union, nu
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "CapacityError",
-    "ClassUnion",
-    "ComparisonTable",
-    "CongruenceClass",
-    "ConsistencyError",
-    "ContractionReport",
-    "SweepConfig",
-    "TrajectoryCapError",
-    "TrajectoryStats",
-    "TransitionMatrix",
-    "birkhoff_alpha",
-    "bound_factors",
-    "bounded_geometric_mean",
-    "build_matrix",
-    "build_report",
-    "check_ergodicity",
-    "check_invariance",
-    "collatz_step",
-    "compare_to_theory",
-    "domination_scan",
-    "emit_chain_graph",
-    "fixed_points_upto",
-    "forward_split",
-    "matrix_power",
-    "measure_class",
-    "measure_integer",
-    "measure_union",
-    "nu",
-    "orbit_log_average",
-    "preimage_class",
-    "preimage_targets",
-    "raw_geometric_mean",
-    "run_trajectory",
-    "solve_linear_congruence",
-    "stationary_distribution",
-    "sweep",
-    "third_iterate",
-]
+#: Each public name and the submodule that defines it.
+_SUBMODULE = {
+    "CapacityError": "errors",
+    "ClassUnion": "congruence",
+    "ComparisonTable": "empirical",
+    "CongruenceClass": "congruence",
+    "ConsistencyError": "errors",
+    "ContractionReport": "contraction",
+    "SweepConfig": "empirical",
+    "TrajectoryCapError": "errors",
+    "TrajectoryStats": "empirical",
+    "TransitionMatrix": "markov",
+    "birkhoff_alpha": "contraction",
+    "bound_factors": "contraction",
+    "bounded_geometric_mean": "contraction",
+    "build_matrix": "markov",
+    "build_report": "contraction",
+    "check_ergodicity": "markov",
+    "check_invariance": "measure",
+    "collatz_step": "maps",
+    "compare_to_theory": "empirical",
+    "domination_scan": "contraction",
+    "emit_chain_graph": "markov",
+    "fixed_points_upto": "maps",
+    "forward_split": "congruence",
+    "matrix_power": "markov",
+    "measure_class": "measure",
+    "measure_integer": "measure",
+    "measure_union": "measure",
+    "nu": "measure",
+    "orbit_log_average": "contraction",
+    "preimage_class": "congruence",
+    "preimage_targets": "congruence",
+    "raw_geometric_mean": "contraction",
+    "run_trajectory": "empirical",
+    "solve_linear_congruence": "congruence",
+    "stationary_distribution": "markov",
+    "sweep": "empirical",
+    "third_iterate": "maps",
+}
+_SUBMODULES = frozenset(_SUBMODULE.values())
+
+__all__ = list(_SUBMODULE)
+
+
+def __getattr__(name: str):
+    if name in _SUBMODULES:  # "import collatzmc; collatzmc.markov.build_matrix(2)"
+        return importlib.import_module(f".{name}", __name__)
+    if name not in _SUBMODULE:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(importlib.import_module(f".{_SUBMODULE[name]}", __name__), name)
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__, *_SUBMODULES})

@@ -3,17 +3,17 @@
 Exit codes: 0 success, 1 verification failure or internal inconsistency,
 2 usage error, 3 capacity/step-cap errors.  Results go to stdout, diagnostics
 to stderr; identical flags produce byte-identical output.
+
+Each command handler imports the submodules it runs, so importing this module
+loads no numpy and a run loads only what its command uses.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
+import os
 import sys
-from fractions import Fraction
 
-from . import contraction, empirical, markov, measure
-from .congruence import CongruenceClass, preimage_class
 from .errors import CapacityError, ConsistencyError, TrajectoryCapError
 
 #: Highest preimage level: its members are printed mod 8^4761, which has 4300
@@ -113,6 +113,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_preimage(args, out) -> int:
+    from .congruence import CongruenceClass, preimage_class
+
     if args.m > MAX_PREIMAGE_LEVEL:
         raise CapacityError(f"level {args.m} exceeds the preimage cap {MAX_PREIMAGE_LEVEL}")
     # Below the cap the moduli have at most 4300 digits, so only an int-to-str
@@ -134,6 +136,8 @@ def _cmd_preimage(args, out) -> int:
 
 
 def _cmd_matrix(args, out) -> int:
+    from . import markov
+
     matrix = markov.build_matrix(args.m)
     if args.format == "triplets":
         out.write(markov.emit_triplets(matrix))
@@ -144,17 +148,25 @@ def _cmd_matrix(args, out) -> int:
 
 
 def _cmd_stationary(args, out) -> int:
+    from . import markov
+
     weights = markov.stationary_distribution(markov.build_matrix(args.m))
     out.write(markov.emit_stationary(args.m, weights))
     return 0
 
 
 def _cmd_graph(args, out) -> int:
+    from . import markov
+
     out.write(markov.emit_chain_graph(markov.build_matrix(args.m)))
     return 0
 
 
 def _cmd_contraction(args, out) -> int:
+    import json
+
+    from . import contraction
+
     report = contraction.build_report(n_min=args.n_min, level=args.m)
     fields = {
         "level": report.level,
@@ -179,6 +191,8 @@ def _cmd_contraction(args, out) -> int:
 
 
 def _cmd_simulate(args, out) -> int:
+    from . import empirical
+
     try:
         config = empirical.SweepConfig(
             n_max=args.n_max,
@@ -206,6 +220,10 @@ def _cmd_simulate(args, out) -> int:
 
 
 def _cmd_verify(args, out) -> int:
+    from fractions import Fraction
+
+    from . import markov, measure
+
     checks = {
         "measure": args.measure,
         "stochasticity": args.stochasticity,
@@ -289,6 +307,10 @@ def main(argv=None, out=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     out = out if out is not None else sys.stdout
+    if "numpy" not in sys.modules:
+        # No command calls BLAS, but importing numpy starts OpenBLAS's thread
+        # pool, whose idle thread spins; a value the caller set still wins.
+        os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     try:
         return _HANDLERS[args.command](args, out)
     except (CapacityError, TrajectoryCapError) as exc:

@@ -1,8 +1,14 @@
 """Fixtures shared by the test modules."""
 
 import concurrent.futures
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+import collatzmc
 
 
 @pytest.fixture
@@ -26,3 +32,22 @@ def inline_pool(monkeypatch):
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
     return opened
+
+
+@pytest.fixture
+def run_python():
+    """Run a fresh interpreter with these arguments on this checkout's package.
+
+    env replaces the inherited environment; PYTHONPATH gains the package's
+    source directory either way.
+    """
+    src = str(Path(collatzmc.__file__).resolve().parents[1])
+
+    def run(*argv, env=None):
+        env = dict(os.environ if env is None else env)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+        return subprocess.run(
+            [sys.executable, *argv], capture_output=True, text=True, env=env, timeout=60, check=False
+        )
+
+    return run

@@ -5,13 +5,10 @@ import io
 import json
 import os
 import runpy
-import subprocess
 import sys
-from pathlib import Path
 
 import pytest
 
-import collatzmc
 from collatzmc import cli, empirical, markov, measure
 from collatzmc.cli import main
 from collatzmc.congruence import preimage_targets
@@ -582,17 +579,8 @@ class TestUsageErrors:
         assert "n_max must be >= 5" in capsys.readouterr().err
 
 
-def test_python_dash_m_runs_the_cli():
-    src = str(Path(collatzmc.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
-    proc = subprocess.run(
-        [sys.executable, "-m", "collatzmc", "matrix", "--m", "1"],
-        capture_output=True,
-        text=True,
-        env=dict(os.environ, PYTHONPATH=path),
-        timeout=60,
-        check=False,
-    )
+def test_python_dash_m_runs_the_cli(run_python):
+    proc = run_python("-m", "collatzmc", "matrix", "--m", "1")
     assert proc.returncode == 0
     assert proc.stdout == run_cli("matrix", "--m", "1")[1]
 
@@ -606,42 +594,83 @@ def test_main_module_runs_the_cli(monkeypatch, capsys):
     assert capsys.readouterr().out == run_cli("matrix", "--m", "1")[1]
 
 
-def test_cli_import_loads_no_process_pool():
+def test_cli_import_loads_no_process_pool(run_python):
     # concurrent.futures and multiprocessing load only when a sweep opens a pool
-    src = str(Path(collatzmc.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     code = (
         "import sys, collatzmc.cli; "
         "print(*sorted(m for m in sys.modules if 'multiprocessing' in m or 'concurrent' in m))"
     )
-    proc = subprocess.run(
-        [sys.executable, "-c", code],
-        capture_output=True,
-        text=True,
-        env=dict(os.environ, PYTHONPATH=path),
-        timeout=60,
-        check=False,
-    )
+    proc = run_python("-c", code)
     assert proc.returncode == 0
     assert proc.stdout == "\n"
 
 
-def test_verify_loads_no_masked_arrays():
-    # np.unique imports numpy.ma under numpy 2.x, about 10 ms of every verify
-    src = str(Path(collatzmc.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
-    code = (
-        "import io, sys; from collatzmc.cli import main; "
-        "code = main(['verify', '--all', '--m', '3'], out=io.StringIO()); "
-        "print(code, 'numpy.ma' in sys.modules)"
-    )
-    proc = subprocess.run(
-        [sys.executable, "-c", code],
-        capture_output=True,
-        text=True,
-        env=dict(os.environ, PYTHONPATH=path),
-        timeout=60,
-        check=False,
-    )
-    assert proc.returncode == 0
-    assert proc.stdout == "0 False\n"
+#: Runs main(argv) in a fresh interpreter, or only imports the CLI when argv is
+#: empty, then prints its exit code, OPENBLAS_NUM_THREADS and the process's
+#: thread count (None off Linux) on one line, and every loaded module on the next.
+PROBE = """\
+import io, os, sys
+from collatzmc.cli import main
+try:
+    code = main(sys.argv[1:], out=io.StringIO()) if sys.argv[1:] else None
+except SystemExit as exc:
+    code = exc.code
+loaded = sorted(sys.modules)
+threads = None
+if os.path.exists("/proc/self/status"):
+    with open("/proc/self/status") as status:
+        threads = next(line.split()[1] for line in status if line.startswith("Threads:"))
+print(code, os.environ.get("OPENBLAS_NUM_THREADS"), threads)
+print(*loaded)
+"""
+
+
+def probe(run_python, argv, env=None):
+    """(exit code, OPENBLAS_NUM_THREADS, thread count, loaded modules) as text."""
+    proc = run_python("-c", PROBE, *argv.split(), env=env)
+    assert proc.returncode == 0, proc.stderr
+    status, loaded = proc.stdout.splitlines()[-2:]
+    return (*status.split(), set(loaded.split()))
+
+
+CHAIN_UNUSED = ("collatzmc.empirical", "collatzmc.contraction", "json")
+
+
+@pytest.mark.parametrize(
+    "argv, code, unused",
+    [
+        ("", "None", ("numpy",)),
+        ("--help", "0", ("numpy",)),
+        ("matrix --m 0", "2", ("numpy",)),
+        ("matrix --m 2", "0", CHAIN_UNUSED),
+        ("stationary --m 2", "0", CHAIN_UNUSED),
+        # np.unique imports numpy.ma under numpy 2.x, about 10 ms of every verify
+        ("verify --all --m 2", "0", CHAIN_UNUSED),
+        ("simulate --max 3000", "0", ("collatzmc.markov", "collatzmc.contraction")),
+    ],
+    ids=["import", "help", "usage-error", "matrix", "stationary", "verify", "simulate"],
+)
+def test_command_loads_only_its_modules(run_python, argv, code, unused):
+    got, _, _, loaded = probe(run_python, argv)
+    assert got == code
+    assert loaded.isdisjoint((*unused, "numpy.ma"))
+
+
+@pytest.mark.parametrize("preset, value", [(None, "1"), ("3", "3")], ids=["unset", "preset"])
+def test_cli_starts_no_blas_threads(run_python, preset, value):
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    if preset is not None:
+        env["OPENBLAS_NUM_THREADS"] = preset
+    code, got, threads, loaded = probe(run_python, "verify --all --m 2", env=env)
+    assert (code, got) == ("0", value) and "numpy" in loaded
+    if preset is None and sys.platform.startswith("linux"):
+        assert threads == "1"
+
+
+def test_cli_leaves_the_environment_once_numpy_is_loaded(monkeypatch):
+    # a library caller that already loaded numpy keeps its BLAS settings
+    monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+    assert "numpy" in sys.modules
+    before = dict(os.environ)
+    assert run_cli("verify", "--all", "--m", "2")[0] == 0
+    assert dict(os.environ) == before
