@@ -208,7 +208,7 @@ def _cmd_simulate(args, out) -> int:
     stats = empirical.sweep(config)
     table = empirical.compare_to_theory(stats)
     if args.format == "csv":
-        out.write(empirical.to_csv(table))
+        empirical.write_csv(out, table)
     else:
         per_traj = (
             empirical.compare_to_theory(stats, use_per_trajectory=True)

@@ -14,13 +14,14 @@ count.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property, lru_cache, partial, reduce
+from itertools import repeat
 
 import numpy as np
 
-from .errors import CapacityError, TrajectoryCapError
+from .errors import CapacityError, ConsistencyError, TrajectoryCapError
 from .maps import CYCLE, MULTIPLIERS, OFFSETS, collatz_step
 from .measure import alternating_weights
 
@@ -40,8 +41,8 @@ PER_TRAJECTORY_CELLS = 1 << 23
 #: fold each batch's visit keys into the running sums before the next.
 PER_TRAJECTORY_BATCH = 1 << 13
 
-#: JSON rows rendered per write: a few hundred KB of text at a time.
-JSON_BLOCK = 1 << 12
+#: CSV and JSON rows rendered per write: a few hundred KB of text at a time.
+ROW_BLOCK = 1 << 12
 
 #: Keys reserved per shard for the visit-key buffer; np.empty maps its pages
 #: only as keys are written, and the buffer doubles if a batch needs more.
@@ -212,6 +213,11 @@ class _JumpTables:
         owner = np.repeat(np.arange(values.size), lengths)
         at = np.arange(owner.size) + (first - np.cumsum(lengths) + lengths)[owner]
         return owner, self.small_class[at], self.small_count[at]
+
+    @cached_property
+    def longest(self) -> int:
+        """The most triple steps any tabulated orbit takes."""
+        return int(self.small_steps.max())
 
     @cached_property
     def tail_visits(self) -> tuple[np.ndarray, np.ndarray]:
@@ -406,6 +412,21 @@ def _count_into(counts: np.ndarray, pending: list[np.ndarray]) -> None:
     pending.clear()
 
 
+def _cap_error(config: SweepConfig, lo: int, hi: int) -> TrajectoryCapError:
+    """The TrajectoryCapError of the smallest start in [lo, hi] whose orbit is
+    longer than step_cap, once the plain kernel has found that one is.
+
+    The plain kernel keeps no orbit ids, so it cannot name the offender.  The
+    per-trajectory batches keep them and run in order, so the first error
+    they raise names it.
+    """
+    try:
+        _sweep_shard(replace(config, per_trajectory=True), lo, hi)
+    except TrajectoryCapError as error:
+        return error
+    raise ConsistencyError(f"no orbit from [{lo}, {hi}] is longer than {config.step_cap} steps")
+
+
 def _run_batch(
     config: SweepConfig, lo: int, hi: int, record: int, tally: _ShardTally, keys: _VisitKeys | None
 ) -> int:
@@ -419,7 +440,7 @@ def _run_batch(
     have left, tallies the residues of the rest and advances them one jump.
     A value is tallied in the pass that starts from it.  When keys is given,
     every visit is also appended to it as the key id * 8^m + class, where
-    id = start - lo.
+    id = start - lo; only then does the kernel keep the orbit ids.
 
     No value a jump reaches before its last triple step is in {1, 2, 4}, so a
     jump that overshoots step_cap carries only orbits longer than step_cap.
@@ -429,49 +450,63 @@ def _run_batch(
     tables = _jump_tables(config.level)
     mod = 8**config.level
     residues = tables.classes.shape[0]
+    # Counting costs one pass over a histogram's bins, so the residues and the
+    # finished small values wait until they outnumber the bins; the counts
+    # then follow the visits.
     pending: list[np.ndarray] = []  # residues of the passes not yet counted
     pending_size = 0
+    finished: list[np.ndarray] = []  # small values not yet counted
+    finished_size = 0
     active = np.arange(lo, hi + 1, dtype=np.int64)
-    ids = np.arange(active.size, dtype=np.int32)  # int32 halves the bytes compaction moves
-    # per id, the small value its orbit was finished from (0: not finished from the table)
-    finished_from = np.zeros(active.size, dtype=np.int64) if keys is not None else None
+    ids = None
+    if keys is not None:
+        ids = np.arange(active.size, dtype=np.int32)  # int32 halves the bytes compaction moves
+        # per id, the small value its orbit was finished from (0: not finished from the table)
+        finished_from = np.zeros(active.size, dtype=np.int64)
     max_value = record
-    exact_continuations: list[tuple[int, int, int]] = []  # (id, current value, steps taken)
+    exact_continuations: list[tuple[int | None, int, int]] = []  # (id, current value, steps taken)
     offenders: list[int] = []  # ids of orbits longer than step_cap
     steps = 0
     while active.size:
         small = active < tables.small
         if small.any():
-            at = np.flatnonzero(small)
-            done, done_ids = active[at], ids[at]
-            tally.finished += np.bincount(done, minlength=tables.small)
-            max_value = max(max_value, int(tables.small_peak[done].max()))
-            over = tables.small_steps[done] > config.step_cap - steps
-            if over.any():
-                offenders.append(int(done_ids[over][0]))
-            if keys is not None:
-                finished_from[done_ids] = done
+            done = active[small]
+            finished.append(done)
+            finished_size += done.size
+            if finished_size > tables.small:
+                _count_into(tally.finished, finished)
+                finished_size = 0
+            if steps + tables.longest > config.step_cap:
+                over = tables.small_steps[done] > config.step_cap - steps
+                if over.any():
+                    if ids is None:
+                        raise _cap_error(config, lo, hi)
+                    offenders.append(int(ids[small][over][0]))
             keep = ~small
-            active, ids = active[keep], ids[keep]
+            active = active[keep]
+            if ids is not None:
+                finished_from[ids[small]] = done
+                ids = ids[keep]
             if not active.size:
                 break
-        if steps >= config.step_cap:
-            offenders.append(int(ids[0]))  # every live orbit needs more steps
+        if steps >= config.step_cap:  # every live orbit needs more steps
+            if ids is None:
+                raise _cap_error(config, lo, hi)
+            offenders.append(int(ids[0]))
             break
         top = int(active.max())
         if top > tables.safe:
             leave = active > tables.safe
-            exact_continuations.extend(
-                (i, v, steps) for i, v in zip(ids[leave].tolist(), active[leave].tolist())
-            )
+            leaving = repeat(None) if ids is None else ids[leave].tolist()
+            exact_continuations.extend(zip(leaving, active[leave].tolist(), repeat(steps)))
             keep = ~leave
-            active, ids = active[keep], ids[keep]
+            active = active[keep]
+            if ids is not None:
+                ids = ids[keep]
             if not active.size:
                 break
             top = int(active.max())
         r = active & (residues - 1)
-        # Counting costs one pass over the table's bins, so the residues wait
-        # until they outnumber the bins; the count then follows the visits.
         pending.append(r)
         pending_size += r.size
         if pending_size > residues:
@@ -496,6 +531,10 @@ def _run_batch(
 
     if pending:
         _count_into(tally.residues, pending)
+    if finished:
+        _count_into(tally.finished, finished)
+    # tally.finished also counts the shard's earlier batches, whose peaks the record holds.
+    max_value = max(max_value, int(tables.small_peak.max(initial=0, where=tally.finished > 0)))
     if keys is not None:
         ended = np.flatnonzero(finished_from)
         starts, classes = tables.tail_visits
@@ -507,6 +546,8 @@ def _run_batch(
     for traj_id, value, taken in exact_continuations:
         run = run_trajectory(value, level=config.level, step_cap=config.step_cap - taken)
         if run.capped:
+            if traj_id is None:
+                raise _cap_error(config, lo, hi)
             offenders.append(traj_id)
             continue
         max_value = max(max_value, run.max_value)
@@ -671,6 +712,18 @@ def to_csv(table: ComparisonTable) -> str:
     return "\n".join(lines) + "\n"
 
 
+def write_csv(out, table: ComparisonTable) -> None:
+    """Write the bytes of to_csv(table) to the text stream out, a block of
+    ROW_BLOCK rows per write, without building the whole text."""
+    theoretical = [f"{float(w):.12f}" for w in table.theoretical]
+    out.write("class,theoretical,empirical,deviation\n")
+    for lo in range(0, table.empirical.size, ROW_BLOCK):
+        hi = min(lo + ROW_BLOCK, table.empirical.size)
+        rows = zip(range(lo, hi), table.empirical[lo:hi].tolist(), table.deviation[lo:hi].tolist())
+        out.write("".join([f"{i},{theoretical[i & 1]},{e:.12f},{d:.12f}\n" for i, e, d in rows]))
+    out.write(f"# max_value={table.max_value} total_visits={table.total_visits}\n")
+
+
 def to_json_dict(table: ComparisonTable, per_trajectory: ComparisonTable | None = None) -> dict:
     """JSON payload mirroring the CSV fields, plus per-trajectory rows if
     collected.  write_json prints it without building it."""
@@ -697,11 +750,11 @@ def to_json_dict(table: ComparisonTable, per_trajectory: ComparisonTable | None 
 
 def _write_json_rows(out, table: ComparisonTable) -> None:
     """The rows of table as json.dumps(..., indent=2) prints them inside the
-    payload, a block of JSON_BLOCK rows per write."""
+    payload, a block of ROW_BLOCK rows per write."""
     theoretical = [repr(float(w)) for w in table.theoretical]
     empirical, deviation = table.empirical.tolist(), table.deviation.tolist()
-    for lo in range(0, len(empirical), JSON_BLOCK):
-        hi = min(lo + JSON_BLOCK, len(empirical))
+    for lo in range(0, len(empirical), ROW_BLOCK):
+        hi = min(lo + ROW_BLOCK, len(empirical))
         if lo:
             out.write(",\n")
         out.write(

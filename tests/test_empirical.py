@@ -24,9 +24,10 @@ from collatzmc.empirical import (
     sweep,
     to_csv,
     to_json_dict,
+    write_csv,
     write_json,
 )
-from collatzmc.errors import CapacityError, TrajectoryCapError
+from collatzmc.errors import CapacityError, ConsistencyError, TrajectoryCapError
 from collatzmc.maps import CYCLE, MULTIPLIERS, OFFSETS, collatz_step, third_iterate
 from collatzmc.markov import build_matrix, stationary_distribution
 from collatzmc.measure import alternating_weights
@@ -253,6 +254,12 @@ def test_shard_matches_reference(level, include_start, per_trajectory, lo, width
 @example(step_cap=2, level=1, include_start=True, lo=1, width=32, jump_offset=None)
 @example(step_cap=4, level=4, include_start=False, lo=320, width=32, jump_offset=None)
 @example(step_cap=40, level=3, include_start=True, lo=0, width=32, jump_offset=-16)
+# step_cap at the longest tabulated orbit (17647 at level 1, 313 at level 3)
+# and one below it, where the kernel first compares the table's steps
+@example(step_cap=92, level=1, include_start=True, lo=17640, width=32, jump_offset=None)
+@example(step_cap=91, level=1, include_start=True, lo=17640, width=32, jump_offset=None)
+@example(step_cap=43, level=3, include_start=False, lo=300, width=32, jump_offset=None)
+@example(step_cap=42, level=3, include_start=False, lo=300, width=32, jump_offset=None)
 def test_step_cap_is_exact(step_cap, level, include_start, lo, width, jump_offset):
     """A shard raises iff some orbit takes more than step_cap triple steps,
     naming the first such start; otherwise it equals the reference."""
@@ -281,6 +288,70 @@ def test_batches_change_no_result(monkeypatch, level, include_start, where):
     whole = _sweep_shard(config, lo, hi)
     monkeypatch.setattr(empirical, "PER_TRAJECTORY_BATCH", 7)
     assert stats_identical(_sweep_shard(config, lo, hi), whole)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    step_cap=st.integers(0, 120),
+    level=st.integers(1, 6),
+    lo=LO_BAND,
+    jump_offset=st.none() | st.integers(-300, 300),
+    width=st.integers(1, 48),
+)
+# starts above the jump bound whose orbits the big-int fallback finds too long
+@example(step_cap=286, level=2, lo=INT64_SAFE - 40, width=48, jump_offset=None)
+@example(step_cap=30, level=1, lo=0, width=16, jump_offset=8)
+def test_plain_and_tracked_shards_name_one_offender(step_cap, level, lo, width, jump_offset):
+    """The plain kernel keeps no orbit ids; it names the same smallest
+    offender as the per-trajectory batches, which keep them."""
+    lo = band_start(level, lo, jump_offset)
+    hi = lo + width - 1
+    named = []
+    for per_trajectory in (False, True):
+        config = SweepConfig(n_max=max(hi, 5), level=level, per_trajectory=per_trajectory, step_cap=step_cap)
+        try:
+            _sweep_shard(config, lo, hi)
+            named.append(None)
+        except TrajectoryCapError as error:
+            named.append((error.start, error.steps))
+    offender = first_longer_than(step_cap, lo, hi)
+    assert named[0] == named[1] == (None if offender is None else (offender, step_cap))
+
+
+def test_plain_sweep_runs_one_batch_per_shard(monkeypatch):
+    """Without an offence, a plain sweep runs the kernel once per shard and
+    builds no int32 orbit-id array."""
+    _jump_tables(1)
+    calls, aranges = [], []
+    run_batch = empirical._run_batch
+
+    def spy(config, lo, hi, record, tally, keys):
+        calls.append((lo, hi, keys))
+        return run_batch(config, lo, hi, record, tally, keys)
+
+    class Numpy:
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+        def arange(self, *args, **kwargs):
+            aranges.append(np.dtype(kwargs.get("dtype")))
+            return np.arange(*args, **kwargs)
+
+    monkeypatch.setattr(empirical, "_run_batch", spy)
+    monkeypatch.setattr(empirical, "np", Numpy())
+    monkeypatch.setattr(empirical, "SHARD_SIZE", 1000)
+    stats = sweep(SweepConfig(n_max=2500))
+    assert calls == [(1, 1000, None), (1001, 2000, None), (2001, 2500, None)]
+    assert np.dtype(np.int64) in aranges and np.dtype(np.int32) not in aranges
+    monkeypatch.undo()
+    assert stats_identical(stats, reference_sweep(2500))
+
+
+def test_cap_error_reruns_the_range_with_ids():
+    error = empirical._cap_error(SweepConfig(n_max=100, step_cap=3), 1, 100)
+    assert (error.start, error.steps) == (first_longer_than(3, 1, 100), 3)
+    with pytest.raises(ConsistencyError):
+        empirical._cap_error(SweepConfig(n_max=100), 1, 100)
 
 
 def test_batches_name_the_smallest_offender(monkeypatch):
@@ -405,12 +476,15 @@ class TestJumpTables:
         tail_starts, tail = (array.tolist() for array in tables.tail_visits)
         assert starts[0] == starts[1] == 0  # 0 starts no orbit
         assert tail_starts[0] == tail_starts[1] == 0
+        longest = 0
         for v in range(1, tables.small):
             run = run_trajectory(v, level)
             mine = slice(starts[v], starts[v + 1])
             assert dict(zip(classes[mine], visits[mine])) == Counter(run.visits)
             assert (peaks[v], steps[v]) == (run.max_value, run.steps)
             assert tail[tail_starts[v] : tail_starts[v + 1]] == sorted(run.visits)
+            longest = max(longest, run.steps)
+        assert tables.longest == longest
         assert tables.tail_visits[1].dtype == np.int32
         assert not tables.tail_visits[1].flags.writeable
 
@@ -588,7 +662,7 @@ def random_table(level, pool, seed, max_value):
 
 
 # A level-6 oracle takes seconds in json's pure-Python encoder, so level 6
-# runs as the pinned example only; JSON_BLOCK is drawn small so that lower
+# runs as the pinned example only; ROW_BLOCK is drawn small so that lower
 # levels cross block bounds too.
 @settings(max_examples=25, deadline=None)
 @given(
@@ -600,17 +674,36 @@ def random_table(level, pool, seed, max_value):
     block=st.integers(1, 5000),
 )
 @example(level=6, pool=[0.0, 5e-324, 1 - 2**-53, 0.5], seeds=(0, 1), max_value=2**64,
-         per_trajectory=False, block=empirical.JSON_BLOCK)
+         per_trajectory=False, block=empirical.ROW_BLOCK)
 def test_write_json_bytes_match_json_dumps(level, pool, seeds, max_value, per_trajectory, block):
     table = random_table(level, pool, seeds[0], max_value)
     per_traj = random_table(level, pool, seeds[1], max_value) if per_trajectory else None
     out = io.StringIO()
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(empirical, "JSON_BLOCK", block)
+        patch.setattr(empirical, "ROW_BLOCK", block)
         write_json(out, table, per_traj)
     want = json.dumps(to_json_dict(table, per_traj), indent=2) + "\n"
     # lines, not whole strings: pytest's diff of two level-6 texts runs for minutes
     assert out.getvalue().splitlines(keepends=True) == want.splitlines(keepends=True)
+
+
+# ROW_BLOCK is drawn small so that the rows cross block bounds at every level.
+@settings(max_examples=25, deadline=None)
+@given(
+    level=st.integers(1, 5),
+    pool=st.lists(TABLE_FLOATS, min_size=1, max_size=6),
+    seed=st.integers(0, 2**32 - 1),
+    max_value=st.integers(1, 2**70),
+    block=st.integers(1, 5000),
+)
+@example(level=6, pool=[0.0, 5e-324, 1 - 2**-53, 0.5], seed=0, max_value=2**64, block=empirical.ROW_BLOCK)
+def test_write_csv_bytes_match_to_csv(level, pool, seed, max_value, block):
+    table = random_table(level, pool, seed, max_value)
+    out = io.StringIO()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(empirical, "ROW_BLOCK", block)
+        write_csv(out, table)
+    assert out.getvalue().splitlines(keepends=True) == to_csv(table).splitlines(keepends=True)
 
 
 def test_merge_is_commutative():
