@@ -27,6 +27,7 @@ _SUBMODULE = {
     "TrajectoryCapError": "errors",
     "TrajectoryStats": "empirical",
     "TransitionMatrix": "markov",
+    "WorkerError": "errors",
     "birkhoff_alpha": "contraction",
     "bound_factors": "contraction",
     "bounded_geometric_mean": "contraction",

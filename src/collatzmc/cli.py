@@ -1,8 +1,8 @@
 """Command-line entry point.
 
-Exit codes: 0 success, 1 verification failure or internal inconsistency,
-2 usage error, 3 capacity/step-cap errors.  Results go to stdout, diagnostics
-to stderr; identical flags produce byte-identical output.
+Exit codes: 0 success, 1 verification failure, internal inconsistency or a
+lost sweep worker, 2 usage error, 3 capacity/step-cap errors.  Results go to
+stdout, diagnostics to stderr; identical flags produce byte-identical output.
 
 Each command handler imports the submodules it runs, so importing this module
 loads no numpy and a run loads only what its command uses.
@@ -14,7 +14,7 @@ import argparse
 import os
 import sys
 
-from .errors import CapacityError, ConsistencyError, TrajectoryCapError
+from .errors import CapacityError, ConsistencyError, TrajectoryCapError, WorkerError
 
 #: Highest preimage level: its members are printed mod 8^4761, which has 4300
 #: decimal digits, the interpreter's default int-to-str limit.
@@ -316,7 +316,7 @@ def main(argv=None, out=None) -> int:
     except (CapacityError, TrajectoryCapError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except ConsistencyError as exc:
+    except (ConsistencyError, WorkerError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -14,14 +14,17 @@ count.
 from __future__ import annotations
 
 import os
+import pickle
+import signal
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property, lru_cache, partial, reduce
 from itertools import repeat
+from typing import NoReturn
 
 import numpy as np
 
-from .errors import CapacityError, ConsistencyError, TrajectoryCapError
+from .errors import CapacityError, ConsistencyError, TrajectoryCapError, WorkerError
 from .maps import CYCLE, MULTIPLIERS, OFFSETS, collatz_step
 from .measure import alternating_weights
 
@@ -647,13 +650,86 @@ def usable_cpus() -> int:
     return cpus if quota is None else min(cpus, quota)
 
 
+def _serve(kernel, los, his, write_fd: int) -> NoReturn:
+    """Run in a forked child: write kernel(lo, hi) for each shard, in order,
+    to the pipe as one pickle per shard, or the first exception in place of
+    its stats, and stop there.  Leaves through os._exit, so no atexit handler
+    runs and no stream buffer inherited from the parent is flushed twice."""
+    code = 1
+    try:
+        with open(write_fd, "wb") as pipe:
+            for lo, hi in zip(los, his):
+                try:
+                    shard = kernel(lo, hi)
+                except Exception as error:
+                    pickle.dump(error, pipe, pickle.HIGHEST_PROTOCOL)
+                    break
+                pickle.dump(shard, pipe, pickle.HIGHEST_PROTOCOL)
+                pipe.flush()
+        code = 0
+    finally:
+        os._exit(code)
+
+
+def _fork_join(kernel, los, his, workers: int) -> TrajectoryStats:
+    """reduce(TrajectoryStats.merge, map(kernel, los, his)), computed by
+    workers forked children that inherit everything the parent built.
+
+    Child w runs shards w, w + workers, ... and the parent reads shard i from
+    child i mod workers, in shard order, merging as it reads.  So the float
+    sums and the first exception are those of the in-process map, and each
+    child holds at most one result the parent has not read.  Every child is
+    killed and reaped before this returns or raises.
+    """
+    pids: list[int | None] = []
+    pipes = []
+    try:
+        for w in range(workers):
+            read_fd, write_fd = os.pipe()
+            pipes.append(open(read_fd, "rb"))
+            try:
+                pid = os.fork()
+                if pid == 0:
+                    _serve(kernel, los[w::workers], his[w::workers], write_fd)
+            finally:
+                os.close(write_fd)
+            pids.append(pid)
+        stats = None
+        for i, (lo, hi) in enumerate(zip(los, his)):
+            w = i % workers
+            try:
+                shard = pickle.load(pipes[w])
+            except (EOFError, pickle.UnpicklingError):
+                # The child closed its pipe early, so it has ended: reap it here.
+                status = os.waitpid(pids[w], 0)[1]
+                pid, pids[w] = pids[w], None
+                code = os.waitstatus_to_exitcode(status)
+                how = f"killed by signal {-code}" if code < 0 else f"exit code {code}"
+                raise WorkerError(
+                    f"sweep worker {pid} ended without the stats of [{lo}, {hi}] "
+                    f"(wait status {status}: {how})"
+                ) from None
+            if isinstance(shard, Exception):
+                raise shard
+            stats = shard if stats is None else stats.merge(shard)
+        return stats
+    finally:
+        for pipe in pipes:
+            pipe.close()
+        for pid in filter(None, pids):
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+
+
 def sweep(config: SweepConfig) -> TrajectoryStats:
     """Aggregate all orbits starting in [1, n_max]; deterministic totals.
 
-    Shards of fixed width SHARD_SIZE are processed independently (optionally
-    by a process pool) and merged in shard order, so results depend on the
-    shard size but never on the worker count.  The pool has at most
-    config.workers processes, one per shard and one per usable CPU.
+    Shards of fixed width SHARD_SIZE are processed independently and merged
+    in shard order, so results depend on the shard size but never on the
+    worker count.  With more than one worker, at most config.workers
+    children are forked, one per shard and one per usable CPU, after the
+    parent has built the kernel tables they share; where os.fork is missing
+    the shards run in this process.
     """
     shard_size = SHARD_SIZE
     if config.per_trajectory:
@@ -662,13 +738,12 @@ def sweep(config: SweepConfig) -> TrajectoryStats:
     his = [min(lo + shard_size - 1, config.n_max) for lo in los]
     kernel = partial(_sweep_shard, config)
     workers = min(config.workers, len(los), usable_cpus())
-    if workers > 1:
-        # Imported here: concurrent.futures and multiprocessing add about 30 ms
-        # to every start-up, and most runs never open a pool.
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            return reduce(TrajectoryStats.merge, pool.map(kernel, los, his))
+    if workers > 1 and hasattr(os, "fork"):
+        # Built and cached before the fork, so every child shares them.
+        tables = _jump_tables(config.level)
+        if config.per_trajectory:
+            tables.tail_visits  # noqa: B018
+        return _fork_join(kernel, los, his, workers)
     return reduce(TrajectoryStats.merge, map(kernel, los, his))
 
 

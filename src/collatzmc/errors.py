@@ -9,6 +9,10 @@ class ConsistencyError(Exception):
     """An internal cross-check failed; indicates a construction bug."""
 
 
+class WorkerError(Exception):
+    """A sweep worker process ended without sending its result."""
+
+
 class TrajectoryCapError(Exception):
     """An orbit exceeded the step cap before reaching the cycle {1, 2, 4}."""
 
@@ -19,5 +23,5 @@ class TrajectoryCapError(Exception):
 
     def __reduce__(self):
         # two-arg constructor; default exception pickling would pass the
-        # formatted message alone and fail when crossing process pools
+        # formatted message alone and fail when a sweep worker sends it
         return (TrajectoryCapError, (self.start, self.steps))

@@ -1,37 +1,29 @@
 """Fixtures shared by the test modules."""
 
-import concurrent.futures
 import os
 import subprocess
 import sys
+from functools import reduce
 from pathlib import Path
 
 import pytest
 
 import collatzmc
+from collatzmc import empirical
 
 
 @pytest.fixture
-def inline_pool(monkeypatch):
-    """Swap the sweep's process pool for one that maps in this process and
-    forks nothing; the list holds the max_workers of every pool opened."""
-    opened = []
+def inline_fork_join(monkeypatch):
+    """Swap the sweep's fork-join for a map in this process that forks
+    nothing; the list holds the worker count of every fork-join asked for."""
+    asked = []
 
-    class InlinePool:
-        def __init__(self, max_workers):
-            opened.append(max_workers)
+    def fork_join(kernel, los, his, workers):
+        asked.append(workers)
+        return reduce(empirical.TrajectoryStats.merge, map(kernel, los, his))
 
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, *iterables):
-            return map(fn, *iterables)
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
-    return opened
+    monkeypatch.setattr(empirical, "_fork_join", fork_join)
+    return asked
 
 
 @pytest.fixture

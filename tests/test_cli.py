@@ -5,6 +5,7 @@ import io
 import json
 import os
 import runpy
+import signal
 import sys
 
 import pytest
@@ -395,6 +396,37 @@ class TestSimulate:
         assert code == 0
         assert sha256(text) == "b8826e31ac7454b51978ca63dda638ee14798234a46f7b8ae21298681008888c"
 
+    def test_worker_results_larger_than_a_pipe_buffer(self, monkeypatch):
+        # five per-trajectory shards of 1024 starts at level 5, each result two
+        # 256 KB arrays, streamed by two workers: the --workers 1 bytes
+        monkeypatch.setattr(empirical, "usable_cpus", lambda: 2)
+        code, text = run_cli(
+            "simulate", "--max", "5000", "--m", "5", "--per-trajectory", "--format", "json",
+            "--workers", "2",
+        )
+        assert code == 0
+        assert sha256(text) == "0ab403efea718da0a1084323e18eb64555f9bcd0327911735a52af55987d5525"
+
+    def test_lost_worker_is_one_error_line(self, monkeypatch, capsys):
+        # a worker killed before it sends its stats (as by the OOM killer)
+        monkeypatch.setattr(empirical, "usable_cpus", lambda: 2)
+        monkeypatch.setattr(empirical, "SHARD_SIZE", 1000)
+        parent = os.getpid()
+
+        def killed(config, lo, hi):
+            assert os.getpid() != parent, "the shard ran in the parent"
+            os.kill(os.getpid(), signal.SIGKILL)
+
+        monkeypatch.setattr(empirical, "_sweep_shard", killed)
+        code, text = run_cli("simulate", "--max", "5000", "--workers", "2")
+        err = capsys.readouterr().err
+        assert (code, text) == (1, "")
+        assert err.startswith("error: sweep worker ") and err.count("\n") == 1
+        assert "ended without the stats of [1, 1000]" in err
+        assert f"(wait status {signal.SIGKILL}: killed by signal {signal.SIGKILL})" in err
+        with pytest.raises(ChildProcessError):  # every worker was reaped
+            os.waitpid(-1, os.WNOHANG)
+
     @pytest.mark.parametrize("value", ["0", "-2", "two", "1.5"])
     def test_bad_workers_is_usage_error(self, capsys, value):
         with pytest.raises(SystemExit) as info:
@@ -409,12 +441,12 @@ class TestSimulate:
         assert run_cli("simulate", "--max", "100")[0] == 0
         assert [config.workers for config in sweep_configs] == [3, 4]
 
-    def test_workers_capped_at_the_cpus(self, monkeypatch, inline_pool):
+    def test_workers_capped_at_the_cpus(self, monkeypatch, inline_fork_join):
         # six shards of 500 starts: the sweep opens one process per usable CPU
         monkeypatch.setattr(empirical, "usable_cpus", lambda: 2)
         monkeypatch.setattr(empirical, "SHARD_SIZE", 500)
         assert run_cli("simulate", "--max", "3000", "--workers", "5000")[0] == 0
-        assert inline_pool == [2]
+        assert inline_fork_join == [2]
 
     def test_default_workers_follow_cpu_affinity(self, monkeypatch):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
@@ -595,7 +627,7 @@ def test_main_module_runs_the_cli(monkeypatch, capsys):
 
 
 def test_cli_import_loads_no_process_pool(run_python):
-    # concurrent.futures and multiprocessing load only when a sweep opens a pool
+    # importing the CLI loads neither concurrent.futures nor multiprocessing
     code = (
         "import sys, collatzmc.cli; "
         "print(*sorted(m for m in sys.modules if 'multiprocessing' in m or 'concurrent' in m))"
@@ -603,6 +635,27 @@ def test_cli_import_loads_no_process_pool(run_python):
     proc = run_python("-c", code)
     assert proc.returncode == 0
     assert proc.stdout == "\n"
+
+
+#: A simulate run that forks two sweep workers on any runner, then prints how
+#: many processes it forked and every loaded module of a process pool.
+FORKING_SIMULATE = """\
+import io, os, sys
+from collatzmc import cli, empirical
+forks = []
+fork = os.fork
+os.fork = lambda: forks.append(1) or fork()
+empirical.usable_cpus = lambda: 2
+empirical.SHARD_SIZE = 1000
+assert cli.main(["simulate", "--max", "3000", "--workers", "2"], out=io.StringIO()) == 0
+print(len(forks), *sorted(m for m in sys.modules if "multiprocessing" in m or "concurrent" in m))
+"""
+
+
+def test_forking_simulate_loads_no_process_pool(run_python):
+    proc = run_python("-c", FORKING_SIMULATE)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "2\n"
 
 
 #: Runs main(argv) in a fresh interpreter, or only imports the CLI when argv is

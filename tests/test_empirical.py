@@ -3,6 +3,7 @@
 import dataclasses
 import io
 import json
+import os
 from collections import Counter
 from fractions import Fraction
 
@@ -160,18 +161,33 @@ class TestSweep:
         assert info.value.steps == 3
         assert run_trajectory(info.value.start).steps > 3
         assert info.value.start == first_longer_than(3, 1, 5000)
+        with pytest.raises(ChildProcessError):  # every worker was reaped
+            os.waitpid(-1, os.WNOHANG)
 
-    def test_pool_has_no_idle_workers(self, monkeypatch, inline_pool):
+    def test_parent_error_reaps_the_workers(self, monkeypatch):
+        monkeypatch.setattr(empirical, "usable_cpus", lambda: 2)
+        monkeypatch.setattr(empirical, "SHARD_SIZE", 1000)
+
+        def merge(self, other):
+            raise KeyError("merge")
+
+        monkeypatch.setattr(TrajectoryStats, "merge", merge)
+        with pytest.raises(KeyError, match="merge"):
+            sweep(SweepConfig(n_max=5000, workers=2))
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_pool_has_no_idle_workers(self, monkeypatch, inline_fork_join):
         # at most one process per shard and per usable CPU, for library callers too
         monkeypatch.setattr(empirical, "usable_cpus", lambda: 3)
         monkeypatch.setattr(empirical, "SHARD_SIZE", 1500)
         stats = sweep(SweepConfig(n_max=3000, workers=8))
-        assert inline_pool == [2]
+        assert inline_fork_join == [2]
         assert stats_identical(stats, sweep(SweepConfig(n_max=3000)))
         monkeypatch.setattr(empirical, "SHARD_SIZE", 500)
         sweep(SweepConfig(n_max=3000, workers=2))
         sweep(SweepConfig(n_max=3000, workers=5000))
-        assert inline_pool == [2, 2, 3]
+        assert inline_fork_join == [2, 2, 3]
 
     def test_fallback_keeps_the_step_budget(self):
         # largest n <= INT64_SAFE with n % 8 == 7: one step leaves int64, 286 more follow
