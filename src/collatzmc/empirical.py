@@ -18,7 +18,7 @@ import pickle
 import signal
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from functools import cached_property, lru_cache, partial, reduce
+from functools import lru_cache, partial, reduce
 from itertools import repeat
 from typing import NoReturn
 
@@ -109,7 +109,9 @@ def run_trajectory(n0: int, level: int = 1, step_cap: int = 10**9) -> Trajectory
 
 @dataclass(eq=False)
 class TrajectoryStats:
-    """Aggregated sweep results; merge is associative and commutative.
+    """Aggregated sweep results.  merge is exact on the integer fields in any
+    order; float addition is not associative, so sweep merges the shards'
+    traj_freq_sums in shard order, which fixes their bits.
 
     The arrays have one entry per class mod 8^m.  frequencies() rounds like
     exact division while the total visit count stays below 2^53.
@@ -186,9 +188,10 @@ class _JumpTables:
     classes of n, T3(n), ..., T3^(k-1)(n).  Every Collatz value met within one
     jump from n >= small is at most growth * n, and no value listed is in
     {1, 2, 4}.  The orbits from values v below small are tabulated: visits (v
-    itself included, unless it is in {1, 2, 4}) as (class, count) entries
-    small_class/small_count[small_start[v] : small_start[v+1]], max excursion
-    and triple steps.
+    itself included, unless it is in {1, 2, 4}) as the int32 class list
+    tail_class[tail_start[v] : tail_start[v+1]], ascending, each class
+    repeated by its count (2.5 MB at level 1), max excursion small_peak[v],
+    triple steps small_steps[v], and longest, the most steps of any.
     """
 
     k: int
@@ -197,64 +200,65 @@ class _JumpTables:
     mult: np.ndarray
     add: np.ndarray
     classes: np.ndarray
-    small_start: np.ndarray
-    small_class: np.ndarray
-    small_count: np.ndarray
+    tail_start: np.ndarray
+    tail_class: np.ndarray
     small_peak: np.ndarray
     small_steps: np.ndarray
+    longest: int
 
     @property
     def safe(self) -> int:
         """Largest value that may jump: its intermediates stay below INT64_SAFE."""
         return INT64_SAFE // self.growth
 
-    def small_visits(self, values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Visit entries (owner, class, count) of the orbits from values below
-        small; owner indexes values, and no (owner, class) pair repeats."""
-        first = self.small_start[values]
-        lengths = self.small_start[values + 1] - first
-        owner = np.repeat(np.arange(values.size), lengths)
-        at = np.arange(owner.size) + (first - np.cumsum(lengths) + lengths)[owner]
-        return owner, self.small_class[at], self.small_count[at]
 
-    @cached_property
-    def longest(self) -> int:
-        """The most triple steps any tabulated orbit takes."""
-        return int(self.small_steps.max())
+class _Histogram:
+    """Counts of values in range(bins).  Counting costs one pass over the
+    bins, so added values are held back until they outnumber the bins; the
+    counting then follows the values."""
 
-    @cached_property
-    def tail_visits(self) -> tuple[np.ndarray, np.ndarray]:
-        """The small-value orbits' visits as one int32 class list, each class
-        repeated by its count, and where each value's visits start in it:
-        those of v are classes[starts[v] : starts[v+1]].  Only per-trajectory
-        sweeps read it: 2.5 MB at level 1, 20 KB at level 3."""
-        starts = np.r_[0, np.cumsum(self.small_count)][self.small_start]
-        classes = np.repeat(self.small_class.astype(np.int32), self.small_count)
-        starts.setflags(write=False)
-        classes.setflags(write=False)
-        return starts, classes
+    def __init__(self, bins: int):
+        self._counts = np.zeros(bins, dtype=np.int64)
+        self._held: list[np.ndarray] = []
+        self._size = 0
+
+    def add(self, values: np.ndarray) -> None:
+        self._held.append(values)
+        self._size += values.size
+        if self._size > self._counts.size:
+            self.flush()
+
+    def flush(self) -> np.ndarray:
+        """The counts of every value added so far."""
+        if self._held:
+            values = self._held[0] if len(self._held) == 1 else np.concatenate(self._held)
+            self._counts += np.bincount(values, minlength=self._counts.size)
+            self._held.clear()
+            self._size = 0
+        return self._counts
 
 
 class _ShardTally:
-    """A shard's visit counts before the fold into classes: per kernel
-    residue, each standing for the k classes its jump lists, per small value
-    whose tabulated orbit ended an orbit, and per class for the rest.  The
-    batches of a shard add into one tally, so the fold runs once a shard."""
+    """A shard's visit counts before the fold into classes: histograms of the
+    kernel residues, each standing for the k classes its jump lists, and of
+    the small values whose tabulated orbits ended orbits; per class for the
+    rest.  A shard's batches add into one tally, so the fold runs once a shard."""
 
     def __init__(self, level: int):
         self._tables = _jump_tables(level)
-        self.residues = np.zeros(self._tables.classes.shape[0], dtype=np.int64)
-        self.finished = np.zeros(self._tables.small, dtype=np.int64)
+        self.residues = _Histogram(self._tables.classes.shape[0])
+        self.finished = _Histogram(self._tables.small)
         self.classes = np.zeros(8**level, dtype=np.int64)
 
     def fold(self) -> np.ndarray:
         """Add the residue and small-value counts into classes, and return
         them: the visits per class mod 8^m."""
-        hit = np.flatnonzero(self.finished)
-        owner, cls, visits = self._tables.small_visits(hit)
-        np.add.at(self.classes, cls, visits * self.finished[hit][owner])
-        for column in self._tables.classes.T:
-            np.add.at(self.classes, column, self.residues)
+        tables = self._tables
+        finished = np.repeat(self.finished.flush(), np.diff(tables.tail_start))
+        np.add.at(self.classes, tables.tail_class, finished)
+        residues = self.residues.flush()
+        for column in tables.classes.T:
+            np.add.at(self.classes, column, residues)
         return self.classes
 
 
@@ -383,7 +387,6 @@ def _jump_tables(level: int) -> _JumpTables:
         lengths += lengths[target]
         np.maximum(peaks, peaks[target], out=peaks)
         target = target[target]
-    keys = np.flatnonzero(counts)
     # mult <= 36^k and 0 <= add <= growth * 8^k with k <= 5, so both fit
     # int32, which halves the bytes the kernel's two gathers move.  The
     # classes fit int32 too, so a batch's visit keys id * 8^m + class stay
@@ -395,24 +398,16 @@ def _jump_tables(level: int) -> _JumpTables:
         mult.astype(np.int32),
         add.astype(np.int32),
         np.stack(columns, axis=1).astype(np.int32),
-        np.searchsorted(keys // width, np.arange(small + 1)),
-        seen[keys % width],
-        counts.ravel()[keys],
+        np.r_[0, np.cumsum(counts.sum(1))],
+        np.repeat(np.tile(seen.astype(np.int32), small), counts.ravel()),
         peaks,
         lengths,
+        int(lengths.max()),
     )
     for array in vars(tables).values():
         if isinstance(array, np.ndarray):
             array.setflags(write=False)
     return tables
-
-
-def _count_into(counts: np.ndarray, pending: list[np.ndarray]) -> None:
-    """Add the histogram of the values in the pending arrays to counts, and
-    empty pending."""
-    values = pending[0] if len(pending) == 1 else np.concatenate(pending)
-    counts += np.bincount(values, minlength=counts.size)
-    pending.clear()
 
 
 def _cap_error(config: SweepConfig, lo: int, hi: int) -> TrajectoryCapError:
@@ -438,12 +433,13 @@ def _run_batch(
     record.
 
     Every live orbit has taken the same number of triple steps.  Each pass
-    finishes the values below the small-value bound from the orbit tables,
-    hands values above the jump bound to run_trajectory with the steps they
-    have left, tallies the residues of the rest and advances them one jump.
-    A value is tallied in the pass that starts from it.  When keys is given,
-    every visit is also appended to it as the key id * 8^m + class, where
-    id = start - lo; only then does the kernel keep the orbit ids.
+    adds the values below the small-value bound to tally.finished, whose
+    tabulated orbits finish them, hands values above the jump bound to
+    run_trajectory with the steps they have left, adds the residues of the
+    rest to tally.residues and advances them one jump.  A value is tallied
+    in the pass that starts from it.  When keys is given, every visit is
+    also appended to it as the key id * 8^m + class, where id = start - lo;
+    only then does the kernel keep the orbit ids.
 
     No value a jump reaches before its last triple step is in {1, 2, 4}, so a
     jump that overshoots step_cap carries only orbits longer than step_cap.
@@ -453,13 +449,6 @@ def _run_batch(
     tables = _jump_tables(config.level)
     mod = 8**config.level
     residues = tables.classes.shape[0]
-    # Counting costs one pass over a histogram's bins, so the residues and the
-    # finished small values wait until they outnumber the bins; the counts
-    # then follow the visits.
-    pending: list[np.ndarray] = []  # residues of the passes not yet counted
-    pending_size = 0
-    finished: list[np.ndarray] = []  # small values not yet counted
-    finished_size = 0
     active = np.arange(lo, hi + 1, dtype=np.int64)
     ids = None
     if keys is not None:
@@ -474,11 +463,7 @@ def _run_batch(
         small = active < tables.small
         if small.any():
             done = active[small]
-            finished.append(done)
-            finished_size += done.size
-            if finished_size > tables.small:
-                _count_into(tally.finished, finished)
-                finished_size = 0
+            tally.finished.add(done)
             if steps + tables.longest > config.step_cap:
                 over = tables.small_steps[done] > config.step_cap - steps
                 if over.any():
@@ -510,11 +495,7 @@ def _run_batch(
                 break
             top = int(active.max())
         r = active & (residues - 1)
-        pending.append(r)
-        pending_size += r.size
-        if pending_size > residues:
-            _count_into(tally.residues, pending)
-            pending_size = 0
+        tally.residues.add(r)
         if keys is not None:
             # mode="clip" lets take write into the buffer unbuffered; r is in range
             block = keys.extend(r.size * tables.k).reshape(r.size, tables.k)
@@ -532,20 +513,16 @@ def _run_batch(
         active += tables.add[r]
         steps += tables.k
 
-    if pending:
-        _count_into(tally.residues, pending)
-    if finished:
-        _count_into(tally.finished, finished)
     # tally.finished also counts the shard's earlier batches, whose peaks the record holds.
-    max_value = max(max_value, int(tables.small_peak.max(initial=0, where=tally.finished > 0)))
+    max_value = max(max_value, int(tables.small_peak.max(initial=0, where=tally.finished.flush() > 0)))
     if keys is not None:
         ended = np.flatnonzero(finished_from)
-        starts, classes = tables.tail_visits
-        first = starts[finished_from[ended]]
-        lengths = starts[finished_from[ended] + 1] - first
+        first = tables.tail_start[finished_from[ended]]
+        lengths = tables.tail_start[finished_from[ended] + 1] - first
         at = np.repeat(first - np.cumsum(lengths) + lengths, lengths)
         at += np.arange(at.size)
-        np.add(np.repeat((ended * mod).astype(np.int32), lengths), classes[at], out=keys.extend(at.size))
+        owners = np.repeat((ended * mod).astype(np.int32), lengths)
+        np.add(owners, tables.tail_class[at], out=keys.extend(at.size))
     for traj_id, value, taken in exact_continuations:
         run = run_trajectory(value, level=config.level, step_cap=config.step_cap - taken)
         if run.capped:
@@ -739,10 +716,7 @@ def sweep(config: SweepConfig) -> TrajectoryStats:
     kernel = partial(_sweep_shard, config)
     workers = min(config.workers, len(los), usable_cpus())
     if workers > 1 and hasattr(os, "fork"):
-        # Built and cached before the fork, so every child shares them.
-        tables = _jump_tables(config.level)
-        if config.per_trajectory:
-            tables.tail_visits  # noqa: B018
+        _jump_tables(config.level)  # built and cached before the fork, so every child shares them
         return _fork_join(kernel, los, his, workers)
     return reduce(TrajectoryStats.merge, map(kernel, los, his))
 

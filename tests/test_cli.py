@@ -59,6 +59,12 @@ SIMULATE_GOLDENS = {
     "--max 20000 --m 1 --per-trajectory --format json": (
         "4168c3e528bdcae4783533b026319cbe3f7de6d0a74c2443d104f4914e3be395"
     ),
+    "--max 20000 --m 2 --per-trajectory --format json": (
+        "d7f228f62a106aeca5f259555f391450f0e5702ae095cc349da5862ee006a2ec"
+    ),
+    "--max 20000 --m 4 --per-trajectory --format json": (
+        "d5994d936a54f6ba9daa9966d139e604c3603957e56954aa98f4f663941fb75a"
+    ),
 }
 
 

@@ -4,7 +4,6 @@ import dataclasses
 import io
 import json
 import os
-from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -420,6 +419,34 @@ def test_visit_keys_grow_and_reset(monkeypatch):
     assert keys.take().size == 0
 
 
+@settings(max_examples=200, deadline=None)
+@given(
+    bins=st.integers(1, 8),
+    stream=st.lists(st.integers(0, 63), max_size=60),
+    sizes=st.lists(st.integers(0, 10), max_size=12),
+    peek=st.booleans(),
+)
+# chunks of exactly bins and bins + 1 values, where the first count is due
+@example(bins=4, stream=list(range(13)), sizes=[4, 5, 4], peek=False)
+@example(bins=4, stream=list(range(13)), sizes=[5, 4], peek=True)
+@example(bins=1, stream=[0, 0, 0], sizes=[1, 2], peek=True)
+def test_histogram_counts_any_split(bins, stream, sizes, peek):
+    """However a value stream is split into add calls, flush gives the
+    bincount of the whole stream; with peek, a flush after each add gives
+    the bincount of the values added so far."""
+    values = np.array(stream, dtype=np.int64) % bins
+    histogram = empirical._Histogram(bins)
+    added = 0
+    for chunk in np.split(values, np.cumsum(sizes)):
+        histogram.add(chunk)
+        added += chunk.size
+        if peek:
+            assert np.array_equal(histogram.flush(), np.bincount(values[:added], minlength=bins))
+    counts = histogram.flush()
+    assert counts.dtype == np.int64
+    assert np.array_equal(counts, np.bincount(values, minlength=bins))
+
+
 def collatz_path(n, triple_steps):
     """Every Collatz value after n within the given number of triple steps."""
     path = []
@@ -439,7 +466,8 @@ class TestJumpTables:
         assert tables.mult.size == tables.add.size == tables.classes.shape[0]
         assert tables.safe == INT64_SAFE // tables.growth
         assert tables.growth <= tables.small  # a pass's top slice is never empty
-        assert not tables.mult.flags.writeable and not tables.small_class.flags.writeable
+        assert not tables.mult.flags.writeable
+        assert not tables.tail_start.flags.writeable and not tables.tail_class.flags.writeable
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -482,34 +510,19 @@ class TestJumpTables:
     @pytest.mark.parametrize("level", range(1, 7))
     def test_small_value_orbits(self, level):
         tables = _jump_tables(level)
-        values = np.arange(tables.small)
-        owner, classes, visits = tables.small_visits(values)
-        assert len(set(zip(owner.tolist(), classes.tolist()))) == owner.size
-        assert np.array_equal(owner, np.repeat(values, np.diff(tables.small_start)))
-        classes, visits = classes.tolist(), visits.tolist()
+        assert tables.tail_start.size == tables.small + 1
+        assert tables.tail_start.dtype == np.int64 and tables.tail_class.dtype == np.int32
         peaks, steps = tables.small_peak.tolist(), tables.small_steps.tolist()
-        starts = tables.small_start.tolist()
-        tail_starts, tail = (array.tolist() for array in tables.tail_visits)
+        starts, tail = tables.tail_start.tolist(), tables.tail_class.tolist()
         assert starts[0] == starts[1] == 0  # 0 starts no orbit
-        assert tail_starts[0] == tail_starts[1] == 0
+        assert starts[-1] == len(tail)
         longest = 0
         for v in range(1, tables.small):
             run = run_trajectory(v, level)
-            mine = slice(starts[v], starts[v + 1])
-            assert dict(zip(classes[mine], visits[mine])) == Counter(run.visits)
+            assert tail[starts[v] : starts[v + 1]] == sorted(run.visits)
             assert (peaks[v], steps[v]) == (run.max_value, run.steps)
-            assert tail[tail_starts[v] : tail_starts[v + 1]] == sorted(run.visits)
             longest = max(longest, run.steps)
         assert tables.longest == longest
-        assert tables.tail_visits[1].dtype == np.int32
-        assert not tables.tail_visits[1].flags.writeable
-
-    def test_plain_sweep_builds_no_tail_list(self):
-        _jump_tables.cache_clear()
-        sweep(SweepConfig(n_max=3000, level=2))
-        assert "tail_visits" not in vars(_jump_tables(2))
-        sweep(SweepConfig(n_max=3000, level=2, per_trajectory=True))
-        assert "tail_visits" in vars(_jump_tables(2))
 
     @pytest.mark.parametrize("level", range(1, 7))
     def test_int32_jump_tables_are_exact(self, level):
