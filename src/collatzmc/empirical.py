@@ -16,7 +16,7 @@ from __future__ import annotations
 import os
 import pickle
 import signal
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, partial, reduce
 from itertools import repeat
@@ -144,9 +144,9 @@ class TrajectoryStats:
     def merge(self, other: "TrajectoryStats") -> "TrajectoryStats":
         if self.level != other.level:
             raise ValueError("cannot merge stats at different levels")
-        sums = None
-        if self.traj_freq_sums is not None and other.traj_freq_sums is not None:
-            sums = self.traj_freq_sums + other.traj_freq_sums
+        if (self.traj_freq_sums is None) != (other.traj_freq_sums is None):
+            raise ValueError("cannot merge plain stats with per-trajectory stats")
+        sums = None if self.traj_freq_sums is None else self.traj_freq_sums + other.traj_freq_sums
         return TrajectoryStats(
             level=self.level,
             visit_counts=self.visit_counts + other.visit_counts,
@@ -169,6 +169,8 @@ class SweepConfig:
     def __post_init__(self):
         if self.n_max < 5:
             raise ValueError(f"n_max must be >= 5, got {self.n_max}")
+        if self.n_max >= 2**63:  # the kernel holds starts in int64
+            raise CapacityError(f"n_max {self.n_max} exceeds the int64 sweep cap {2**63 - 1}")
         if self.level < 1:
             raise ValueError(f"level must be >= 1, got {self.level}")
         if self.level > MAX_SWEEP_LEVEL:
@@ -190,8 +192,9 @@ class _JumpTables:
     {1, 2, 4}.  The orbits from values v below small are tabulated: visits (v
     itself included, unless it is in {1, 2, 4}) as the int32 class list
     tail_class[tail_start[v] : tail_start[v+1]], ascending, each class
-    repeated by its count (2.5 MB at level 1), max excursion small_peak[v],
-    triple steps small_steps[v], and longest, the most steps of any.
+    repeated by its count (2.5 MB at level 1), and max excursion
+    small_peak[v].  An orbit visits one class per triple step, so its length
+    is tail_start[v+1] - tail_start[v]; longest is the most steps of any.
     """
 
     k: int
@@ -203,7 +206,6 @@ class _JumpTables:
     tail_start: np.ndarray
     tail_class: np.ndarray
     small_peak: np.ndarray
-    small_steps: np.ndarray
     longest: int
 
     @property
@@ -266,8 +268,8 @@ class _VisitKeys:
     """Grow-only int32 buffer of one batch's visit keys id * 8^m + class.
 
     A shard's batches reuse it, so each batch writes into pages already
-    mapped instead of a fresh array.  Keys may arrive as int64; a batch's
-    keys are below PER_TRAJECTORY_BATCH * 8^6 = 2^31, so int32 holds them.
+    mapped instead of a fresh array.  Keys enter through extend, which the
+    caller fills; they are below PER_TRAJECTORY_BATCH * 8^6 = 2^31.
     """
 
     def __init__(self):
@@ -285,11 +287,8 @@ class _VisitKeys:
         self._size = end
         return self._buffer[start:end]
 
-    def append(self, keys: np.ndarray) -> None:
-        self.extend(keys.size)[:] = keys.ravel()
-
     def take(self) -> np.ndarray:
-        """The keys appended since the last take, as a view into the buffer."""
+        """The keys written since the last take, as a view into the buffer."""
         keys, self._size = self._buffer[: self._size], 0
         return keys
 
@@ -352,21 +351,18 @@ def _jump_tables(level: int) -> _JumpTables:
     # are the segments' few per value, not the orbits' dozens.  x and top
     # hold the live segments' current values and peaks.
     peaks = np.arange(small, dtype=np.int64)
-    lengths = np.zeros_like(peaks)
     below = np.zeros_like(peaks)  # the value a segment drops to; 0 for no segment
     live = x = top = peaks[(peaks > 4) | (peaks == 3)]
     owners, classes = [], []
-    steps = 0
     while live.size:
         owners.append(live)
         classes.append(x & (mod - 1))
         peak, x = _triple_step(x)
         top = np.maximum(top, peak)
-        steps += 1
         ended = x < live
         if ended.any():
             done = live[ended]
-            peaks[done], lengths[done], below[done] = top[ended], steps, x[ended]
+            peaks[done], below[done] = top[ended], x[ended]
             kept = ~ended
             live, x, top = live[kept], x[kept], top[kept]
     # One bincount counts each value's segment visits per class.  Its columns
@@ -384,9 +380,9 @@ def _jump_tables(level: int) -> _JumpTables:
     target = below
     while target.any():
         counts += counts[target]
-        lengths += lengths[target]
         np.maximum(peaks, peaks[target], out=peaks)
         target = target[target]
+    lengths = counts.sum(1)  # one visit per triple step: each orbit's steps
     # mult <= 36^k and 0 <= add <= growth * 8^k with k <= 5, so both fit
     # int32, which halves the bytes the kernel's two gathers move.  The
     # classes fit int32 too, so a batch's visit keys id * 8^m + class stay
@@ -398,10 +394,9 @@ def _jump_tables(level: int) -> _JumpTables:
         mult.astype(np.int32),
         add.astype(np.int32),
         np.stack(columns, axis=1).astype(np.int32),
-        np.r_[0, np.cumsum(counts.sum(1))],
+        np.r_[0, np.cumsum(lengths)],
         np.repeat(np.tile(seen.astype(np.int32), small), counts.ravel()),
         peaks,
-        lengths,
         int(lengths.max()),
     )
     for array in vars(tables).values():
@@ -412,16 +407,24 @@ def _jump_tables(level: int) -> _JumpTables:
 
 def _cap_error(config: SweepConfig, lo: int, hi: int) -> TrajectoryCapError:
     """The TrajectoryCapError of the smallest start in [lo, hi] whose orbit is
-    longer than step_cap, once the plain kernel has found that one is.
+    longer than step_cap, once the kernel has found that one is.
 
-    The plain kernel keeps no orbit ids, so it cannot name the offender.  The
-    per-trajectory batches keep them and run in order, so the first error
-    they raise names it.
+    The kernel raises over a range exactly when one of its orbits is longer
+    than step_cap, so halving the range finds the offender: when the lower
+    half raises, its error, named by this function one level down, is the
+    answer; otherwise the offender is in the upper half.  The pure-Python
+    reference decides the last start.
     """
-    try:
-        _sweep_shard(replace(config, per_trajectory=True), lo, hi)
-    except TrajectoryCapError as error:
-        return error
+    first = lo
+    while first < hi:
+        mid = (first + hi) // 2
+        try:
+            _run_batch(config, first, mid, mid, _ShardTally(config.level), None)
+        except TrajectoryCapError as error:
+            return error
+        first = mid + 1
+    if run_trajectory(first, config.level, config.step_cap).capped:
+        return TrajectoryCapError(first, config.step_cap)
     raise ConsistencyError(f"no orbit from [{lo}, {hi}] is longer than {config.step_cap} steps")
 
 
@@ -438,13 +441,13 @@ def _run_batch(
     run_trajectory with the steps they have left, adds the residues of the
     rest to tally.residues and advances them one jump.  A value is tallied
     in the pass that starts from it.  When keys is given, every visit is
-    also appended to it as the key id * 8^m + class, where id = start - lo;
-    only then does the kernel keep the orbit ids.
+    also written to it as the key id * 8^m + class, where id = start - lo;
+    only then does the kernel keep the orbit ids, which nothing else reads.
 
     No value a jump reaches before its last triple step is in {1, 2, 4}, so a
     jump that overshoots step_cap carries only orbits longer than step_cap.
-    TrajectoryCapError names the smallest start in [lo, hi] whose orbit is
-    longer than step_cap.
+    The first such orbit found, in a tabulated tail, a jump or a big-int
+    continuation, raises _cap_error(config, lo, hi) at once.
     """
     tables = _jump_tables(config.level)
     mod = 8**config.level
@@ -457,7 +460,6 @@ def _run_batch(
         finished_from = np.zeros(active.size, dtype=np.int64)
     max_value = record
     exact_continuations: list[tuple[int | None, int, int]] = []  # (id, current value, steps taken)
-    offenders: list[int] = []  # ids of orbits longer than step_cap
     steps = 0
     while active.size:
         small = active < tables.small
@@ -465,11 +467,9 @@ def _run_batch(
             done = active[small]
             tally.finished.add(done)
             if steps + tables.longest > config.step_cap:
-                over = tables.small_steps[done] > config.step_cap - steps
-                if over.any():
-                    if ids is None:
-                        raise _cap_error(config, lo, hi)
-                    offenders.append(int(ids[small][over][0]))
+                lengths = tables.tail_start[done + 1] - tables.tail_start[done]
+                if (lengths > config.step_cap - steps).any():
+                    raise _cap_error(config, lo, hi)
             keep = ~small
             active = active[keep]
             if ids is not None:
@@ -478,10 +478,7 @@ def _run_batch(
             if not active.size:
                 break
         if steps >= config.step_cap:  # every live orbit needs more steps
-            if ids is None:
-                raise _cap_error(config, lo, hi)
-            offenders.append(int(ids[0]))
-            break
+            raise _cap_error(config, lo, hi)
         top = int(active.max())
         if top > tables.safe:
             leave = active > tables.safe
@@ -526,17 +523,12 @@ def _run_batch(
     for traj_id, value, taken in exact_continuations:
         run = run_trajectory(value, level=config.level, step_cap=config.step_cap - taken)
         if run.capped:
-            if traj_id is None:
-                raise _cap_error(config, lo, hi)
-            offenders.append(traj_id)
-            continue
+            raise _cap_error(config, lo, hi)
         max_value = max(max_value, run.max_value)
         tail = np.asarray(run.visits, dtype=np.int64)
         tally.classes += np.bincount(tail, minlength=mod)
         if keys is not None:
-            keys.append(traj_id * mod + tail)
-    if offenders:
-        raise TrajectoryCapError(lo + min(offenders), config.step_cap)
+            keys.extend(tail.size)[:] = traj_id * mod + tail
     return max_value
 
 
@@ -575,7 +567,7 @@ def _add_orbit_shares(
 
 
 def _sweep_shard(config: SweepConfig, lo: int, hi: int) -> TrajectoryStats:
-    """Stats of the orbits from [lo, hi].
+    """Stats of the orbits from [lo, min(hi, n_max)].
 
     The plain sweep runs the kernel once over the shard.  The per-trajectory
     sweep runs it on batches of PER_TRAJECTORY_BATCH starts, which collect
@@ -585,6 +577,7 @@ def _sweep_shard(config: SweepConfig, lo: int, hi: int) -> TrajectoryStats:
     in order, so the first TrajectoryCapError names the smallest offender in
     the shard.  Each batch's starts are uncounted unless include_start.
     """
+    hi = min(hi, config.n_max)
     mod = 8**config.level
     tally = _ShardTally(config.level)
     max_value = hi
@@ -711,8 +704,10 @@ def sweep(config: SweepConfig) -> TrajectoryStats:
     shard_size = SHARD_SIZE
     if config.per_trajectory:
         shard_size = min(shard_size, max(1024, PER_TRAJECTORY_CELLS // 8**config.level))
+    # Lazy bounds: nothing is built per shard before it runs.  The last shard
+    # end may pass n_max, where _sweep_shard stops.
     los = range(1, config.n_max + 1, shard_size)
-    his = [min(lo + shard_size - 1, config.n_max) for lo in los]
+    his = range(shard_size, config.n_max + shard_size, shard_size)
     kernel = partial(_sweep_shard, config)
     workers = min(config.workers, len(los), usable_cpus())
     if workers > 1 and hasattr(os, "fork"):

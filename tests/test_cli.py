@@ -355,6 +355,12 @@ class TestSimulate:
         code, text = run_cli("simulate", "--max", "2000", "--include-start", "false")
         assert code == 0 and text.splitlines()[0] == "class,theoretical,empirical,deviation"
 
+    def test_n_max_past_int64_is_one_error_line(self, capsys):
+        code, text = run_cli("simulate", "--max", str(2**63))
+        err = capsys.readouterr().err.splitlines()
+        assert (code, text) == (3, "")
+        assert len(err) == 1 and err[0].startswith("error: n_max ")
+
     def test_workers_flag(self):
         base = run_cli("simulate", "--max", "2000", "--workers", "1")
         multi = run_cli("simulate", "--max", "2000", "--workers", "2")

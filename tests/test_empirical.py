@@ -4,6 +4,7 @@ import dataclasses
 import io
 import json
 import os
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -213,6 +214,34 @@ class TestSweep:
             SweepConfig(n_max=10, level=7)
         with pytest.raises(ValueError, match="step_cap"):
             SweepConfig(n_max=10, step_cap=-1)
+        SweepConfig(n_max=2**63 - 1)
+        with pytest.raises(CapacityError, match="int64"):
+            SweepConfig(n_max=2**63)
+
+    def test_last_int64_starts(self):
+        # int64 starts end at 2^63 - 1; the orbits there leave the kernel at once
+        hi = 2**63 - 1
+        stats = _sweep_shard(SweepConfig(n_max=hi), hi - 2, hi)
+        assert stats_identical(stats, reference_sweep(hi, lo=hi - 2))
+
+    def test_shard_bounds_are_lazy(self, monkeypatch):
+        # 10^15 starts are 9.5e8 shards; none of their bounds is built up front
+        class FirstShard(Exception):
+            pass
+
+        def shard(config, lo, hi):
+            raise FirstShard(lo, hi)
+
+        monkeypatch.setattr(empirical, "_sweep_shard", shard)
+        tracemalloc.start()
+        try:
+            with pytest.raises(FirstShard) as info:
+                sweep(SweepConfig(n_max=10**15))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert info.value.args == (1, empirical.SHARD_SIZE)
+        assert peak < 2**20
 
 
 def first_longer_than(step_cap, lo, hi):
@@ -362,11 +391,32 @@ def test_plain_sweep_runs_one_batch_per_shard(monkeypatch):
     assert stats_identical(stats, reference_sweep(2500))
 
 
-def test_cap_error_reruns_the_range_with_ids():
-    error = empirical._cap_error(SweepConfig(n_max=100, step_cap=3), 1, 100)
-    assert (error.start, error.steps) == (first_longer_than(3, 1, 100), 3)
-    with pytest.raises(ConsistencyError):
-        empirical._cap_error(SweepConfig(n_max=100), 1, 100)
+@settings(max_examples=60, deadline=None)
+@given(
+    step_cap=st.integers(0, 60),
+    level=st.integers(1, 6),
+    lo=LO_BAND,
+    jump_offset=st.none() | st.integers(-300, 300),
+    width=st.integers(1, 100),
+)
+@example(step_cap=3, level=1, lo=1, width=100, jump_offset=None)
+@example(step_cap=10**9, level=1, lo=1, width=100, jump_offset=None)
+# starts on both sides of the jump bound, and above INT64_SAFE (big-int continuations)
+@example(step_cap=40, level=2, lo=1, width=64, jump_offset=-32)
+@example(step_cap=286, level=2, lo=INT64_SAFE - 40, width=48, jump_offset=None)
+def test_cap_error_names_the_first_offender(step_cap, level, lo, width, jump_offset):
+    """_cap_error names the smallest start in [lo, hi] whose orbit is longer
+    than step_cap, and raises ConsistencyError when there is none."""
+    lo = band_start(level, lo, jump_offset)
+    hi = lo + width - 1
+    config = SweepConfig(n_max=max(hi, 5), level=level, step_cap=step_cap)
+    offender = first_longer_than(step_cap, lo, hi)
+    if offender is None:
+        with pytest.raises(ConsistencyError):
+            empirical._cap_error(config, lo, hi)
+    else:
+        error = empirical._cap_error(config, lo, hi)
+        assert (error.start, error.steps) == (offender, step_cap)
 
 
 def test_batches_name_the_smallest_offender(monkeypatch):
@@ -411,10 +461,10 @@ def test_visit_keys_fit_int32(monkeypatch):
 def test_visit_keys_grow_and_reset(monkeypatch):
     monkeypatch.setattr(empirical, "VISIT_KEYS_RESERVE", 4)
     keys = empirical._VisitKeys()
-    keys.append(np.array([[5, 6], [7, 8]], dtype=np.int64))
-    keys.append(np.arange(3, dtype=np.int32))
+    keys.extend(4).reshape(2, 2)[:] = np.array([[5, 6], [7, 8]], dtype=np.int64)
+    keys.extend(3)[:] = np.arange(3, dtype=np.int32)  # past the reserve: the buffer doubles
     assert keys.take().tolist() == [5, 6, 7, 8, 0, 1, 2]
-    keys.append(np.array([9]))
+    keys.extend(1)[:] = 9
     assert keys.take().tolist() == [9]
     assert keys.take().size == 0
 
@@ -512,7 +562,7 @@ class TestJumpTables:
         tables = _jump_tables(level)
         assert tables.tail_start.size == tables.small + 1
         assert tables.tail_start.dtype == np.int64 and tables.tail_class.dtype == np.int32
-        peaks, steps = tables.small_peak.tolist(), tables.small_steps.tolist()
+        peaks, steps = tables.small_peak.tolist(), np.diff(tables.tail_start).tolist()
         starts, tail = tables.tail_start.tolist(), tables.tail_class.tolist()
         assert starts[0] == starts[1] == 0  # 0 starts no orbit
         assert starts[-1] == len(tail)
@@ -747,3 +797,11 @@ def test_merge_rejects_other_levels():
     b = sweep(SweepConfig(n_max=600, level=2))
     with pytest.raises(ValueError):
         a.merge(b)
+
+
+def test_merge_rejects_plain_with_per_trajectory():
+    plain = sweep(SweepConfig(n_max=600))
+    tracked = sweep(SweepConfig(n_max=600, per_trajectory=True))
+    for a, b in ((plain, tracked), (tracked, plain)):
+        with pytest.raises(ValueError, match="per-trajectory"):
+            a.merge(b)
