@@ -32,6 +32,8 @@ from .measure import alternating_weights
 INT64_SAFE = (2**63 - 21) // 36
 
 #: Fixed shard width; independent of worker count so merges are reproducible.
+#: A plain shard runs in batches of PLAIN_BATCH starts, so the width sets the
+#: per-shard overhead (one tally, one fold, one pickle), not kernel memory.
 SHARD_SIZE = 1 << 20
 
 #: Per-trajectory shards cover about this many (orbit, class) cells, with at
@@ -43,6 +45,10 @@ PER_TRAJECTORY_CELLS = 1 << 23
 #: Per-trajectory shards run the kernel on this many starts at a time and
 #: fold each batch's visit keys into the running sums before the next.
 PER_TRAJECTORY_BATCH = 1 << 13
+
+#: Plain shards run the kernel on this many starts at a time, into one
+#: tally, so its per-pass arrays are at most 1 MB whatever the shard width.
+PLAIN_BATCH = 1 << 17
 
 #: CSV and JSON rows rendered per write: a few hundred KB of text at a time.
 ROW_BLOCK = 1 << 12
@@ -216,26 +222,28 @@ class _JumpTables:
 
 class _Histogram:
     """Counts of values in range(bins).  Counting costs one pass over the
-    bins, so added values are held back until they outnumber the bins; the
-    counting then follows the values."""
+    bins, so added values are held back, copied into a buffer of bins
+    entries, until the next values would overflow it; the counting then
+    follows the values.  add copies, so its caller may reuse its array."""
 
     def __init__(self, bins: int):
         self._counts = np.zeros(bins, dtype=np.int64)
-        self._held: list[np.ndarray] = []
+        self._held = np.empty(bins, dtype=np.int64)
         self._size = 0
 
     def add(self, values: np.ndarray) -> None:
-        self._held.append(values)
-        self._size += values.size
-        if self._size > self._counts.size:
+        if values.size > self._held.size:  # more values than bins: count them now
+            self._counts += np.bincount(values, minlength=self._counts.size)
+            return
+        if self._size + values.size > self._held.size:
             self.flush()
+        self._held[self._size : self._size + values.size] = values
+        self._size += values.size
 
     def flush(self) -> np.ndarray:
         """The counts of every value added so far."""
-        if self._held:
-            values = self._held[0] if len(self._held) == 1 else np.concatenate(self._held)
-            self._counts += np.bincount(values, minlength=self._counts.size)
-            self._held.clear()
+        if self._size:
+            self._counts += np.bincount(self._held[: self._size], minlength=self._counts.size)
             self._size = 0
         return self._counts
 
@@ -444,6 +452,12 @@ def _run_batch(
     also written to it as the key id * 8^m + class, where id = start - lo;
     only then does the kernel keep the orbit ids, which nothing else reads.
 
+    Memory follows the width of [lo, hi], not the shard's.  A pass writes its
+    mask, residues and table gathers into prefixes of buffers of that width,
+    allocated once per call; tally copies the residues it holds.  Only the
+    compacted values (and ids) are new arrays each pass, as boolean indexing
+    writes them with no index array.
+
     No value a jump reaches before its last triple step is in {1, 2, 4}, so a
     jump that overshoots step_cap carries only orbits longer than step_cap.
     The first such orbit found, in a tabulated tail, a jump or a big-int
@@ -453,6 +467,9 @@ def _run_batch(
     mod = 8**config.level
     residues = tables.classes.shape[0]
     active = np.arange(lo, hi + 1, dtype=np.int64)
+    below = np.empty(active.size, dtype=bool)
+    r_buffer = np.empty_like(active)
+    gathered = np.empty(active.size, dtype=np.int32)
     ids = None
     if keys is not None:
         ids = np.arange(active.size, dtype=np.int32)  # int32 halves the bytes compaction moves
@@ -462,7 +479,7 @@ def _run_batch(
     exact_continuations: list[tuple[int | None, int, int]] = []  # (id, current value, steps taken)
     steps = 0
     while active.size:
-        small = active < tables.small
+        small = np.less(active, tables.small, out=below[: active.size])
         if small.any():
             done = active[small]
             tally.finished.add(done)
@@ -470,11 +487,10 @@ def _run_batch(
                 lengths = tables.tail_start[done + 1] - tables.tail_start[done]
                 if (lengths > config.step_cap - steps).any():
                     raise _cap_error(config, lo, hi)
-            keep = ~small
-            active = active[keep]
             if ids is not None:
                 finished_from[ids[small]] = done
-                ids = ids[keep]
+                ids = ids[~small]
+            active = active[np.logical_not(small, out=small)]
             if not active.size:
                 break
         if steps >= config.step_cap:  # every live orbit needs more steps
@@ -491,12 +507,12 @@ def _run_batch(
             if not active.size:
                 break
             top = int(active.max())
-        r = active & (residues - 1)
+        r = np.bitwise_and(active, residues - 1, out=r_buffer[: active.size])
         tally.residues.add(r)
         if keys is not None:
             # mode="clip" lets take write into the buffer unbuffered; r is in range
             block = keys.extend(r.size * tables.k).reshape(r.size, tables.k)
-            np.take(tables.classes, r, axis=0, out=block, mode="clip")
+            tables.classes.take(r, axis=0, out=block, mode="clip")
             block += (ids * mod)[:, None]
         if tables.growth * top > max_value:
             # The top slice first: its peaks raise the record, which prunes the rest.
@@ -506,8 +522,8 @@ def _run_batch(
             if rest.size:
                 max_value = max(max_value, _jump_peak(rest, tables.k))
         active >>= 3 * tables.k
-        active *= tables.mult[r]
-        active += tables.add[r]
+        active *= tables.mult.take(r, out=gathered[: r.size], mode="clip")
+        active += tables.add.take(r, out=gathered[: r.size], mode="clip")
         steps += tables.k
 
     # tally.finished also counts the shard's earlier batches, whose peaks the record holds.
@@ -569,13 +585,15 @@ def _add_orbit_shares(
 def _sweep_shard(config: SweepConfig, lo: int, hi: int) -> TrajectoryStats:
     """Stats of the orbits from [lo, min(hi, n_max)].
 
-    The plain sweep runs the kernel once over the shard.  The per-trajectory
-    sweep runs it on batches of PER_TRAJECTORY_BATCH starts, which collect
-    sparse int32 visit keys id * 8^m + class instead of dense per-orbit rows,
-    and adds each batch's orbit shares to running class sums before the next
-    batch starts, in the float order of one sum over the shard.  Batches run
-    in order, so the first TrajectoryCapError names the smallest offender in
-    the shard.  Each batch's starts are uncounted unless include_start.
+    The kernel runs on batches of PLAIN_BATCH starts, or PER_TRAJECTORY_BATCH
+    in the per-trajectory sweep.  Every batch adds into the shard's one tally,
+    which folds into classes once, and hands its max-value record to the next.
+    Per-trajectory batches also collect sparse int32 visit keys id * 8^m +
+    class instead of dense per-orbit rows, and add their orbit shares to
+    running class sums before the next batch starts, in the float order of
+    one sum over the shard.  Batches run in order, so the first
+    TrajectoryCapError names the smallest offender in the shard.  Each
+    batch's starts are uncounted unless include_start.
     """
     hi = min(hi, config.n_max)
     mod = 8**config.level
@@ -583,7 +601,7 @@ def _sweep_shard(config: SweepConfig, lo: int, hi: int) -> TrajectoryStats:
     max_value = hi
     sums = np.zeros(mod) if config.per_trajectory else None
     counted = 0
-    batch = PER_TRAJECTORY_BATCH if config.per_trajectory else hi - lo + 1
+    batch = PER_TRAJECTORY_BATCH if config.per_trajectory else PLAIN_BATCH
     keys = _VisitKeys() if config.per_trajectory else None
     for first in range(lo, hi + 1, batch):
         last = min(first + batch - 1, hi)
@@ -641,7 +659,7 @@ def _serve(kernel, los, his, write_fd: int) -> NoReturn:
         os._exit(code)
 
 
-def _fork_join(kernel, los, his, workers: int) -> TrajectoryStats:
+def _fork_join(kernel, los, his, workers: int, n_max: int) -> TrajectoryStats:
     """reduce(TrajectoryStats.merge, map(kernel, los, his)), computed by
     workers forked children that inherit everything the parent built.
 
@@ -649,7 +667,8 @@ def _fork_join(kernel, los, his, workers: int) -> TrajectoryStats:
     child i mod workers, in shard order, merging as it reads.  So the float
     sums and the first exception are those of the in-process map, and each
     child holds at most one result the parent has not read.  Every child is
-    killed and reaped before this returns or raises.
+    killed and reaped before this returns or raises.  The last shard end may
+    pass n_max, where the kernel stops, so a lost shard is named up to there.
     """
     pids: list[int | None] = []
     pipes = []
@@ -676,7 +695,7 @@ def _fork_join(kernel, los, his, workers: int) -> TrajectoryStats:
                 code = os.waitstatus_to_exitcode(status)
                 how = f"killed by signal {-code}" if code < 0 else f"exit code {code}"
                 raise WorkerError(
-                    f"sweep worker {pid} ended without the stats of [{lo}, {hi}] "
+                    f"sweep worker {pid} ended without the stats of [{lo}, {min(hi, n_max)}] "
                     f"(wait status {status}: {how})"
                 ) from None
             if isinstance(shard, Exception):
@@ -712,7 +731,7 @@ def sweep(config: SweepConfig) -> TrajectoryStats:
     workers = min(config.workers, len(los), usable_cpus())
     if workers > 1 and hasattr(os, "fork"):
         _jump_tables(config.level)  # built and cached before the fork, so every child shares them
-        return _fork_join(kernel, los, his, workers)
+        return _fork_join(kernel, los, his, workers, config.n_max)
     return reduce(TrajectoryStats.merge, map(kernel, los, his))
 
 

@@ -18,7 +18,7 @@ def inline_fork_join(monkeypatch):
     nothing; the list holds the worker count of every fork-join asked for."""
     asked = []
 
-    def fork_join(kernel, los, his, workers):
+    def fork_join(kernel, los, his, workers, n_max):
         asked.append(workers)
         return reduce(empirical.TrajectoryStats.merge, map(kernel, los, his))
 

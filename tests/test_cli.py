@@ -361,6 +361,19 @@ class TestSimulate:
         assert (code, text) == (3, "")
         assert len(err) == 1 and err[0].startswith("error: n_max ")
 
+    def test_step_cap_is_one_error_line(self, capsys):
+        # 3 triple steps, the smallest orbit longer than that names the error
+        offender = next(n for n in range(1, 101) if empirical.run_trajectory(n).steps > 3)
+        code, text = run_cli("simulate", "--max", "100", "--step-cap", "3")
+        err = capsys.readouterr().err.splitlines()
+        assert (code, text) == (3, "")
+        assert err == [f"error: orbit of n0={offender} exceeded 3 step cap"]
+
+    def test_step_cap_flag_reaches_the_sweep(self, sweep_configs):
+        assert run_cli("simulate", "--max", "100")[0] == 0
+        assert run_cli("simulate", "--max", "100", "--step-cap", "500")[0] == 0
+        assert [config.step_cap for config in sweep_configs] == [10**9, 500]
+
     def test_workers_flag(self):
         base = run_cli("simulate", "--max", "2000", "--workers", "1")
         multi = run_cli("simulate", "--max", "2000", "--workers", "2")
@@ -436,6 +449,25 @@ class TestSimulate:
         assert err.startswith("error: sweep worker ") and err.count("\n") == 1
         assert "ended without the stats of [1, 1000]" in err
         assert f"(wait status {signal.SIGKILL}: killed by signal {signal.SIGKILL})" in err
+        with pytest.raises(ChildProcessError):  # every worker was reaped
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_worker_lost_on_the_last_shard_names_n_max(self, monkeypatch, capsys):
+        # the last shard's nominal end, 3000, passes n_max = 2500, where the shard stops
+        monkeypatch.setattr(empirical, "usable_cpus", lambda: 2)
+        monkeypatch.setattr(empirical, "SHARD_SIZE", 1000)
+        shard = empirical._sweep_shard
+
+        def killed_on_the_last_shard(config, lo, hi):
+            if hi >= config.n_max:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return shard(config, lo, hi)
+
+        monkeypatch.setattr(empirical, "_sweep_shard", killed_on_the_last_shard)
+        code, text = run_cli("simulate", "--max", "2500", "--workers", "2")
+        err = capsys.readouterr().err
+        assert (code, text) == (1, "")
+        assert err.count("\n") == 1 and "ended without the stats of [2001, 2500]" in err
         with pytest.raises(ChildProcessError):  # every worker was reaped
             os.waitpid(-1, os.WNOHANG)
 
@@ -607,8 +639,9 @@ class TestUsageErrors:
         [
             ("simulate --max 1e7", "argument --max: must be a positive integer, got 1e7"),
             ("preimage --j 1.0", "argument --j: must be a nonnegative integer, got 1.0"),
+            ("simulate --max 100 --step-cap -1", "argument --step-cap: must be a nonnegative integer, got -1"),
         ],
-        ids=["max-1e7", "j-1.0"],
+        ids=["max-1e7", "j-1.0", "step-cap--1"],
     )
     def test_non_integer_names_the_argument(self, capsys, argv, message):
         with pytest.raises(SystemExit) as info:

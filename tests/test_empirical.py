@@ -320,18 +320,25 @@ def test_step_cap_is_exact(step_cap, level, include_start, lo, width, jump_offse
         assert (info.value.start, info.value.steps) == (offender, step_cap)
 
 
+#: The batch width of each kernel mode.
+BATCHES = {True: "PER_TRAJECTORY_BATCH", False: "PLAIN_BATCH"}
+
+
 @pytest.mark.parametrize("level", range(1, 7))
 @pytest.mark.parametrize("include_start", [True, False])
 @pytest.mark.parametrize("where", ["small", "jump-bound"])
 def test_batches_change_no_result(monkeypatch, level, include_start, where):
-    """Per-trajectory stats are the same for any batch width, bit for bit."""
+    """Plain and per-trajectory shard stats are the same for any batch
+    width, bit for bit."""
     # small values with the cycle, or starts on both sides of the jump bound
     lo = 1 if where == "small" else _jump_tables(level).safe - 20
     hi = lo + 40
-    config = SweepConfig(n_max=hi, level=level, include_start=include_start, per_trajectory=True)
-    whole = _sweep_shard(config, lo, hi)
-    monkeypatch.setattr(empirical, "PER_TRAJECTORY_BATCH", 7)
-    assert stats_identical(_sweep_shard(config, lo, hi), whole)
+    for per_trajectory, batch in BATCHES.items():
+        config = SweepConfig(n_max=hi, level=level, include_start=include_start, per_trajectory=per_trajectory)
+        whole = _sweep_shard(config, lo, hi)
+        with monkeypatch.context() as patch:
+            patch.setattr(empirical, batch, 7)
+            assert stats_identical(_sweep_shard(config, lo, hi), whole)
 
 
 @settings(max_examples=60, deadline=None)
@@ -362,9 +369,9 @@ def test_plain_and_tracked_shards_name_one_offender(step_cap, level, lo, width, 
     assert named[0] == named[1] == (None if offender is None else (offender, step_cap))
 
 
-def test_plain_sweep_runs_one_batch_per_shard(monkeypatch):
-    """Without an offence, a plain sweep runs the kernel once per shard and
-    builds no int32 orbit-id array."""
+def test_plain_shard_runs_fixed_batches(monkeypatch):
+    """Without an offence, a plain sweep runs the kernel on each shard in
+    ceil(width / PLAIN_BATCH) batches and builds no int32 orbit-id array."""
     _jump_tables(1)
     calls, aranges = [], []
     run_batch = empirical._run_batch
@@ -384,11 +391,28 @@ def test_plain_sweep_runs_one_batch_per_shard(monkeypatch):
     monkeypatch.setattr(empirical, "_run_batch", spy)
     monkeypatch.setattr(empirical, "np", Numpy())
     monkeypatch.setattr(empirical, "SHARD_SIZE", 1000)
+    monkeypatch.setattr(empirical, "PLAIN_BATCH", 400)
     stats = sweep(SweepConfig(n_max=2500))
-    assert calls == [(1, 1000, None), (1001, 2000, None), (2001, 2500, None)]
+    bounds = [(1, 400), (401, 800), (801, 1000), (1001, 1400), (1401, 1800), (1801, 2000)]
+    bounds += [(2001, 2400), (2401, 2500)]  # the last shard stops at n_max
+    assert calls == [(lo, hi, None) for lo, hi in bounds]
     assert np.dtype(np.int64) in aranges and np.dtype(np.int32) not in aranges
     monkeypatch.undo()
     assert stats_identical(stats, reference_sweep(2500))
+
+
+def test_plain_shard_memory_is_bounded_by_the_batch():
+    """The kernel's per-pass arrays are sized by PLAIN_BATCH, not by the
+    shard: a level-1 shard of 2^20 starts traces under 8 MB past its tables
+    (27 MB when the shard ran as one batch)."""
+    _jump_tables(1)
+    tracemalloc.start()
+    try:
+        _sweep_shard(SweepConfig(n_max=2**20), 1, 2**20)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
 
 
 @settings(max_examples=60, deadline=None)
@@ -420,13 +444,14 @@ def test_cap_error_names_the_first_offender(step_cap, level, lo, width, jump_off
 
 
 def test_batches_name_the_smallest_offender(monkeypatch):
-    config = SweepConfig(n_max=60, per_trajectory=True, step_cap=6)
     offender = first_longer_than(6, 1, 60)
     assert offender == 25  # the fourth batch of 7, 22 .. 28, also holds 27
     monkeypatch.setattr(empirical, "PER_TRAJECTORY_BATCH", 7)
-    with pytest.raises(TrajectoryCapError) as info:
-        _sweep_shard(config, 1, 60)
-    assert (info.value.start, info.value.steps) == (offender, 6)
+    monkeypatch.setattr(empirical, "PLAIN_BATCH", 7)
+    for per_trajectory in BATCHES:
+        with pytest.raises(TrajectoryCapError) as info:
+            _sweep_shard(SweepConfig(n_max=60, per_trajectory=per_trajectory, step_cap=6), 1, 60)
+        assert (info.value.start, info.value.steps) == (offender, 6)
 
 
 def test_visit_keys_fit_int32(monkeypatch):
@@ -483,12 +508,15 @@ def test_visit_keys_grow_and_reset(monkeypatch):
 def test_histogram_counts_any_split(bins, stream, sizes, peek):
     """However a value stream is split into add calls, flush gives the
     bincount of the whole stream; with peek, a flush after each add gives
-    the bincount of the values added so far."""
+    the bincount of the values added so far.  add copies the values it
+    holds back, so the caller may overwrite its array after the call."""
     values = np.array(stream, dtype=np.int64) % bins
     histogram = empirical._Histogram(bins)
     added = 0
     for chunk in np.split(values, np.cumsum(sizes)):
-        histogram.add(chunk)
+        passed = chunk.copy()
+        histogram.add(passed)
+        passed[:] = (passed + 1) % bins
         added += chunk.size
         if peek:
             assert np.array_equal(histogram.flush(), np.bincount(values[:added], minlength=bins))
