@@ -96,13 +96,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="process count, at most the CPUs this process may use (default: all of them)",
     )
-    p.add_argument(
-        "--step-cap",
-        type=_nonnegative_int,
-        default=10**9,
-        dest="step_cap",
-        help="most triple steps an orbit may take; a longer orbit stops the sweep with exit code 3",
-    )
 
     p = sub.add_parser("verify", help="run exact verification checks; exit 1 on any FAIL")
     p.add_argument("--m", type=_positive_int, default=1)
@@ -208,7 +201,6 @@ def _cmd_simulate(args, out) -> int:
             # CSV output has no per-trajectory column, so skip the tally there
             per_trajectory=args.per_trajectory and args.format == "json",
             workers=args.workers or empirical.usable_cpus(),
-            step_cap=args.step_cap,
         )
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -1,5 +1,6 @@
 """CLI behaviour: output formats, determinism, exit codes."""
 
+import dataclasses
 import hashlib
 import io
 import json
@@ -361,18 +362,18 @@ class TestSimulate:
         assert (code, text) == (3, "")
         assert len(err) == 1 and err[0].startswith("error: n_max ")
 
-    def test_step_cap_is_one_error_line(self, capsys):
-        # 3 triple steps, the smallest orbit longer than that names the error
+    def test_step_cap_is_one_error_line(self, monkeypatch, capsys):
+        # the CLI keeps the default cap; a sweep run with a cap of 3 triple steps
+        # names the smallest orbit longer than that
+        real_sweep = empirical.sweep
+        monkeypatch.setattr(
+            empirical, "sweep", lambda config: real_sweep(dataclasses.replace(config, step_cap=3))
+        )
         offender = next(n for n in range(1, 101) if empirical.run_trajectory(n).steps > 3)
-        code, text = run_cli("simulate", "--max", "100", "--step-cap", "3")
+        code, text = run_cli("simulate", "--max", "100")
         err = capsys.readouterr().err.splitlines()
         assert (code, text) == (3, "")
         assert err == [f"error: orbit of n0={offender} exceeded 3 step cap"]
-
-    def test_step_cap_flag_reaches_the_sweep(self, sweep_configs):
-        assert run_cli("simulate", "--max", "100")[0] == 0
-        assert run_cli("simulate", "--max", "100", "--step-cap", "500")[0] == 0
-        assert [config.step_cap for config in sweep_configs] == [10**9, 500]
 
     def test_workers_flag(self):
         base = run_cli("simulate", "--max", "2000", "--workers", "1")
@@ -639,9 +640,8 @@ class TestUsageErrors:
         [
             ("simulate --max 1e7", "argument --max: must be a positive integer, got 1e7"),
             ("preimage --j 1.0", "argument --j: must be a nonnegative integer, got 1.0"),
-            ("simulate --max 100 --step-cap -1", "argument --step-cap: must be a nonnegative integer, got -1"),
         ],
-        ids=["max-1e7", "j-1.0", "step-cap--1"],
+        ids=["max-1e7", "j-1.0"],
     )
     def test_non_integer_names_the_argument(self, capsys, argv, message):
         with pytest.raises(SystemExit) as info:
