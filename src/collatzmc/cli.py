@@ -1,8 +1,9 @@
 """Command-line entry point.
 
-Exit codes: 0 success, 1 verification failure, internal inconsistency or a
-lost sweep worker, 2 usage error, 3 capacity/step-cap errors.  Results go to
-stdout, diagnostics to stderr; identical flags produce byte-identical output.
+Exit codes: 0 success, 1 verification failure, internal inconsistency, a
+lost sweep worker or a closed stdout, 2 usage error, 3 capacity/step-cap
+errors.  Results go to stdout, diagnostics to stderr; identical flags
+produce byte-identical output.
 
 Each command handler imports the submodules it runs, so importing this module
 loads no numpy and a run loads only what its command uses.
@@ -318,6 +319,12 @@ def main(argv=None, out=None) -> int:
         return 3
     except (ConsistencyError, WorkerError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except BrokenPipeError:
+        if out is sys.stdout:  # the rest goes to devnull, so the exit flush raises no second error
+            with open(os.devnull, "wb") as devnull:
+                os.dup2(devnull.fileno(), sys.stdout.fileno())
+        print("error: stdout was closed before the output ended", file=sys.stderr)
         return 1
 
 

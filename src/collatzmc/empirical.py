@@ -220,55 +220,28 @@ class _JumpTables:
         return INT64_SAFE // self.growth
 
 
-class _Histogram:
-    """Counts of values in range(bins).  Counting costs one pass over the
-    bins, so added values are held back, copied into a buffer of bins
-    entries, until the next values would overflow it; the counting then
-    follows the values.  add copies, so its caller may reuse its array."""
-
-    def __init__(self, bins: int):
-        self._counts = np.zeros(bins, dtype=np.int64)
-        self._held = np.empty(bins, dtype=np.int64)
-        self._size = 0
-
-    def add(self, values: np.ndarray) -> None:
-        if values.size > self._held.size:  # more values than bins: count them now
-            self._counts += np.bincount(values, minlength=self._counts.size)
-            return
-        if self._size + values.size > self._held.size:
-            self.flush()
-        self._held[self._size : self._size + values.size] = values
-        self._size += values.size
-
-    def flush(self) -> np.ndarray:
-        """The counts of every value added so far."""
-        if self._size:
-            self._counts += np.bincount(self._held[: self._size], minlength=self._counts.size)
-            self._size = 0
-        return self._counts
-
-
 class _ShardTally:
-    """A shard's visit counts before the fold into classes: histograms of the
+    """A shard's visit counts before the fold into classes: counts of the
     kernel residues, each standing for the k classes its jump lists, and of
     the small values whose tabulated orbits ended orbits; per class for the
-    rest.  A shard's batches add into one tally, so the fold runs once a shard."""
+    rest.  The kernel adds into the three arrays in place with ufunc.at, so
+    the cost follows the visits, not the bins.  A shard's batches add into
+    one tally, so the fold runs once a shard."""
 
     def __init__(self, level: int):
         self._tables = _jump_tables(level)
-        self.residues = _Histogram(self._tables.classes.shape[0])
-        self.finished = _Histogram(self._tables.small)
+        self.residues = np.zeros(self._tables.classes.shape[0], dtype=np.int64)
+        self.finished = np.zeros(self._tables.small, dtype=np.int64)
         self.classes = np.zeros(8**level, dtype=np.int64)
 
     def fold(self) -> np.ndarray:
         """Add the residue and small-value counts into classes, and return
         them: the visits per class mod 8^m."""
         tables = self._tables
-        finished = np.repeat(self.finished.flush(), np.diff(tables.tail_start))
+        finished = np.repeat(self.finished, np.diff(tables.tail_start))
         np.add.at(self.classes, tables.tail_class, finished)
-        residues = self.residues.flush()
         for column in tables.classes.T:
-            np.add.at(self.classes, column, residues)
+            np.add.at(self.classes, column, self.residues)
         return self.classes
 
 
@@ -454,9 +427,8 @@ def _run_batch(
 
     Memory follows the width of [lo, hi], not the shard's.  A pass writes its
     mask, residues and table gathers into prefixes of buffers of that width,
-    allocated once per call; tally copies the residues it holds.  Only the
-    compacted values (and ids) are new arrays each pass, as boolean indexing
-    writes them with no index array.
+    allocated once per call.  Only the compacted values (and ids) are new
+    arrays each pass, as boolean indexing writes them with no index array.
 
     No value a jump reaches before its last triple step is in {1, 2, 4}, so a
     jump that overshoots step_cap carries only orbits longer than step_cap.
@@ -482,7 +454,7 @@ def _run_batch(
         small = np.less(active, tables.small, out=below[: active.size])
         if small.any():
             done = active[small]
-            tally.finished.add(done)
+            np.add.at(tally.finished, done, 1)
             if steps + tables.longest > config.step_cap:
                 lengths = tables.tail_start[done + 1] - tables.tail_start[done]
                 if (lengths > config.step_cap - steps).any():
@@ -508,7 +480,7 @@ def _run_batch(
                 break
             top = int(active.max())
         r = np.bitwise_and(active, residues - 1, out=r_buffer[: active.size])
-        tally.residues.add(r)
+        np.add.at(tally.residues, r, 1)
         if keys is not None:
             # mode="clip" lets take write into the buffer unbuffered; r is in range
             block = keys.extend(r.size * tables.k).reshape(r.size, tables.k)
@@ -527,7 +499,7 @@ def _run_batch(
         steps += tables.k
 
     # tally.finished also counts the shard's earlier batches, whose peaks the record holds.
-    max_value = max(max_value, int(tables.small_peak.max(initial=0, where=tally.finished.flush() > 0)))
+    max_value = max(max_value, int(tables.small_peak.max(initial=0, where=tally.finished > 0)))
     if keys is not None:
         ended = np.flatnonzero(finished_from)
         first = tables.tail_start[finished_from[ended]]
@@ -542,7 +514,7 @@ def _run_batch(
             raise _cap_error(config, lo, hi)
         max_value = max(max_value, run.max_value)
         tail = np.asarray(run.visits, dtype=np.int64)
-        tally.classes += np.bincount(tail, minlength=mod)
+        np.add.at(tally.classes, tail, 1)
         if keys is not None:
             keys.extend(tail.size)[:] = traj_id * mod + tail
     return max_value
@@ -610,7 +582,7 @@ def _sweep_shard(config: SweepConfig, lo: int, hi: int) -> TrajectoryStats:
         if not config.include_start:
             starts = np.arange(first, last + 1, dtype=np.int64)
             starts = starts[~np.isin(starts, tuple(CYCLE))]
-            tally.classes -= np.bincount(starts & (mod - 1), minlength=mod)
+            np.subtract.at(tally.classes, starts & (mod - 1), 1)
             start_keys = ((starts - first) * mod + (starts & (mod - 1))).astype(np.int32)
         if keys is not None:
             counted += _add_orbit_shares(sums, keys.take(), last - first + 1, start_keys)

@@ -26,6 +26,15 @@ def inline_fork_join(monkeypatch):
     return asked
 
 
+def python_env(env=None) -> dict:
+    """env, or this process's environment, with the package's source
+    directory added to PYTHONPATH."""
+    src = str(Path(collatzmc.__file__).resolve().parents[1])
+    env = dict(os.environ if env is None else env)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    return env
+
+
 @pytest.fixture
 def run_python():
     """Run a fresh interpreter with these arguments on this checkout's package.
@@ -33,13 +42,23 @@ def run_python():
     env replaces the inherited environment; PYTHONPATH gains the package's
     source directory either way.
     """
-    src = str(Path(collatzmc.__file__).resolve().parents[1])
 
     def run(*argv, env=None):
-        env = dict(os.environ if env is None else env)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
         return subprocess.run(
-            [sys.executable, *argv], capture_output=True, text=True, env=env, timeout=60, check=False
+            [sys.executable, *argv], capture_output=True, text=True, env=python_env(env), timeout=60, check=False
         )
 
     return run
+
+
+@pytest.fixture
+def popen_python():
+    """Start a fresh interpreter like run_python, with its stdout and stderr
+    as binary pipes the test reads."""
+
+    def start(*argv, env=None):
+        return subprocess.Popen(
+            [sys.executable, *argv], stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=python_env(env)
+        )
+
+    return start

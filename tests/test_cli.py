@@ -662,6 +662,22 @@ def test_python_dash_m_runs_the_cli(run_python):
     assert proc.stdout == run_cli("matrix", "--m", "1")[1]
 
 
+@pytest.mark.parametrize("argv", ["simulate --max 5 --m 6", "matrix --m 5"])
+def test_closed_stdout_is_one_error_line(popen_python, argv):
+    """A reader that closes stdout after 10 bytes gets exit code 1 and one
+    stderr line, not a BrokenPipeError traceback.  stdout is block-buffered,
+    as by default; unbuffered, a write the reader cuts short returns short
+    and raises nothing."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    proc = popen_python("-m", "collatzmc", *argv.split(), env=env)
+    assert len(proc.stdout.read(10)) == 10
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=60)
+    assert proc.returncode == 1
+    assert b"Traceback" not in err
+    assert err.decode().splitlines() == ["error: stdout was closed before the output ended"]
+
+
 def test_main_module_runs_the_cli(monkeypatch, capsys):
     # the same entry point in this process: __main__ exits with main's code
     monkeypatch.setattr(sys, "argv", ["collatzmc", "matrix", "--m", "1"])

@@ -401,14 +401,17 @@ def test_plain_shard_runs_fixed_batches(monkeypatch):
     assert stats_identical(stats, reference_sweep(2500))
 
 
-def test_plain_shard_memory_is_bounded_by_the_batch():
+@pytest.mark.parametrize("level, width", [(1, 2**20), (6, 2**16)], ids=["level1", "level6"])
+def test_plain_shard_memory_is_bounded_by_the_batch(level, width):
     """The kernel's per-pass arrays are sized by PLAIN_BATCH, not by the
-    shard: a level-1 shard of 2^20 starts traces under 8 MB past its tables
-    (27 MB when the shard ran as one batch)."""
-    _jump_tables(1)
+    shard, and its tally holds nothing past its counts: a level-1 shard of
+    2^20 starts traces under 8 MB past its tables (27 MB when the shard ran
+    as one batch), and so does a level-6 shard of 2^16 starts, whose 8^6
+    residue counts take 2 MB."""
+    _jump_tables(level)
     tracemalloc.start()
     try:
-        _sweep_shard(SweepConfig(n_max=2**20), 1, 2**20)
+        _sweep_shard(SweepConfig(n_max=width, level=level), 1, width)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -492,37 +495,6 @@ def test_visit_keys_grow_and_reset(monkeypatch):
     keys.extend(1)[:] = 9
     assert keys.take().tolist() == [9]
     assert keys.take().size == 0
-
-
-@settings(max_examples=200, deadline=None)
-@given(
-    bins=st.integers(1, 8),
-    stream=st.lists(st.integers(0, 63), max_size=60),
-    sizes=st.lists(st.integers(0, 10), max_size=12),
-    peek=st.booleans(),
-)
-# chunks of exactly bins and bins + 1 values, where the first count is due
-@example(bins=4, stream=list(range(13)), sizes=[4, 5, 4], peek=False)
-@example(bins=4, stream=list(range(13)), sizes=[5, 4], peek=True)
-@example(bins=1, stream=[0, 0, 0], sizes=[1, 2], peek=True)
-def test_histogram_counts_any_split(bins, stream, sizes, peek):
-    """However a value stream is split into add calls, flush gives the
-    bincount of the whole stream; with peek, a flush after each add gives
-    the bincount of the values added so far.  add copies the values it
-    holds back, so the caller may overwrite its array after the call."""
-    values = np.array(stream, dtype=np.int64) % bins
-    histogram = empirical._Histogram(bins)
-    added = 0
-    for chunk in np.split(values, np.cumsum(sizes)):
-        passed = chunk.copy()
-        histogram.add(passed)
-        passed[:] = (passed + 1) % bins
-        added += chunk.size
-        if peek:
-            assert np.array_equal(histogram.flush(), np.bincount(values[:added], minlength=bins))
-    counts = histogram.flush()
-    assert counts.dtype == np.int64
-    assert np.array_equal(counts, np.bincount(values, minlength=bins))
 
 
 def collatz_path(n, triple_steps):
