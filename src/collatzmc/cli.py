@@ -12,6 +12,7 @@ loads no numpy and a run loads only what its command uses.
 from __future__ import annotations
 
 import argparse
+import io
 import os
 import sys
 
@@ -308,12 +309,21 @@ def main(argv=None, out=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     out = out if out is not None else sys.stdout
+    stdout = out is sys.stdout
+    if stdout and isinstance(getattr(out, "buffer", None), io.RawIOBase):
+        # Unbuffered (PYTHONUNBUFFERED), the raw file drops the rest of a write
+        # the reader cuts short; a buffered writer retries it and so raises
+        # BrokenPipeError once the reader is gone.
+        raw = io.FileIO(out.fileno(), "w", closefd=False)
+        out = io.TextIOWrapper(io.BufferedWriter(raw), encoding=out.encoding, errors=out.errors)
     if "numpy" not in sys.modules:
         # No command calls BLAS, but importing numpy starts OpenBLAS's thread
         # pool, whose idle thread spins; a value the caller set still wins.
         os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     try:
-        return _HANDLERS[args.command](args, out)
+        code = _HANDLERS[args.command](args, out)
+        out.flush()
+        return code
     except (CapacityError, TrajectoryCapError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
@@ -321,7 +331,7 @@ def main(argv=None, out=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except BrokenPipeError:
-        if out is sys.stdout:  # the rest goes to devnull, so the exit flush raises no second error
+        if stdout:  # the rest goes to devnull, so the exit flush raises no second error
             with open(os.devnull, "wb") as devnull:
                 os.dup2(devnull.fileno(), sys.stdout.fileno())
         print("error: stdout was closed before the output ended", file=sys.stderr)

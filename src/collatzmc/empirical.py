@@ -65,11 +65,11 @@ CPU_MAX_PATH = "/sys/fs/cgroup/cpu.max"
 
 _M8 = np.array(MULTIPLIERS, dtype=np.int64)
 _R8 = np.array(OFFSETS, dtype=np.int64)
-# Largest intermediate Collatz value within one triple step, per branch:
-# odd residues peak at 3n+1, residues 2,6 at (3n+2)/2, residues 0,4 at n/2.
+# Largest Collatz value of a triple step from n before its last, n included:
+# 3n+1 at odd residues, (3n+2)/2 at residues 2 and 6, n itself at 0 and 4.
 _PEAK_MULT = np.array((1, 3, 3, 3, 1, 3, 3, 3), dtype=np.int64)
 _PEAK_ADD = np.array((0, 1, 2, 1, 0, 1, 2, 1), dtype=np.int64)
-_PEAK_SHIFT = np.array((1, 0, 1, 0, 1, 0, 1, 0), dtype=np.int64)
+_PEAK_SHIFT = np.array((0, 0, 1, 0, 0, 0, 1, 0), dtype=np.int64)
 
 
 @dataclass(frozen=True)
@@ -274,21 +274,15 @@ class _VisitKeys:
         return keys
 
 
-def _triple_step(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """One third-iterate step on int64 values and the largest Collatz value inside it."""
-    sigma = x & 7
-    peak = (_PEAK_MULT[sigma] * x + _PEAK_ADD[sigma]) >> _PEAK_SHIFT[sigma]
-    x = (_M8[sigma] * x + _R8[sigma]) >> 3
-    return np.maximum(peak, x), x
-
-
-def _jump_peak(x: np.ndarray, k: int) -> int:
-    """Largest Collatz value met within the next k triple steps of the values x."""
-    top = 0
+def _jump(x: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """The int64 values k triple steps on from x, and per value the largest
+    Collatz value met on the way, x itself included."""
+    top = x
     for _ in range(k):
-        peak, x = _triple_step(x)
-        top = max(top, int(peak.max()))
-    return top
+        sigma = x & 7
+        top = np.maximum(top, (_PEAK_MULT[sigma] * x + _PEAK_ADD[sigma]) >> _PEAK_SHIFT[sigma])
+        x = (_M8[sigma] * x + _R8[sigma]) >> 3
+    return x, np.maximum(top, x)
 
 
 @lru_cache(maxsize=None)
@@ -320,11 +314,7 @@ def _jump_tables(level: int) -> _JumpTables:
     # Each Collatz value in a jump is (3^u*n + c)/2^e with c >= 0 on one class
     # mod 8^k, so its ratio to n is largest at the class's least n >= small.
     n = np.arange(small, small + 8**k, dtype=np.int64)
-    x, top = n, n
-    for _ in range(k):
-        peak, x = _triple_step(x)
-        top = np.maximum(top, peak)
-    growth = int((-(-top // n)).max())
+    growth = int((-(-_jump(n, k)[1] // n)).max())
     # The orbits of 1 .. small-1 by first descent: each value v outside
     # {1, 2, 4} takes triple steps until its orbit drops below v, which it
     # does on reaching {1, 2, 4} at the latest.  Its orbit is that segment
@@ -338,7 +328,7 @@ def _jump_tables(level: int) -> _JumpTables:
     while live.size:
         owners.append(live)
         classes.append(x & (mod - 1))
-        peak, x = _triple_step(x)
+        x, peak = _jump(x, 1)
         top = np.maximum(top, peak)
         ended = x < live
         if ended.any():
@@ -489,10 +479,10 @@ def _run_batch(
         if tables.growth * top > max_value:
             # The top slice first: its peaks raise the record, which prunes the rest.
             upper = active > top - top // tables.growth
-            max_value = max(max_value, _jump_peak(active[upper], tables.k))
+            max_value = max(max_value, int(_jump(active[upper], tables.k)[1].max()))
             rest = active[~upper & (active > max_value // tables.growth)]
             if rest.size:
-                max_value = max(max_value, _jump_peak(rest, tables.k))
+                max_value = max(max_value, int(_jump(rest, tables.k)[1].max()))
         active >>= 3 * tables.k
         active *= tables.mult.take(r, out=gathered[: r.size], mode="clip")
         active += tables.add.take(r, out=gathered[: r.size], mode="clip")

@@ -242,13 +242,13 @@ class ErgodicityResult:
 def check_ergodicity(matrix: TransitionMatrix) -> ErgodicityResult:
     """Search for a power of the matrix with strictly positive entries.
 
-    Works on row supports packed into bitmasks, 8 states per byte (no
-    cancellation can occur in a nonnegative product).  The support of row i
-    of Q^(e+1) = Q * Q^e is the union of the Q^e supports of the 8 image
-    columns of row i, so each step ORs 8 rows of masks.  Stops early if
-    the supports stabilize below full, which is conclusive evidence of
-    reducibility/periodicity.  The search gives up, inconclusive, after
-    exponent 2 * size.
+    Works on row supports packed into bitmasks, 8 states per byte, column c
+    as bit c & 7 of byte c >> 3 (no cancellation can occur in a nonnegative
+    product).  The search starts from the support of Q, its image columns.
+    Row i of Q^(e+1) = Q * Q^e has the union of the Q^e supports of its 8
+    image columns, so each step ORs 8 rows of masks.  Stops early if the
+    supports stabilize below full, which is conclusive evidence of
+    reducibility/periodicity; gives up, inconclusive, after exponent 2 * size.
     """
     size, images = matrix.size, matrix.images
 
@@ -258,10 +258,10 @@ def check_ergodicity(matrix: TransitionMatrix) -> ErgodicityResult:
             out |= masks[column]
         return out
 
-    states = np.arange(size)
     current = np.zeros((size, size // 8), dtype=np.uint8)
-    current[states, states >> 3] = 1 << (states & 7)  # Q^0, the identity
-    current = times_q(current)
+    states = np.arange(size)
+    for column in images.T:  # one column at a time: two may set bits of one byte
+        current[states, column >> 3] |= (1 << (column & 7)).astype(np.uint8)
     for exponent in range(1, 2 * size + 1):
         if (current == 0xFF).all():
             return ErgodicityResult(True, exponent, True)

@@ -127,7 +127,7 @@ class CountingOut(io.StringIO):
 
 @pytest.mark.parametrize("argv", ["matrix --m 2", "stationary --m 3", "verify --measure --m 2"])
 def test_chain_text_is_one_write(argv):
-    # one write call is one write(2) on an unbuffered stdout, not one per line
+    # the text is built whole and written in one call, not one per line
     out = CountingOut()
     assert main(argv.split(), out=out) == 0
     assert out.writes == 1 and out.getvalue().count("\n") >= 64
@@ -662,13 +662,16 @@ def test_python_dash_m_runs_the_cli(run_python):
     assert proc.stdout == run_cli("matrix", "--m", "1")[1]
 
 
+@pytest.mark.parametrize("unbuffered", [None, "1"], ids=["buffered", "unbuffered"])
 @pytest.mark.parametrize("argv", ["simulate --max 5 --m 6", "matrix --m 5"])
-def test_closed_stdout_is_one_error_line(popen_python, argv):
+def test_closed_stdout_is_one_error_line(popen_python, argv, unbuffered):
     """A reader that closes stdout after 10 bytes gets exit code 1 and one
-    stderr line, not a BrokenPipeError traceback.  stdout is block-buffered,
-    as by default; unbuffered, a write the reader cuts short returns short
-    and raises nothing."""
+    stderr line, not a BrokenPipeError traceback, with stdout block-buffered
+    or unbuffered (PYTHONUNBUFFERED=1), where the output still goes through a
+    buffered writer so that a write the reader cuts short raises."""
     env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = unbuffered
     proc = popen_python("-m", "collatzmc", *argv.split(), env=env)
     assert len(proc.stdout.read(10)) == 10
     proc.stdout.close()

@@ -18,6 +18,7 @@ from collatzmc.empirical import (
     ComparisonTable,
     SweepConfig,
     TrajectoryStats,
+    _jump,
     _jump_tables,
     _sweep_shard,
     compare_to_theory,
@@ -547,6 +548,21 @@ class TestJumpTables:
         assert max(path) <= tables.growth * n <= INT64_SAFE
         # the orbit is checked for the cycle after whole triple steps only
         assert not CYCLE.intersection(path[2 : 3 * tables.k - 1 : 3])
+
+    @settings(max_examples=200, deadline=None)
+    @given(level=st.integers(1, 6), data=st.data())
+    def test_jump_steps_and_peaks(self, level, data):
+        # up to tables.k triple steps from values up to the jump bound stay inside int64
+        tables = _jump_tables(level)
+        k = data.draw(st.integers(1, tables.k))
+        values = data.draw(st.lists(st.integers(1, tables.safe), min_size=1, max_size=20))
+        ends, peaks = _jump(np.array(values, dtype=np.int64), k)
+        for x, end, peak in zip(values, ends.tolist(), peaks.tolist()):
+            expected = x
+            for _ in range(k):
+                expected = third_iterate(expected)
+            assert end == expected
+            assert peak == max(x, *collatz_path(x, k))
 
     @pytest.mark.parametrize("level", range(1, 7))
     def test_growth_is_the_least_bound(self, level):
