@@ -1,9 +1,9 @@
 """Command-line entry point.
 
 Exit codes: 0 success, 1 verification failure, internal inconsistency, a
-lost sweep worker or a closed stdout, 2 usage error, 3 capacity/step-cap
-errors.  Results go to stdout, diagnostics to stderr; identical flags
-produce byte-identical output.
+lost sweep worker or a stdout that is closed or cannot be written, 2 usage
+error, 3 capacity/step-cap errors.  Results go to stdout, diagnostics to
+stderr; identical flags produce byte-identical output.
 
 Each command handler imports the submodules it runs, so importing this module
 loads no numpy and a run loads only what its command uses.
@@ -309,6 +309,9 @@ def main(argv=None, out=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     out = out if out is not None else sys.stdout
+    if out is None:  # the interpreter started with file descriptor 1 closed
+        print("error: stdout is closed", file=sys.stderr)
+        return 1
     stdout = out is sys.stdout
     if stdout and isinstance(getattr(out, "buffer", None), io.RawIOBase):
         # Unbuffered (PYTHONUNBUFFERED), the raw file drops the rest of a write
@@ -330,11 +333,12 @@ def main(argv=None, out=None) -> int:
     except (ConsistencyError, WorkerError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except BrokenPipeError:
+    except OSError as exc:  # a stdout the reader closed, a full disk, ...
         if stdout:  # the rest goes to devnull, so the exit flush raises no second error
             with open(os.devnull, "wb") as devnull:
                 os.dup2(devnull.fileno(), sys.stdout.fileno())
-        print("error: stdout was closed before the output ended", file=sys.stderr)
+        closed = isinstance(exc, BrokenPipeError)
+        print(f"error: {'stdout was closed before the output ended' if closed else exc}", file=sys.stderr)
         return 1
 
 

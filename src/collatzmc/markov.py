@@ -8,14 +8,14 @@ The stationary law is the invariant measure, which takes one value on even
 classes and another on odd ones, so it is kept as that (even, odd) pair and
 checked on the class map by measure.weigh_fibres.  The independent
 cross-checks, check_stochasticity and kstep_measure_matrix, solve congruences
-(preimage_targets) instead of applying the forward images.  The triplet and
-stationary texts are built as one byte array each (emit_triplets,
-emit_stationary), so the CLI writes each in one call.
+(preimage_targets) instead of applying the forward images.  Q's nonzero
+entries are enumerated only by runs(); the triplet, stationary and graph texts
+are built from arrays by one byte-array builder (emit_triplets, emit_stationary,
+emit_chain_graph), so the CLI writes each in one call.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -80,15 +80,11 @@ class TransitionMatrix:
         # every row opens a run, so a run ends where the next one starts
         return flat // 8, ordered.ravel()[flat], np.diff(flat, append=ordered.size)
 
-    def entries(self) -> Iterator[tuple[int, int, int]]:
-        """(row, column, count) of every nonzero entry, in the order of runs()."""
-        return zip(*(array.tolist() for array in self.runs()))
-
     @property
     def rows(self) -> tuple[tuple[tuple[int, Fraction], ...], ...]:
         """Exact sparse rows: (column, probability) pairs sorted by column."""
         rows = [[] for _ in range(self.size)]
-        for i, j, count in self.entries():
+        for i, j, count in zip(*(array.tolist() for array in self.runs())):
             rows[i].append((j, EIGHTHS[count]))
         return tuple(map(tuple, rows))
 
@@ -140,11 +136,12 @@ def check_stochasticity(matrix: TransitionMatrix) -> bool:
 
 
 def left_multiply(weights, matrix: TransitionMatrix) -> list[Fraction]:
-    """Exact row-vector times matrix product."""
+    """Exact row-vector times matrix product: weight i adds 1/8 of itself to
+    each of row i's 8 image columns, so int weights give Fractions too."""
     out = [Fraction(0)] * matrix.size
-    for i, j, count in matrix.entries():
-        if weights[i]:
-            out[j] += weights[i] * EIGHTHS[count]
+    for weight, columns in zip(weights, matrix.images.tolist()):
+        for j in columns:
+            out[j] += weight * EIGHTHS[1]
     return out
 
 
@@ -251,13 +248,6 @@ def check_ergodicity(matrix: TransitionMatrix) -> ErgodicityResult:
     reducibility/periodicity; gives up, inconclusive, after exponent 2 * size.
     """
     size, images = matrix.size, matrix.images
-
-    def times_q(masks: np.ndarray) -> np.ndarray:
-        out = masks[images[:, 0]]
-        for column in images.T[1:]:
-            out |= masks[column]
-        return out
-
     current = np.zeros((size, size // 8), dtype=np.uint8)
     states = np.arange(size)
     for column in images.T:  # one column at a time: two may set bits of one byte
@@ -265,7 +255,9 @@ def check_ergodicity(matrix: TransitionMatrix) -> ErgodicityResult:
     for exponent in range(1, 2 * size + 1):
         if (current == 0xFF).all():
             return ErgodicityResult(True, exponent, True)
-        nxt = times_q(current)
+        nxt = current[images[:, 0]]
+        for column in images.T[1:]:
+            nxt |= current[column]
         if np.array_equal(nxt, current):
             return ErgodicityResult(False, None, True)
         current = nxt
@@ -273,15 +265,15 @@ def check_ergodicity(matrix: TransitionMatrix) -> ErgodicityResult:
 
 
 def emit_chain_graph(matrix: TransitionMatrix) -> str:
-    """DOT digraph of the class chain, nodes labelled B(i,8^m), exact edge weights."""
-    modulus = matrix.size
-    lines = ["digraph residue_chain {", "  rankdir=LR;"]
-    for i in range(matrix.size):
-        lines.append(f'  "B({i},{modulus})";')
-    for i, j, count in matrix.entries():
-        lines.append(f'  "B({i},{modulus})" -> "B({j},{modulus})" [label="{EIGHTHS[count]}"];')
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    """DOT digraph of the class chain, nodes labelled B(i,8^m), exact edge
+    weights; node and edge lines are each built as one byte array."""
+    names = np.char.add(np.char.add(b'"B(', _decimals(matrix.size)), f',{matrix.size})"'.encode())
+    indented = np.char.add(b"  ", names)
+    labels = np.array([f'[label="{p}"];' for p in EIGHTHS], dtype="S")
+    rows, columns, counts = matrix.runs()
+    nodes = _ascii_lines((np.char.add(indented, b";"), np.arange(matrix.size)))
+    edges = _ascii_lines((np.char.add(indented, b" ->"), rows), (names, columns), (labels, counts))
+    return f"digraph residue_chain {{\n  rankdir=LR;\n{nodes}{edges}}}\n"
 
 
 def _ascii_lines(*fields: tuple[np.ndarray, np.ndarray]) -> str:
@@ -309,7 +301,7 @@ def _decimals(size: int) -> np.ndarray:
 
 
 def emit_triplets(matrix: TransitionMatrix) -> str:
-    """Lines "row column probability" of every nonzero entry, in entries() order."""
+    """Lines "row column probability" of every nonzero entry, in runs() order."""
     rows, columns, counts = matrix.runs()
     decimals = _decimals(matrix.size)
     labels = np.array([str(p) for p in EIGHTHS], dtype="S")

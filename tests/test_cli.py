@@ -1,15 +1,18 @@
 """CLI behaviour: output formats, determinism, exit codes."""
 
 import dataclasses
+import errno
 import hashlib
 import io
 import json
 import os
 import runpy
 import signal
+import subprocess
 import sys
 
 import pytest
+from conftest import python_env
 
 from collatzmc import cli, empirical, markov, measure
 from collatzmc.cli import main
@@ -102,6 +105,8 @@ CHAIN_GOLDENS = {
     "graph --m 1": "737311055b8d065cd17d0caca3060d8618ae002bc6f3138b65b0ffa13afa7b40",
     "graph --m 2": "5b29dec748f4a7807ade069168af464b7a62d800687a118dbb40fddbc1810d7b",
     "graph --m 3": "7810fe150c250aabbb2202ebeeaf83f055fcf7a8100a2d568ab1cefde284eae8",
+    "graph --m 4": "aacc2da485942c60c166c35eca690f1404c9432fdab2ee3b2bea446786cbd746",
+    "graph --m 5": "46abc2b55b26af4416b23a101abeafe220f1745c95ecf5b9c8ce21ea956b297f",
     "matrix --m 1 --format dense": "e017d4ffc2990d29764d8d66bf806548d617702397684a521011155c2ec898e2",
     "matrix --m 2 --format dense": "4ecdcf854823cd315cc6ace90aadbb5ac708946352315c884b8b30ee3318cd8c",
 }
@@ -125,7 +130,7 @@ class CountingOut(io.StringIO):
         return super().write(text)
 
 
-@pytest.mark.parametrize("argv", ["matrix --m 2", "stationary --m 3", "verify --measure --m 2"])
+@pytest.mark.parametrize("argv", ["matrix --m 2", "stationary --m 3", "verify --measure --m 2", "graph --m 2"])
 def test_chain_text_is_one_write(argv):
     # the text is built whole and written in one call, not one per line
     out = CountingOut()
@@ -679,6 +684,36 @@ def test_closed_stdout_is_one_error_line(popen_python, argv, unbuffered):
     assert proc.returncode == 1
     assert b"Traceback" not in err
     assert err.decode().splitlines() == ["error: stdout was closed before the output ended"]
+
+
+@pytest.mark.parametrize(
+    "mode",
+    [
+        pytest.param(mode, marks=pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full"))
+        for mode in ("full-buffered", "full-unbuffered")
+    ]
+    + ["closed"],
+)
+@pytest.mark.parametrize("argv", ["matrix --m 5", "simulate --max 100000"])
+def test_unwritable_stdout_is_one_error_line(argv, mode):
+    """A stdout on a full device, block-buffered or unbuffered
+    (PYTHONUNBUFFERED=1), or a file descriptor 1 closed before the interpreter
+    starts: exit code 1 and one stderr line, not an OSError or AttributeError
+    traceback."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    if mode == "full-unbuffered":
+        env["PYTHONUNBUFFERED"] = "1"
+    command = [sys.executable, "-m", "collatzmc", *argv.split()]
+    if mode == "closed":
+        command = ["sh", "-c", 'exec "$0" "$@" >&-', *command]
+        expected = "error: stdout is closed"
+    else:
+        expected = f"error: {OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))}"
+    with open(os.devnull if mode == "closed" else "/dev/full", "wb") as stdout:
+        proc = subprocess.run(command, stdout=stdout, stderr=subprocess.PIPE, env=python_env(env), timeout=60)
+    assert proc.returncode == 1
+    assert b"Traceback" not in proc.stderr
+    assert proc.stderr.decode().splitlines() == [expected]
 
 
 def test_main_module_runs_the_cli(monkeypatch, capsys):

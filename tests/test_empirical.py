@@ -342,6 +342,61 @@ def test_batches_change_no_result(monkeypatch, level, include_start, where):
             assert stats_identical(_sweep_shard(config, lo, hi), whole)
 
 
+def assert_folds_onto(fine, coarse):
+    """fine, stats of one range at level m + 1, folded onto level m: each
+    class mod 8^(m+1) into its class mod 8^m.  An orbit is the same at every
+    level, so the counts fold exactly and the per-orbit share sums up to
+    float order."""
+    mod = 8**coarse.level
+    folded = fine.visit_counts.reshape(-1, mod).sum(0)
+    assert folded.dtype == coarse.visit_counts.dtype
+    assert np.array_equal(folded, coarse.visit_counts)
+    assert (fine.max_value, fine.trajectories, fine.traj_counted) == (
+        coarse.max_value,
+        coarse.trajectories,
+        coarse.traj_counted,
+    )
+    assert (fine.traj_freq_sums is None) == (coarse.traj_freq_sums is None)
+    if coarse.traj_freq_sums is not None:
+        np.testing.assert_allclose(fine.traj_freq_sums.reshape(-1, mod).sum(0), coarse.traj_freq_sums, rtol=1e-9)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    level=st.integers(1, 5),
+    include_start=st.booleans(),
+    per_trajectory=st.booleans(),
+    lo=LO_BAND,
+    # the jump bound of either level: the two levels jump different lengths
+    jump_level=st.integers(0, 1),
+    jump_offset=st.none() | st.integers(-300, 300),
+    width=st.integers(1, 256),
+)
+@example(level=1, include_start=False, per_trajectory=True, lo=1, jump_level=0, jump_offset=None, width=256)
+@example(level=5, include_start=True, per_trajectory=False, lo=1, jump_level=1, jump_offset=-128, width=256)
+@example(level=3, include_start=True, per_trajectory=True, lo=INT64_SAFE - 64, jump_level=0, jump_offset=None, width=128)
+def test_levels_fold_onto_each_other(level, include_start, per_trajectory, lo, jump_level, jump_offset, width):
+    """The paper's "for any m" on the sweep side: a shard's stats at level
+    m + 1 fold onto those at level m, in both kernel modes."""
+    lo = band_start(level + jump_level, lo, jump_offset)
+    hi = lo + width - 1
+    stats = [
+        _sweep_shard(
+            SweepConfig(n_max=max(hi, 5), level=m, include_start=include_start, per_trajectory=per_trajectory),
+            lo,
+            hi,
+        )
+        for m in (level, level + 1)
+    ]
+    assert_folds_onto(stats[1], stats[0])
+
+
+@pytest.mark.slow
+def test_levels_fold_onto_each_other_at_ten_million():
+    coarse, fine = (sweep(SweepConfig(n_max=10**7, level=m, workers=2)) for m in (1, 2))
+    assert_folds_onto(fine, coarse)
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     step_cap=st.integers(0, 120),

@@ -221,6 +221,21 @@ class TestStationary:
         assert left_multiply(vector, build_matrix(level)) == vector
         assert sum(vector) == 1
 
+    @pytest.mark.parametrize(
+        "level, weights",
+        [(1, [1] + [0] * 7), (2, np.random.default_rng(26).integers(-1000, 1000, 64).tolist())],
+        ids=["m1-unit", "m2-random"],
+    )
+    def test_integer_weights_give_exact_fractions(self, level, weights):
+        matrix = build_matrix(level)
+        expected = [Fraction(0)] * matrix.size
+        for weight, row in zip(weights, matrix.rows):
+            for j, p in row:
+                expected[j] += weight * p
+        product = left_multiply(weights, matrix)
+        assert all(type(entry) is Fraction for entry in product)
+        assert product == expected
+
     @pytest.mark.parametrize("level", [1, 2, 3])
     def test_power_iteration_agrees(self, level):
         numeric = power_iteration(build_matrix(level))
@@ -352,6 +367,14 @@ class TestErgodicity:
         assert str(result) == "inconclusive (bound exhausted)"
 
 
+def clumped_image_arrays(level):
+    """Random (8^level, 8) image arrays over a few classes, so that rows
+    repeat columns (counts 2-8)."""
+    size = 8**level
+    classes = st.lists(st.integers(0, size - 1), min_size=1, max_size=9, unique=True)
+    return classes.flatmap(lambda c: arrays(np.intp, (size, 8), elements=st.sampled_from(c)))
+
+
 class TestGraph:
     def test_golden_shape(self):
         text = emit_chain_graph(build_matrix(1))
@@ -364,13 +387,22 @@ class TestGraph:
         text = emit_chain_graph(build_matrix(2))
         assert text.count("->") == sum(len(r) for r in build_matrix(2).rows)
 
-
-def clumped_image_arrays(level):
-    """Random (8^level, 8) image arrays over a few classes, so that rows
-    repeat columns (counts 2-8)."""
-    size = 8**level
-    classes = st.lists(st.integers(0, size - 1), min_size=1, max_size=9, unique=True)
-    return classes.flatmap(lambda c: arrays(np.intp, (size, 8), elements=st.sampled_from(c)))
+    @given(images=st.integers(1, 3).flatmap(clumped_image_arrays))
+    @example(images=np.zeros((8, 8), dtype=int))
+    @example(images=build_matrix(1).images)
+    @example(images=build_matrix(3).images)
+    def test_lines_match_the_line_reference(self, images):
+        matrix = TransitionMatrix(images)
+        name = [f'"B({i},{matrix.size})"' for i in range(matrix.size)]
+        reference = ["digraph residue_chain {\n", "  rankdir=LR;\n"]
+        reference += [f"  {name[i]};\n" for i in range(matrix.size)]
+        reference += [
+            f'  {name[i]} -> {name[j]} [label="{p}"];\n'
+            for i, row in enumerate(matrix.rows)
+            for j, p in row
+        ]
+        reference.append("}\n")
+        assert emit_chain_graph(matrix).splitlines(keepends=True) == reference
 
 
 class TestText:
@@ -380,7 +412,7 @@ class TestText:
     @example(images=build_matrix(3).images)
     def test_triplets_match_the_line_reference(self, images):
         matrix = TransitionMatrix(images)
-        reference = [f"{i} {j} {markov.EIGHTHS[c]}\n" for i, j, c in matrix.entries()]
+        reference = [f"{i} {j} {markov.EIGHTHS[c]}\n" for i, j, c in zip(*map(list, matrix.runs()))]
         # lists, not one string: pytest reports the first differing line
         assert emit_triplets(matrix).splitlines(keepends=True) == reference
 
