@@ -224,44 +224,47 @@ def kstep_measure_matrix(steps: int, level: int = 1) -> list[list[Fraction]]:
     return _dense(image.reshape(-1, 8**level).T)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ErgodicityResult:
-    positive: bool
-    exponent: int | None
-    conclusive: bool
+    """rows[i] is the first exponent e at which row i of Q^e is all positive."""
+
+    rows: np.ndarray
+
+    @property
+    def exponent(self) -> int:
+        return int(self.rows.max())  # a full row stays full
 
     def __str__(self):
-        if self.positive:
-            return f"all entries positive at exponent {self.exponent}"
-        return "reducible/periodic" if self.conclusive else "inconclusive (bound exhausted)"
+        return f"all entries positive at exponent {self.exponent}"
 
 
 def check_ergodicity(matrix: TransitionMatrix) -> ErgodicityResult:
-    """Search for a power of the matrix with strictly positive entries.
+    """First strictly positive power of each row of the class chain Q(m).
 
-    Works on row supports packed into bitmasks, 8 states per byte, column c
-    as bit c & 7 of byte c >> 3 (no cancellation can occur in a nonnegative
-    product).  The search starts from the support of Q, its image columns.
-    Row i of Q^(e+1) = Q * Q^e has the union of the Q^e supports of its 8
-    image columns, so each step ORs 8 rows of masks.  Stops early if the
-    supports stabilize below full, which is conclusive evidence of
-    reducibility/periodicity; gives up, inconclusive, after exponent 2 * size.
+    The argument is Q(m) itself, which verify --stochasticity checks.  Row i
+    of Q^e is T3^e(B(i, 8^m)) mod 8^m, and T3 maps a 2-adic class (c, v) =
+    {c + 2^v*s} with v >= 3 onto the one class (T3(c), v - 3 + v2(M)), M the
+    multiplier of c mod 8 (Terras 1976, Lagarias 1985).  So each row descends
+    from (i, 3m), reading T3(c) mod 8^m off images[c, 0], until v <= 3.  It
+    then holds every class whose residue mod 8 is in c + 2^v*t, and the row
+    supports of Q(1) step that residue set, keyed 8v + c mod 8, until full.
     """
     size, images = matrix.size, matrix.images
-    current = np.zeros((size, size // 8), dtype=np.uint8)
-    states = np.arange(size)
-    for column in images.T:  # one column at a time: two may set bits of one byte
-        current[states, column >> 3] |= (1 << (column & 7)).astype(np.uint8)
-    for exponent in range(1, 2 * size + 1):
-        if (current == 0xFF).all():
-            return ErgodicityResult(True, exponent, True)
-        nxt = current[images[:, 0]]
-        for column in images.T[1:]:
-            nxt |= current[column]
-        if np.array_equal(nxt, current):
-            return ErgodicityResult(False, None, True)
-        current = nxt
-    return ErgodicityResult(False, None, False)
+    twos = np.array([(m & -m).bit_length() - 1 for m in MULTIPLIERS])
+    c, v = np.arange(size), np.full(size, 3 * matrix.level)
+    rows = np.zeros(size, dtype=np.intp)
+    while (live := v > 3).any():
+        rows += live
+        v = np.where(live, v - 3 + twos[c & 7], v)
+        c = np.where(live, images[c, 0], c)
+    keys, finish = np.arange(32), np.zeros(32, dtype=np.intp)
+    marks = np.eye(8, dtype=bool)  # marks[r] flags residue r mod 8
+    reached = marks[((keys & 7)[:, None] + (1 << (keys >> 3))[:, None] * np.arange(8)) & 7].any(axis=1)
+    support = marks[build_matrix(1).images].any(axis=1)
+    while not (full := reached.all(axis=1)).all():
+        finish += ~full
+        reached = reached @ support
+    return ErgodicityResult(rows + finish[8 * v + (c & 7)])
 
 
 def emit_chain_graph(matrix: TransitionMatrix) -> str:

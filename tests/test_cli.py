@@ -86,6 +86,8 @@ CHAIN_GOLDENS = {
     "verify --stationarity --m 4": "442bd077b78d4ca940e97640ad22621dc0e99fa6991932e35216adcf5ab42078",
     "verify --all --m 3": "231463310b46dfc256159bf49c2e1f12e56346f9f0b49fa690aa7f3e25d8646b",
     "verify --all --m 4": "976e8a9ba722ad76635245ce36796e8c71a8f7977359fcb03bebbaba5e73b9ff",
+    "verify --all --m 5": "35d7feb09a87e5ae9945891f00ea154460deb1f1f0c55fc8a176010ebf2f2133",
+    "verify --ergodicity --m 5": "f12f3d44b682544f45ecdface7d73bb3b204fbd402d2bcecd2533bd7a820f37f",
     "verify --measure --m 1": "3667fa5960a21f45d2b844cfb72232f1570cfb58830e2026db72bd3c2fa83464",
     "verify --measure --m 2": "a28b265628c9836bf06cbae77f830afb13708894d674e2e9913dd9981e0e08fb",
     "verify --measure --m 3": "8e6a397a24f046bf6da9460f707143500b45b9737ac30660dd104d3336e0bf08",

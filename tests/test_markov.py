@@ -1,5 +1,6 @@
 """Transition-matrix construction, stationarity, powers, and ergodicity."""
 
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -312,26 +313,42 @@ class TestPowers:
             matrix_power(build_matrix(1), 0)
 
 
-def brute_force_ergodicity(support: np.ndarray, bound: int) -> tuple:
-    """The search of check_ergodicity on dense boolean matrix powers."""
-    power = support
-    for exponent in range(1, bound + 1):
-        if power.all():
-            return True, exponent, True
-        nxt = (power.astype(int) @ support.astype(int)) > 0
-        if np.array_equal(nxt, power):
-            return False, None, True
-        power = nxt
-    return False, None, False
+def brute_force_ergodicity(support: np.ndarray) -> np.ndarray:
+    """Each row's first all-positive exponent, from dense boolean matrix powers."""
+    rows = np.zeros(len(support), dtype=int)
+    power, exponent = support, 1
+    while not rows.all():
+        rows[(rows == 0) & power.all(axis=1)] = exponent
+        power, exponent = (power.astype(int) @ support.astype(int)) > 0, exponent + 1
+    return rows
 
 
-ROW_SUPPORT = st.one_of(st.sampled_from([1 << k for k in range(8)]), st.integers(1, 255))
+def bitmask_ergodicity(matrix: TransitionMatrix) -> np.ndarray:
+    """Each row's first all-positive exponent, by the search on row supports
+    packed into bitmasks, 8 states per byte, column c as bit c & 7 of byte
+    c >> 3: row i of Q^(e+1) = Q * Q^e is the union of the Q^e supports of
+    its 8 image columns.  8^m x 8^m / 8 bytes per power, so m <= 4 only."""
+    size, images = matrix.size, matrix.images
+    current = np.zeros((size, size // 8), dtype=np.uint8)
+    states = np.arange(size)
+    for column in images.T:  # one column at a time: two may set bits of one byte
+        current[states, column >> 3] |= (1 << (column & 7)).astype(np.uint8)
+    rows = np.zeros(size, dtype=int)
+    for exponent in range(1, 2 * size + 1):
+        rows[(rows == 0) & (current == 0xFF).all(axis=1)] = exponent
+        if rows.all():
+            return rows
+        nxt = current[images[:, 0]]
+        for column in images.T[1:]:
+            nxt |= current[column]
+        current = nxt
+    raise AssertionError("some row is not all positive at exponent 2 * size")
 
 
 class TestErgodicity:
     def test_level1_positive_at_two(self):
         result = check_ergodicity(build_matrix(1))
-        assert result.positive and result.exponent == 2
+        assert result.exponent == 2
         assert str(result) == "all entries positive at exponent 2"
 
     @pytest.mark.parametrize("level, exponent", [(1, 2), (2, 4), (3, 6), (4, 8)])
@@ -339,32 +356,31 @@ class TestErgodicity:
         # at these levels the first strictly positive power of Q(m) is Q(m)^(2m)
         assert check_ergodicity(build_matrix(level)).exponent == exponent
 
-    @given(masks=st.lists(ROW_SUPPORT, min_size=8, max_size=8))
-    @example(masks=[1 << i for i in range(8)])  # identity
-    @example(masks=[1 << ((i + 1) % 8) for i in range(8)])  # 8-cycle
-    @example(masks=[0x0F] * 4 + [0xF0] * 4)  # two closed blocks
-    def test_matches_brute_force_powers(self, masks):
-        support = np.array([[(mask >> j) & 1 for j in range(8)] for mask in masks], dtype=bool)
-        # each support's columns, repeated cyclically up to width 8
-        images = [np.resize(np.flatnonzero(row), 8) for row in support]
-        result = check_ergodicity(TransitionMatrix(images))
-        assert (result.positive, result.exponent, result.conclusive) == brute_force_ergodicity(
-            support, 16
-        )
+    @pytest.mark.parametrize("level, attaining", [(1, 7), (2, 22), (3, 46), (4, 79)])
+    def test_rows_match_bitmask_search(self, level, attaining):
+        rows = check_ergodicity(build_matrix(level)).rows
+        assert np.array_equal(rows, bitmask_ergodicity(build_matrix(level)))
+        assert rows.max() == 2 * level and np.count_nonzero(rows == 2 * level) == attaining
 
-    def test_identity_is_not_ergodic(self):
-        identity = eight_wide(range(8))
-        result = check_ergodicity(identity)
-        assert not result.positive and result.conclusive
-        assert str(result) == "reducible/periodic"
+    @pytest.mark.parametrize("level", [1, 2])
+    def test_bitmask_search_matches_dense_powers(self, level):
+        matrix = build_matrix(level)
+        support = np.zeros((matrix.size, matrix.size), dtype=bool)
+        support[np.arange(matrix.size)[:, None], matrix.images] = True
+        assert np.array_equal(bitmask_ergodicity(matrix), brute_force_ergodicity(support))
 
-    def test_bound_exhaustion_is_inconclusive(self):
-        # two-state swap is periodic: its powers alternate and never settle,
-        # so the search uses up its bound of 2 * 8 steps
-        swap = eight_wide([7, 1, 2, 3, 4, 5, 6, 0])
-        result = check_ergodicity(swap)
-        assert not result.positive and not result.conclusive
-        assert str(result) == "inconclusive (bound exhausted)"
+    def test_memory_is_bounded_at_level_5(self):
+        # one (class, valuation) pair and one 8-residue set per row, where
+        # row-support bitmasks would take 8^5 * 8^5 / 8 bytes = 128 MiB
+        matrix = build_matrix(5)
+        tracemalloc.start()
+        try:
+            result = check_ergodicity(matrix)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert result.exponent == 10
+        assert peak < 16 * 2**20
 
 
 def clumped_image_arrays(level):
