@@ -316,11 +316,13 @@ class TestPowers:
 def brute_force_ergodicity(support: np.ndarray) -> np.ndarray:
     """Each row's first all-positive exponent, from dense boolean matrix powers."""
     rows = np.zeros(len(support), dtype=int)
-    power, exponent = support, 1
-    while not rows.all():
+    power = support
+    for exponent in range(1, 2 * len(support) + 1):
         rows[(rows == 0) & power.all(axis=1)] = exponent
-        power, exponent = (power.astype(int) @ support.astype(int)) > 0, exponent + 1
-    return rows
+        if rows.all():
+            return rows
+        power = (power.astype(int) @ support.astype(int)) > 0
+    raise AssertionError("some row is not all positive at exponent 2 * size")
 
 
 def bitmask_ergodicity(matrix: TransitionMatrix) -> np.ndarray:
