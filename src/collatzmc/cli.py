@@ -260,7 +260,7 @@ def _cmd_verify(args, out) -> int:
         failed |= not report.passed
 
     matrix = None
-    if checks["stochasticity"] or checks["stationarity"] or checks["ergodicity"]:
+    if checks["stochasticity"] or checks["stationarity"]:
         matrix = markov.build_matrix(args.m)
 
     if checks["stochasticity"]:
@@ -286,7 +286,7 @@ def _cmd_verify(args, out) -> int:
         failed |= not ok
 
     if checks["ergodicity"]:
-        print(f"PASS ergodicity m={args.m} ({markov.check_ergodicity(matrix)})", file=out)
+        print(f"PASS ergodicity m={args.m} ({markov.check_ergodicity(args.m)})", file=out)
 
     return 1 if failed else 0
 

@@ -93,6 +93,8 @@ def run_trajectory(n0: int, level: int = 1, step_cap: int = 10**9) -> Trajectory
     """
     if n0 < 1:
         raise ValueError(f"n0 must be >= 1, got {n0}")
+    if level < 1:
+        raise ValueError(f"level must be >= 1, got {level}")
     if step_cap < 0:
         raise ValueError(f"step_cap must be >= 0, got {step_cap}")
     mod = 8**level

@@ -55,6 +55,8 @@ class TransitionMatrix:
     __slots__ = ("level", "images")
 
     def __init__(self, images) -> None:
+        if not np.issubdtype(np.asarray(images).dtype, np.integer):
+            raise ValueError("image array must hold integers")
         images = np.array(images, dtype=np.intp)
         size = images.size // 8
         level = (size.bit_length() - 1) // 3  # 8^level has 3 * level + 1 bits
@@ -238,21 +240,20 @@ class ErgodicityResult:
         return f"all entries positive at exponent {self.exponent}"
 
 
-def check_ergodicity(matrix: TransitionMatrix) -> ErgodicityResult:
+def check_ergodicity(level: int) -> ErgodicityResult:
     """First strictly positive power of each row of the class chain Q(m).
 
-    The argument is Q(m) itself, which verify --stochasticity checks.  Row i
-    of Q^e is T3^e(B(i, 8^m)) mod 8^m, and T3 maps a 2-adic class (c, v) =
-    {c + 2^v*s} with v >= 3 onto the one class (T3(c), v - 3 + v2(M)), M the
+    Row i of Q^e is T3^e(B(i, 8^m)) mod 8^m, and T3 maps a 2-adic class (c, v)
+    = {c + 2^v*s} with v >= 3 onto the one class (T3(c), v - 3 + v2(M)), M the
     multiplier of c mod 8 (Terras 1976, Lagarias 1985).  So each row descends
     from (i, 3m), reading T3(c) mod 8^m off images[c, 0], until v <= 3.  It
     then holds every class whose residue mod 8 is in c + 2^v*t, and the row
     supports of Q(1) step that residue set, keyed 8v + c mod 8, until full.
     """
-    size, images = matrix.size, matrix.images
+    images = build_matrix(level).images
     twos = np.array([(m & -m).bit_length() - 1 for m in MULTIPLIERS])
-    c, v = np.arange(size), np.full(size, 3 * matrix.level)
-    rows = np.zeros(size, dtype=np.intp)
+    c, v = np.arange(len(images)), np.full(len(images), 3 * level)
+    rows = np.zeros(len(images), dtype=np.intp)
     while (live := v > 3).any():
         rows += live
         v = np.where(live, v - 3 + twos[c & 7], v)

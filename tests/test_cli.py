@@ -568,7 +568,7 @@ class TestVerify:
         code, text = run_cli("verify", "--measure", "--m", str(measure.MAX_CHECK_LEVEL + 1))
         assert code == 3 and text == "" and len(capsys.readouterr().err.splitlines()) == 1
 
-    @pytest.mark.parametrize("argv", ["--measure --m 6", "--measure --m 9", "--all --m 6"])
+    @pytest.mark.parametrize("argv", ["--measure --m 6", "--measure --m 9", "--all --m 6", "--ergodicity --m 6"])
     def test_measure_hard_ceiling(self, monkeypatch, capsys, argv):
         # refused with one line before the preimage map is built
         def build_nothing(level):

@@ -108,6 +108,12 @@ class TestRunTrajectory:
         with pytest.raises(ValueError):
             run_trajectory(0)
 
+    @pytest.mark.parametrize("level", [0, -1])
+    def test_rejects_level_below_one(self, level):
+        # level 0 would record every visit as class 0, level -1 as floats
+        with pytest.raises(ValueError, match="level must be >= 1"):
+            run_trajectory(7, level=level)
+
 
 class TestSweep:
     @pytest.mark.parametrize("level,include_start", [(1, True), (1, False), (2, True)])

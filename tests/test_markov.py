@@ -349,18 +349,18 @@ def bitmask_ergodicity(matrix: TransitionMatrix) -> np.ndarray:
 
 class TestErgodicity:
     def test_level1_positive_at_two(self):
-        result = check_ergodicity(build_matrix(1))
+        result = check_ergodicity(1)
         assert result.exponent == 2
         assert str(result) == "all entries positive at exponent 2"
 
     @pytest.mark.parametrize("level, exponent", [(1, 2), (2, 4), (3, 6), (4, 8)])
     def test_known_exponents(self, level, exponent):
         # at these levels the first strictly positive power of Q(m) is Q(m)^(2m)
-        assert check_ergodicity(build_matrix(level)).exponent == exponent
+        assert check_ergodicity(level).exponent == exponent
 
     @pytest.mark.parametrize("level, attaining", [(1, 7), (2, 22), (3, 46), (4, 79)])
     def test_rows_match_bitmask_search(self, level, attaining):
-        rows = check_ergodicity(build_matrix(level)).rows
+        rows = check_ergodicity(level).rows
         assert np.array_equal(rows, bitmask_ergodicity(build_matrix(level)))
         assert rows.max() == 2 * level and np.count_nonzero(rows == 2 * level) == attaining
 
@@ -372,17 +372,22 @@ class TestErgodicity:
         assert np.array_equal(bitmask_ergodicity(matrix), brute_force_ergodicity(support))
 
     def test_memory_is_bounded_at_level_5(self):
-        # one (class, valuation) pair and one 8-residue set per row, where
-        # row-support bitmasks would take 8^5 * 8^5 / 8 bytes = 128 MiB
-        matrix = build_matrix(5)
+        # Q(5) and one (class, valuation) pair and one 8-residue set per row,
+        # where row-support bitmasks would take 8^5 * 8^5 / 8 bytes = 128 MiB
         tracemalloc.start()
         try:
-            result = check_ergodicity(matrix)
+            result = check_ergodicity(5)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert result.exponent == 10
         assert peak < 16 * 2**20
+
+    def test_level_bounds(self):
+        with pytest.raises(ValueError):
+            check_ergodicity(0)
+        with pytest.raises(CapacityError):
+            check_ergodicity(6)
 
 
 def clumped_image_arrays(level):
@@ -457,6 +462,10 @@ def test_level_is_read_off_the_rows(level):
 def test_matrix_validation():
     with pytest.raises(ValueError, match="out of range"):
         TransitionMatrix(np.full((8, 8), 8))
+    # np.array(..., dtype=np.intp) would truncate 0.9 to class 0
+    for images in (np.full((8, 8), 0.9), np.zeros((8, 8), dtype=bool)):
+        with pytest.raises(ValueError, match="integers"):
+            TransitionMatrix(images)
     shapes = ((7, 8), (8, 1), (8, 9), (64,), (8, 8, 1), (0, 8), (9, 8), ())
     for shape in shapes:
         with pytest.raises(ValueError, match="image array"):
