@@ -142,7 +142,7 @@ def _cmd_matrix(args, out) -> int:
 
     matrix = markov.build_matrix(args.m)
     if args.format == "triplets":
-        out.write(markov.emit_triplets(matrix))
+        out.writelines(markov.emit_triplets(matrix))
     else:
         for row in matrix.dense():
             print(" ".join(str(p) for p in row), file=out)
@@ -153,14 +153,14 @@ def _cmd_stationary(args, out) -> int:
     from . import markov
 
     weights = markov.stationary_distribution(markov.build_matrix(args.m))
-    out.write(markov.emit_stationary(args.m, weights))
+    out.writelines(markov.emit_stationary(args.m, weights))
     return 0
 
 
 def _cmd_graph(args, out) -> int:
     from . import markov
 
-    out.write(markov.emit_chain_graph(markov.build_matrix(args.m)))
+    out.writelines(markov.emit_chain_graph(markov.build_matrix(args.m)))
     return 0
 
 

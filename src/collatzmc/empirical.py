@@ -46,6 +46,11 @@ PER_TRAJECTORY_CELLS = 1 << 23
 #: fold each batch's visit keys into the running sums before the next.
 PER_TRAJECTORY_BATCH = 1 << 13
 
+#: A batch's orbit shares are computed this many whole orbits at a time, so
+#: the share step's temporaries (about 30 bytes per key) follow the block,
+#: not the batch's keys.
+ORBIT_BLOCK = 1 << 10
+
 #: Plain shards run the kernel on this many starts at a time, into one
 #: tally, so its per-pass arrays are at most 1 MB whatever the shard width.
 PLAIN_BATCH = 1 << 17
@@ -522,28 +527,37 @@ def _add_orbit_shares(
     one visit is uncounted.  Returns the number of orbits with a visit.
 
     Sorted and run-length encoded, the keys are the (orbit, class) pairs in
-    orbit order with their visit counts.  np.add.at adds in index order, so
-    each class's sum takes the orbits' shares in orbit order, as one running
-    sum over the shard does; the batches change no float result.
+    orbit order with their visit counts.  The keys are sorted in place, then
+    encoded ORBIT_BLOCK whole orbits at a time.  np.add.at adds in index
+    order and the blocks run in orbit order, so each class's sum takes the
+    orbits' shares in orbit order, as one running sum over the shard does;
+    neither the batches nor the blocks change a float result.
     """
     mod = sums.size
-    if not keys.size:
-        return 0
     keys.sort()
     if start_keys is not None:
         keys = np.delete(keys, np.searchsorted(keys, start_keys))
     # int32 like the keys, so searchsorted does not copy them; (size - 1) * 8^m fits
     orbits = np.arange(size, dtype=np.int32) * mod
-    edges = np.flatnonzero(np.r_[True, keys[1:] != keys[:-1], True])
-    visits = np.diff(edges)
-    keys = keys[edges[:-1]]
-    first = np.searchsorted(keys, orbits)  # each orbit's first pair
-    pairs = np.diff(first, append=keys.size)
-    totals = np.diff(edges[first], append=edges[-1])  # visits per orbit
-    shares = np.repeat(totals.astype(float), pairs)
-    np.divide(visits, shares, out=shares)
-    np.add.at(sums, keys & (mod - 1), shares)
-    return int(np.count_nonzero(totals))
+    # a block ends where the next block's first orbit starts, the last at
+    # keys.size: size * 8^m can pass int32
+    ends = np.searchsorted(keys, orbits[ORBIT_BLOCK::ORBIT_BLOCK]).tolist() + [keys.size]
+    counted = lo = 0
+    for at, hi in zip(range(0, size, ORBIT_BLOCK), ends):
+        block, lo = keys[lo:hi], hi
+        if not block.size:
+            continue
+        edges = np.flatnonzero(np.r_[True, block[1:] != block[:-1], True])
+        visits = np.diff(edges)
+        block = block[edges[:-1]]
+        first = np.searchsorted(block, orbits[at : at + ORBIT_BLOCK])  # each orbit's first pair
+        pairs = np.diff(first, append=block.size)
+        totals = np.diff(edges[first], append=edges[-1])  # visits per orbit
+        shares = np.repeat(totals.astype(float), pairs)
+        np.divide(visits, shares, out=shares)
+        np.add.at(sums, block & (mod - 1), shares)
+        counted += int(np.count_nonzero(totals))
+    return counted
 
 
 def _sweep_shard(config: SweepConfig, lo: int, hi: int) -> TrajectoryStats:

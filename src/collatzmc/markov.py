@@ -9,13 +9,15 @@ classes and another on odd ones, so it is kept as that (even, odd) pair and
 checked on the class map by measure.weigh_fibres.  The independent
 cross-checks, check_stochasticity and kstep_measure_matrix, solve congruences
 (preimage_targets) instead of applying the forward images.  Q's nonzero
-entries are enumerated only by runs(); the triplet, stationary and graph texts
-are built from arrays by one byte-array builder (emit_triplets, emit_stationary,
-emit_chain_graph), so the CLI writes each in one call.
+entries are enumerated only by _runs(), which runs() calls on every row; the
+triplet, stationary and graph texts are built from arrays by one byte-array
+builder (emit_triplets, emit_stationary, emit_chain_graph), one block of rows
+at a time, and the CLI writes each block as it comes.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -75,12 +77,7 @@ class TransitionMatrix:
     def runs(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Row, column and count arrays of every nonzero entry in row-major
         order, by column within a row; the entry is count / 8."""
-        ordered = np.sort(self.images, axis=1)
-        starts = np.ones(ordered.shape, dtype=bool)
-        starts[:, 1:] = ordered[:, 1:] != ordered[:, :-1]
-        flat = np.flatnonzero(starts)
-        # every row opens a run, so a run ends where the next one starts
-        return flat // 8, ordered.ravel()[flat], np.diff(flat, append=ordered.size)
+        return _runs(self.images)
 
     @property
     def rows(self) -> tuple[tuple[tuple[int, Fraction], ...], ...]:
@@ -94,6 +91,25 @@ class TransitionMatrix:
         if self.level > MAX_POWER_LEVEL:
             raise CapacityError(f"dense output refused above level {MAX_POWER_LEVEL}")
         return _dense(self.images)
+
+
+def _runs(images: np.ndarray, lo: int = 0) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """runs() of the image rows lo, lo + 1, ... given as images: row indices
+    are offset by lo."""
+    ordered = np.sort(images, axis=1)
+    starts = np.ones(ordered.shape, dtype=bool)
+    starts[:, 1:] = ordered[:, 1:] != ordered[:, :-1]
+    flat = np.flatnonzero(starts)
+    # every row opens a run, so a run ends where the next one starts
+    return lo + flat // 8, ordered.ravel()[flat], np.diff(flat, append=ordered.size)
+
+
+def _row_blocks(size: int) -> list[tuple[int, int]]:
+    """Bounds [lo, hi) of the eight blocks of size / 8 rows the texts are
+    built in, one per leading octal digit of the row: at the level cap, 4096
+    rows and under 1 MB of text a block."""
+    block = size // 8
+    return [(lo, lo + block) for lo in range(0, size, block)]
 
 
 def _dense(images: np.ndarray) -> list[list[Fraction]]:
@@ -268,16 +284,23 @@ def check_ergodicity(level: int) -> ErgodicityResult:
     return ErgodicityResult(rows + finish[8 * v + (c & 7)])
 
 
-def emit_chain_graph(matrix: TransitionMatrix) -> str:
+def emit_chain_graph(matrix: TransitionMatrix) -> Iterator[str]:
     """DOT digraph of the class chain, nodes labelled B(i,8^m), exact edge
-    weights; node and edge lines are each built as one byte array."""
-    names = np.char.add(np.char.add(b'"B(', _decimals(matrix.size)), f',{matrix.size})"'.encode())
+    weights: the text in pieces, the node and edge lines of each block of
+    rows built as one byte array."""
+    size = matrix.size
+    names = np.char.add(np.char.add(b'"B(', _decimals(size)), f',{size})"'.encode())
     indented = np.char.add(b"  ", names)
     labels = np.array([f'[label="{p}"];' for p in EIGHTHS], dtype="S")
-    rows, columns, counts = matrix.runs()
-    nodes = _ascii_lines((np.char.add(indented, b";"), np.arange(matrix.size)))
-    edges = _ascii_lines((np.char.add(indented, b" ->"), rows), (names, columns), (labels, counts))
-    return f"digraph residue_chain {{\n  rankdir=LR;\n{nodes}{edges}}}\n"
+    yield "digraph residue_chain {\n  rankdir=LR;\n"
+    nodes = np.char.add(indented, b";")
+    for lo, hi in _row_blocks(size):
+        yield _ascii_lines((nodes, np.arange(lo, hi)))
+    arrows = np.char.add(indented, b" ->")
+    for lo, hi in _row_blocks(size):
+        rows, columns, counts = _runs(matrix.images[lo:hi], lo)
+        yield _ascii_lines((arrows, rows), (names, columns), (labels, counts))
+    yield "}\n"
 
 
 def _ascii_lines(*fields: tuple[np.ndarray, np.ndarray]) -> str:
@@ -304,17 +327,22 @@ def _decimals(size: int) -> np.ndarray:
     return np.arange(size).astype(f"S{len(str(size - 1))}")
 
 
-def emit_triplets(matrix: TransitionMatrix) -> str:
-    """Lines "row column probability" of every nonzero entry, in runs() order."""
-    rows, columns, counts = matrix.runs()
+def emit_triplets(matrix: TransitionMatrix) -> Iterator[str]:
+    """Lines "row column probability" of every nonzero entry, in runs()
+    order, one block of rows at a time."""
     decimals = _decimals(matrix.size)
     labels = np.array([str(p) for p in EIGHTHS], dtype="S")
-    return _ascii_lines((decimals, rows), (decimals, columns), (labels, counts))
+    for lo, hi in _row_blocks(matrix.size):
+        rows, columns, counts = _runs(matrix.images[lo:hi], lo)
+        yield _ascii_lines((decimals, rows), (decimals, columns), (labels, counts))
 
 
-def emit_stationary(level: int, weights: tuple[Fraction, Fraction]) -> str:
+def emit_stationary(level: int, weights: tuple[Fraction, Fraction]) -> Iterator[str]:
     """Lines "class weight" for every class mod 8^level, with the (even, odd)
-    weights at even and odd classes."""
-    classes = np.arange(8**level)
+    weights at even and odd classes, one block of classes at a time."""
+    size = 8**level
+    decimals = _decimals(size)
     labels = np.array([str(w) for w in weights], dtype="S")
-    return _ascii_lines((_decimals(len(classes)), classes), (labels, classes & 1))
+    for lo, hi in _row_blocks(size):
+        classes = np.arange(lo, hi)
+        yield _ascii_lines((decimals, classes), (labels, classes & 1))

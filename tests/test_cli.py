@@ -132,12 +132,16 @@ class CountingOut(io.StringIO):
         return super().write(text)
 
 
-@pytest.mark.parametrize("argv", ["matrix --m 2", "stationary --m 3", "verify --measure --m 2", "graph --m 2"])
-def test_chain_text_is_one_write(argv):
-    # the text is built whole and written in one call, not one per line
+@pytest.mark.parametrize(
+    "argv, writes",
+    [("matrix --m 2", 8), ("stationary --m 3", 8), ("verify --measure --m 2", 1), ("graph --m 2", 18)],
+)
+def test_chain_text_is_written_in_row_blocks(argv, writes):
+    # one write per block of rows (eight blocks; the graph's nodes and edges
+    # each, with its first and last line), not one per line nor the whole text
     out = CountingOut()
     assert main(argv.split(), out=out) == 0
-    assert out.writes == 1 and out.getvalue().count("\n") >= 64
+    assert out.writes == writes and out.getvalue().count("\n") >= 64
 
 
 def serve_chain(monkeypatch, images):

@@ -279,6 +279,8 @@ def band_start(level, lo, jump_offset):
 @example(level=1, include_start=False, per_trajectory=True, lo=1, width=64, jump_offset=None)
 @example(level=4, include_start=False, per_trajectory=True, lo=1, width=8, jump_offset=None)
 @example(level=6, include_start=False, per_trajectory=False, lo=1, width=8, jump_offset=None)
+# 8 is its orbit's one visit, so no key is left once the start is removed
+@example(level=1, include_start=False, per_trajectory=True, lo=8, width=1, jump_offset=None)
 @example(level=2, include_start=True, per_trajectory=True, lo=0, width=64, jump_offset=-32)
 # the record 13120 is met inside the first jump of a start below the top slice
 @example(level=1, include_start=True, per_trajectory=False, lo=352, width=64, jump_offset=None)
@@ -394,6 +396,29 @@ def test_levels_fold_onto_each_other(level, include_start, per_trajectory, lo, j
         )
         for m in (level, level + 1)
     ]
+    assert_folds_onto(stats[1], stats[0])
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    level=st.integers(1, 5),
+    include_start=st.booleans(),
+    per_trajectory=st.booleans(),
+    n_max=st.integers(5, 20000),
+    shards=st.integers(1, 16),
+)
+@example(level=1, include_start=False, per_trajectory=True, n_max=20000, shards=4)
+@example(level=5, include_start=True, per_trajectory=True, n_max=500, shards=16)
+def test_sweeps_fold_onto_each_other(level, include_start, per_trajectory, n_max, shards):
+    """Whole sweeps at levels m and m + 1 give the same totals once each class
+    mod 8^(m+1) is merged into its class mod 8^m, over up to 16 shards that
+    merge in order."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(empirical, "SHARD_SIZE", -(-n_max // shards))
+        stats = [
+            sweep(SweepConfig(n_max, m, include_start=include_start, per_trajectory=per_trajectory, workers=1))
+            for m in (level, level + 1)
+        ]
     assert_folds_onto(stats[1], stats[0])
 
 
@@ -557,6 +582,89 @@ def test_visit_keys_grow_and_reset(monkeypatch):
     keys.extend(1)[:] = 9
     assert keys.take().tolist() == [9]
     assert keys.take().size == 0
+
+
+def one_block_orbit_shares(sums, keys, size, start_keys):
+    """The share step with the whole batch as one block: the oracle of
+    _add_orbit_shares, which runs the same pipeline ORBIT_BLOCK orbits at a
+    time.  It returns before encoding when no key is left once the start
+    keys are removed."""
+    mod = sums.size
+    keys.sort()
+    if start_keys is not None:
+        keys = np.delete(keys, np.searchsorted(keys, start_keys))
+    if not keys.size:
+        return 0
+    orbits = np.arange(size, dtype=np.int32) * mod
+    edges = np.flatnonzero(np.r_[True, keys[1:] != keys[:-1], True])
+    visits = np.diff(edges)
+    keys = keys[edges[:-1]]
+    first = np.searchsorted(keys, orbits)
+    pairs = np.diff(first, append=keys.size)
+    totals = np.diff(edges[first], append=edges[-1])
+    shares = np.repeat(totals.astype(float), pairs)
+    np.divide(visits, shares, out=shares)
+    np.add.at(sums, keys & (mod - 1), shares)
+    return int(np.count_nonzero(totals))
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    size=st.integers(1, 3000),
+    level=st.integers(1, 6),
+    seed=st.integers(0, 2**32 - 1),
+    longest=st.integers(1, 40),
+    empty=st.sampled_from([0.0, 0.3, 1.0]),
+    pool=st.integers(1, 8**6),
+    starts=st.booleans(),
+    block=st.sampled_from([1, 3, empirical.ORBIT_BLOCK]),
+)
+@example(size=3000, level=6, seed=0, longest=40, empty=0.3, pool=3, starts=True, block=empirical.ORBIT_BLOCK)
+# a full level-6 batch: size * 8^6 = 2^31 is past int32, (size - 1) * 8^6 is not
+@example(size=8192, level=6, seed=3, longest=40, empty=0.0, pool=8**6, starts=False, block=empirical.ORBIT_BLOCK)
+@example(size=2048, level=3, seed=1, longest=1, empty=0.0, pool=1, starts=True, block=empirical.ORBIT_BLOCK)
+@example(size=5, level=1, seed=2, longest=3, empty=1.0, pool=8, starts=False, block=1)
+def test_orbit_blocks_change_no_float_bit(size, level, seed, longest, empty, pool, starts, block):
+    """_add_orbit_shares in blocks of whole orbits adds the same float bits
+    and counts the same orbits as one block over the batch, for any block
+    size, with orbits that have no visit and with start keys removed."""
+    mod = 8**level
+    rng = np.random.default_rng(seed)
+    lengths = rng.integers(1, longest + 1, size) * (rng.random(size) >= empty)
+    # a small pool of classes gives orbits repeated classes, so counts above 1
+    classes = rng.integers(0, min(pool, mod), lengths.sum())
+    keys = (np.repeat(np.arange(size), lengths) * mod + classes).astype(np.int32)
+    start_keys = keys[np.cumsum(lengths)[lengths > 0] - lengths[lengths > 0]] if starts else None
+    rng.shuffle(keys)  # the kernel writes keys pass by pass, not in orbit order
+    sums = rng.random(mod)  # the shard's running sums from earlier batches
+    expected = sums.copy()
+    counted = one_block_orbit_shares(expected, keys.copy(), size, start_keys)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(empirical, "ORBIT_BLOCK", block)
+        assert empirical._add_orbit_shares(sums, keys, size, start_keys) == counted
+    assert sums.tobytes() == expected.tobytes()
+
+
+def test_orbit_share_memory_is_bounded_by_the_block():
+    """The share step of one full level-3 batch traces under 2 MiB past its
+    keys: its temporaries follow ORBIT_BLOCK orbits, not the batch's 337,389
+    keys (10.06 MiB as one block), and no int64 copy of the keys (2.6 MiB)
+    is made to find the block bounds."""
+    config = SweepConfig(n_max=200000, level=3, per_trajectory=True)
+    keys = empirical._VisitKeys()
+    lo = 190001
+    hi = lo + empirical.PER_TRAJECTORY_BATCH - 1
+    empirical._run_batch(config, lo, hi, hi, empirical._ShardTally(3), keys)
+    batch = keys.take()
+    assert batch.size == 337389
+    sums = np.zeros(8**3)
+    tracemalloc.start()
+    try:
+        empirical._add_orbit_shares(sums, batch, hi - lo + 1, None)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20
 
 
 def collatz_path(n, triple_steps):

@@ -400,14 +400,14 @@ def clumped_image_arrays(level):
 
 class TestGraph:
     def test_golden_shape(self):
-        text = emit_chain_graph(build_matrix(1))
+        text = "".join(emit_chain_graph(build_matrix(1)))
         assert text.count("->") == 32
         for i in range(8):
             assert f'"B({i},8)"' in text
         assert 'label="1/8"' in text and 'label="1/2"' in text
 
     def test_level2(self):
-        text = emit_chain_graph(build_matrix(2))
+        text = "".join(emit_chain_graph(build_matrix(2)))
         assert text.count("->") == sum(len(r) for r in build_matrix(2).rows)
 
     @given(images=st.integers(1, 3).flatmap(clumped_image_arrays))
@@ -425,7 +425,7 @@ class TestGraph:
             for j, p in row
         ]
         reference.append("}\n")
-        assert emit_chain_graph(matrix).splitlines(keepends=True) == reference
+        assert "".join(emit_chain_graph(matrix)).splitlines(keepends=True) == reference
 
 
 class TestText:
@@ -437,14 +437,33 @@ class TestText:
         matrix = TransitionMatrix(images)
         reference = [f"{i} {j} {markov.EIGHTHS[c]}\n" for i, j, c in zip(*map(list, matrix.runs()))]
         # lists, not one string: pytest reports the first differing line
-        assert emit_triplets(matrix).splitlines(keepends=True) == reference
+        assert "".join(emit_triplets(matrix)).splitlines(keepends=True) == reference
 
     @given(level=st.integers(1, 5), weights=st.tuples(st.fractions(), st.fractions()))
     @example(level=5, weights=(Fraction(1, 6 * 8**4), Fraction(1, 12 * 8**4)))
     def test_stationary_lines_match_the_line_reference(self, level, weights):
         labels = [str(w) for w in weights]
         reference = [f"{i} {labels[i & 1]}\n" for i in range(8**level)]
-        assert emit_stationary(level, weights).splitlines(keepends=True) == reference
+        assert "".join(emit_stationary(level, weights)).splitlines(keepends=True) == reference
+
+
+@pytest.mark.parametrize(
+    "emit, pieces, bound", [(emit_chain_graph, 18, 10), (emit_triplets, 8, 4)], ids=["graph", "triplets"]
+)
+def test_chain_text_memory_is_bounded_by_the_block(emit, pieces, bound):
+    """At m = 5 the emitters hold one block of rows' text at a time: the
+    7.6 MB graph traces under 10 MiB and the 2 MB of triplets under 4 MiB
+    (32.5 and 11.1 MiB when each text was built whole), and every block
+    ends on a line end."""
+    matrix = build_matrix(5)
+    tracemalloc.start()
+    try:
+        ends = [piece.endswith("\n") for piece in emit(matrix)]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert ends == [True] * pieces
+    assert peak < bound * 2**20
 
 
 def test_build_capacity():
