@@ -203,11 +203,13 @@ class _JumpTables:
     classes of n, T3(n), ..., T3^(k-1)(n).  Every Collatz value met within one
     jump from n >= small is at most growth * n, and no value listed is in
     {1, 2, 4}.  The orbits from values v below small are tabulated: visits (v
-    itself included, unless it is in {1, 2, 4}) as the int32 class list
+    itself included, unless it is in {1, 2, 4}) as the class list
     tail_class[tail_start[v] : tail_start[v+1]], ascending, each class
-    repeated by its count (2.5 MB at level 1), and max excursion
-    small_peak[v].  An orbit visits one class per triple step, so its length
-    is tail_start[v+1] - tail_start[v]; longest is the most steps of any.
+    repeated by its count, and max excursion small_peak[v].  The list takes
+    the smallest signed type that holds 8^m - 1: int8 at levels 1-2 (620 KB
+    at level 1), int16 at 3-5 and int32 at 6.  An orbit visits one class per
+    triple step, so its length is tail_start[v+1] - tail_start[v]; longest
+    is the most steps of any.
     """
 
     k: int
@@ -233,20 +235,45 @@ class _ShardTally:
     the small values whose tabulated orbits ended orbits; per class for the
     rest.  The kernel adds into the three arrays in place with ufunc.at, so
     the cost follows the visits, not the bins.  A shard's batches add into
-    one tally, so the fold runs once a shard."""
+    one tally, so the fold runs once a shard, and share the kernel's per-pass
+    buffers through it."""
 
     def __init__(self, level: int):
         self._tables = _jump_tables(level)
         self.residues = np.zeros(self._tables.classes.shape[0], dtype=np.int64)
         self.finished = np.zeros(self._tables.small, dtype=np.int64)
         self.classes = np.zeros(8**level, dtype=np.int64)
+        self._buffers: tuple[np.ndarray, ...] = ()
+
+    def buffers(self, width: int) -> tuple[np.ndarray, ...]:
+        """The kernel's bool mask, int64 residue and int32 gather buffers, of
+        at least width entries.  They last as long as the tally, so each of
+        a shard's batches writes into pages already mapped; allocated per
+        batch, they went back to the system whenever the allocator trimmed
+        its heap, and a 10^7 sweep in one process took 5 times the minor
+        page faults."""
+        if not self._buffers or self._buffers[0].size < width:
+            self._buffers = tuple(np.empty(width, dtype=t) for t in (bool, np.int64, np.int32))
+        return self._buffers
 
     def fold(self) -> np.ndarray:
         """Add the residue and small-value counts into classes, and return
-        them: the visits per class mod 8^m."""
+        them: the visits per class mod 8^m.
+
+        Each finished count is repeated over its value's slice of the class
+        list, PLAIN_BATCH entries of the list at a time, so the repeated
+        counts take at most 1 MB whatever the list's length; a slice that
+        crosses a block's edge is cut there."""
         tables = self._tables
-        finished = np.repeat(self.finished, np.diff(tables.tail_start))
-        np.add.at(self.classes, tables.tail_class, finished)
+        starts = tables.tail_start
+        entries = int(starts[-1])
+        for lo in range(0, entries, PLAIN_BATCH):
+            hi = min(lo + PLAIN_BATCH, entries)
+            # the values whose slices meet [lo, hi), and each one's part of it
+            first = np.searchsorted(starts, lo, side="right") - 1
+            last = np.searchsorted(starts, hi)
+            parts = np.diff(np.clip(starts[first : last + 1], lo, hi))
+            np.add.at(self.classes, tables.tail_class[lo:hi], np.repeat(self.finished[first:last], parts))
         for column in tables.classes.T:
             np.add.at(self.classes, column, self.residues)
         return self.classes
@@ -307,15 +334,33 @@ def _jump_tables(level: int) -> _JumpTables:
     # Applying the branch formulas to the residue r itself gives T3^k(r), and
     # the multipliers met on the way give the slope of the jump.  Both are
     # indexed by the kernel's residue mod 8^(k+m-1), which fixes n mod 8^k.
+    # Each step reads the branch once and updates add and mult in place.
+    # mult <= 36^k and 0 <= add <= growth * 8^k with k <= 5, so int32 holds
+    # mult throughout and add once the jump's offset is taken off; int32
+    # tables halve the bytes the kernel's two gathers move.  The classes are
+    # below 8^6 and go straight into their int32 column, so a batch's visit
+    # keys id * 8^m + class stay int32 from the gather to the key buffer.
     add = np.arange(8 ** (k + level - 1), dtype=np.int64)
-    mult = np.ones_like(add)
-    columns = []
-    for _ in range(k):
-        columns.append(add & (mod - 1))
-        multiplier = _M8[add & 7]
-        mult *= multiplier
-        add = (multiplier * add + _R8[add & 7]) >> 3
-    add -= mult * (np.arange(add.size) >> 3 * k)
+    mult = np.ones(add.size, dtype=np.int32)
+    columns = np.empty((add.size, k), dtype=np.int32)
+    sigma = np.empty(add.size, dtype=np.intp)
+    gathered = np.empty_like(mult)
+    branch_mult, branch_add = _M8.astype(np.int32), _R8.astype(np.int32)
+    for step in range(k):
+        np.bitwise_and(add, mod - 1, out=columns[:, step])
+        np.bitwise_and(add, 7, out=sigma)
+        # mode="clip" lets take write into gathered unbuffered; sigma is in range
+        branch_mult.take(sigma, out=gathered, mode="clip")
+        mult *= gathered
+        add *= gathered
+        add += branch_add.take(sigma, out=gathered, mode="clip")
+        add >>= 3
+    # r >> 3k is the row of r when the residues are laid out 8^k to a row
+    rows = 8 ** (level - 1)
+    offset = np.multiply(mult.reshape(rows, -1), np.arange(rows)[:, None], out=sigma.reshape(rows, -1))
+    add -= offset.ravel()
+    del sigma, gathered, offset
+    add = add.astype(np.int32)
     # T3(n) >= n/8, so no value of a jump from n >= 5*8^(k-1) is below 5.
     small = 5 * 8 ** (k - 1)
     # Each Collatz value in a jump is (3^u*n + c)/2^e with c >= 0 on one class
@@ -345,12 +390,15 @@ def _jump_tables(level: int) -> _JumpTables:
             live, x, top = live[kept], x[kept], top[kept]
     # One bincount counts each value's segment visits per class.  Its columns
     # are only the classes some segment visits: 8 at level 1, but 2 of the
-    # 8^6 at level 6.
+    # 8^6 at level 6.  An orbit takes at most a few hundred triple steps, so
+    # int32 holds the counts.
     owners, classes = np.concatenate(owners), np.concatenate(classes)
     seen = np.flatnonzero(np.bincount(classes, minlength=mod))
     width = seen.size
     keys = owners * width + np.searchsorted(seen, classes)
-    counts = np.bincount(keys, minlength=small * width).reshape(small, width)
+    del owners, classes
+    counts = np.bincount(keys, minlength=small * width).astype(np.int32).reshape(small, width)
+    del keys
     # Pointer doubling completes the orbits: after each round a value holds
     # the segments of twice as many links of its chain of drops, and target
     # is the first link it does not hold yet.  0 has no segment and ends
@@ -361,19 +409,18 @@ def _jump_tables(level: int) -> _JumpTables:
         np.maximum(peaks, peaks[target], out=peaks)
         target = target[target]
     lengths = counts.sum(1)  # one visit per triple step: each orbit's steps
-    # mult <= 36^k and 0 <= add <= growth * 8^k with k <= 5, so both fit
-    # int32, which halves the bytes the kernel's two gathers move.  The
-    # classes fit int32 too, so a batch's visit keys id * 8^m + class stay
-    # int32 from the gather to the key buffer.
+    # The class list takes the smallest signed type that holds every class;
+    # signed, so that int32 keys plus a class stay int32.
+    seen = seen.astype(np.min_scalar_type(1 - mod))
     tables = _JumpTables(
         k,
         small,
         growth,
-        mult.astype(np.int32),
-        add.astype(np.int32),
-        np.stack(columns, axis=1).astype(np.int32),
+        mult,
+        add,
+        columns,
         np.r_[0, np.cumsum(lengths)],
-        np.repeat(np.tile(seen.astype(np.int32), small), counts.ravel()),
+        np.repeat(np.tile(seen, small), counts.ravel()),
         peaks,
         int(lengths.max()),
     )
@@ -423,8 +470,8 @@ def _run_batch(
     only then does the kernel keep the orbit ids, which nothing else reads.
 
     Memory follows the width of [lo, hi], not the shard's.  A pass writes its
-    mask, residues and table gathers into prefixes of buffers of that width,
-    allocated once per call.  Only the compacted values (and ids) are new
+    mask, residues and table gathers into prefixes of tally.buffers, which
+    the shard's batches share.  Only the compacted values (and ids) are new
     arrays each pass, as boolean indexing writes them with no index array.
 
     No value a jump reaches before its last triple step is in {1, 2, 4}, so a
@@ -436,9 +483,7 @@ def _run_batch(
     mod = 8**config.level
     residues = tables.classes.shape[0]
     active = np.arange(lo, hi + 1, dtype=np.int64)
-    below = np.empty(active.size, dtype=bool)
-    r_buffer = np.empty_like(active)
-    gathered = np.empty(active.size, dtype=np.int32)
+    below, r_buffer, gathered = tally.buffers(active.size)
     ids = None
     if keys is not None:
         ids = np.arange(active.size, dtype=np.int32)  # int32 halves the bytes compaction moves
