@@ -99,6 +99,7 @@ CHAIN_GOLDENS = {
     "verify --stochasticity --m 4": "4e46165062f8e8b805bd9448d3bdd4eeda6d50de847bb6338de3dd53525afea1",
     "verify --stochasticity --m 5": "bc4ae7edef699e6b21fc55aad6b549e294a16ce24e182fad6fe51ac351158b60",
     "verify --chapman": "17c2652ea61aba532ec450c1691a2abb364c5ae222ac99ebee968bf2c9b2df20",
+    "verify --chapman --m 1": "17c2652ea61aba532ec450c1691a2abb364c5ae222ac99ebee968bf2c9b2df20",
     "matrix --m 1": "0efb6afd3f1458bc9efba953606b0833f2a34f43a30fd000eabac5346a129516",
     "matrix --m 2": "5d5397f8ccf15deb2f09d7df0c9e93f53e1dab4a4831ac133f2fd3e4241c40d8",
     "matrix --m 3": "794d06afcfc476260b0734fea0218abdf621c567f3a32fd0a0ad94b571040f34",
