@@ -280,7 +280,7 @@ def _cmd_verify(args, out) -> int:
 
     if checks["chapman"]:
         q = markov.build_matrix(1)
-        ok = all(markov.kstep_measure_matrix(k) == markov.matrix_power(q, k) for k in (2, 3))
+        ok = all((markov.kstep_measure_matrix(k) == markov.matrix_power(q, k)).all() for k in (2, 3))
         status = "PASS" if ok else "FAIL"
         print(f"{status} chapman-kolmogorov m=1 k=2,3 (measure k-step equals matrix power)", file=out)
         failed |= not ok

@@ -167,7 +167,8 @@ class ContractionReport:
 
 
 def build_report(n_min: int = 3, level: int = 1) -> ContractionReport:
-    """Assemble the full contraction summary at a given level and n_min."""
+    """Assemble the full contraction summary at a given level and n_min.  The
+    level is only echoed: birkhoff_alpha is the same at every level."""
     if level < 1:
         raise ValueError(f"level must be >= 1, got {level}")
     alpha, beta = birkhoff_alpha(n_min=n_min)

@@ -3,7 +3,8 @@
 A matrix is stored as its image array: column h of row i is the image class of
 B(i + 8^m*h, 8^(m+1)) (forward_split), with probability 1/8, so rows sum to 1
 by construction and images.T.ravel() is the class map mod 8^(m+1).  Its powers
-and the k-step measure matrix, capped to small levels, are exact dense rows.
+and the k-step measure matrix are image arrays too, 8^k columns of weight 1/8^k
+a row, each row sorted so that two are equal exactly when their matrices are.
 The stationary law is the invariant measure, which takes one value on even
 classes and another on odd ones, so it is kept as that (even, odd) pair and
 checked on the class map by measure.weigh_fibres.  The independent
@@ -28,12 +29,12 @@ from .errors import CapacityError, ConsistencyError
 from .maps import MULTIPLIERS, OFFSETS
 from .measure import MAX_CHECK_LEVEL, alternating_weights, weigh_fibres
 
-#: Exact dense output and powering are limited to this level.
+#: Dense Fraction output (matrix --format dense) is refused above this level.
 MAX_POWER_LEVEL = 2
 
-#: Image cells a power or k-step composition may hold: 16 MiB of indices.
-#: Q(m)^k sends each state to 8^k image columns, so it holds 8^(m+k) cells.
-MAX_IMAGE_CELLS = 8**7
+#: A power or k-step composition holds 8^(m+k) image cells, refused when
+#: m + k exceeds this: at most 16 MiB of indices, and 8^(m+k) is never formed.
+MAX_CELL_EXPONENT = 7
 
 #: Entry values indexed by image count: count of a row's 8 columns, over 8.
 EIGHTHS = tuple(Fraction(count, 8) for count in range(9))
@@ -90,7 +91,10 @@ class TransitionMatrix:
     def dense(self) -> list[list[Fraction]]:
         if self.level > MAX_POWER_LEVEL:
             raise CapacityError(f"dense output refused above level {MAX_POWER_LEVEL}")
-        return _dense(self.images)
+        rows = [[EIGHTHS[0]] * self.size for _ in range(self.size)]
+        for i, j, count in zip(*(array.tolist() for array in self.runs())):
+            rows[i][j] = EIGHTHS[count]
+        return rows
 
 
 def _runs(images: np.ndarray, lo: int = 0) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -112,14 +116,12 @@ def _row_blocks(size: int) -> list[tuple[int, int]]:
     return [(lo, lo + block) for lo in range(0, size, block)]
 
 
-def _dense(images: np.ndarray) -> list[list[Fraction]]:
-    """Exact dense rows of an image array with one row per class: entry
-    (i, j) is (occurrences of j in images[i]) / (columns per row)."""
-    size, width = images.shape
-    counts = np.bincount((np.arange(size)[:, None] * size + images).ravel(), minlength=size * size)
-    # a count is at most the width; np.unique here would import numpy.ma
-    probability = [Fraction(c, width) for c in range(width + 1)]
-    return [[probability[c] for c in row] for row in counts.reshape(size, size).tolist()]
+def _refuse_cells(level: int, steps: int) -> None:
+    """Refuse a k-step image array of over 8^MAX_CELL_EXPONENT cells."""
+    if level + steps > MAX_CELL_EXPONENT:
+        raise CapacityError(
+            f"level {level}, {steps} steps: 8^{level + steps} image cells, cap 8^{MAX_CELL_EXPONENT}"
+        )
 
 
 def build_matrix(level: int) -> TransitionMatrix:
@@ -198,48 +200,43 @@ def stationary_distribution(matrix: TransitionMatrix) -> tuple[Fraction, Fractio
     return weights
 
 
-def matrix_power(matrix: TransitionMatrix, exponent: int) -> list[list[Fraction]]:
-    """Exact k-th power as dense rows; capped to small levels and MAX_IMAGE_CELLS.
+def matrix_power(matrix: TransitionMatrix, exponent: int) -> np.ndarray:
+    """The k-th power as an (8^m, 8^k) image array, each row sorted.
 
     Row i of Q^(e+1) = Q^e * Q is the union of the rows of Q at the image
     columns of row i of Q^e, so row i of Q^k is 8^k image columns of weight
-    1/8^k each.
+    1/8^k each: entry (i, j) is the count of j in row i over 8^k.
     """
     if exponent < 1:
         raise ValueError(f"exponent must be >= 1, got {exponent}")
-    if matrix.level > MAX_POWER_LEVEL:
-        raise CapacityError(f"exact powering capped at level {MAX_POWER_LEVEL}")
-    cells = matrix.size * 8**exponent
-    if cells > MAX_IMAGE_CELLS:
-        raise CapacityError(f"power {exponent} needs {cells} image cells, cap {MAX_IMAGE_CELLS}")
+    _refuse_cells(matrix.level, exponent)
     images = matrix.images
     for _ in range(exponent - 1):
         images = matrix.images[images].reshape(matrix.size, -1)
-    return _dense(images)
+    return np.sort(images, axis=1)
 
 
-def kstep_measure_matrix(steps: int, level: int = 1) -> list[list[Fraction]]:
-    """k-step transition probabilities computed from iterated preimages.
+def kstep_measure_matrix(steps: int, level: int = 1) -> np.ndarray:
+    """k-step transition probabilities from iterated preimages, as
+    matrix_power's sorted (8^level, 8^k) image array.
 
     Entry (i, j) is measure(B(i) and k-fold preimage of B(j)) / measure(B(i)).
     The preimage maps of levels level+k-1 down to level, composed, send each
     residue mod 8^(level+k) to its class k steps on; those in B(i) weigh
-    measure(B(i)) / 8^k each.  Independent of matrix multiplication; used to
-    validate that the k-step chain equals the k-th matrix power.  The composed
-    map and the dense result are each capped at MAX_IMAGE_CELLS cells.
+    measure(B(i)) / 8^k each, so row i lists their classes.  Independent of
+    matrix multiplication; used to validate that the k-step chain equals the
+    k-th matrix power.
     """
     if steps < 1:
         raise ValueError(f"steps must be >= 1, got {steps}")
     if level < 1:
         raise ValueError(f"level must be >= 1, got {level}")
-    cells = 8 ** (level + max(steps, level))
-    if cells > MAX_IMAGE_CELLS:
-        raise CapacityError(f"level {level}, {steps} steps: {cells} cells, cap {MAX_IMAGE_CELLS}")
+    _refuse_cells(level, steps)
     image = np.arange(8 ** (level + steps))
     for fine in reversed(range(level, level + steps)):
         image = preimage_targets(fine)[image]
     # residue i + 8^level * h lies in B(i): row i gathers the images over h
-    return _dense(image.reshape(-1, 8**level).T)
+    return np.sort(image.reshape(-1, 8**level).T, axis=1)
 
 
 @dataclass(frozen=True, eq=False)

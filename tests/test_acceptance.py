@@ -8,6 +8,7 @@ Criterion 11 (the n_max = 10^7 sweep) is marked slow; include it with
 import io
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from collatzmc import empirical
@@ -102,15 +103,14 @@ def test_criterion_05_stationarity():
 
 def test_criterion_06_chapman_kolmogorov():
     base = build_matrix(1)
-    ok = all(
-        kstep_measure_matrix(k) == matrix_power(base, k) for k in (2, 3)
-    )
+    ok = all(np.array_equal(kstep_measure_matrix(k), matrix_power(base, k)) for k in (2, 3))
     report(6, ok, "measure-based 2- and 3-step probabilities equal the exact matrix powers")
 
 
 def test_criterion_07_square_positive():
+    # each row of Q^2 is 64 image columns: every class at least 4 times
     square = matrix_power(build_matrix(1), 2)
-    ok = all(entry >= Fraction(1, 16) for row in square for entry in row)
+    ok = all((np.bincount(row, minlength=8) >= 4).all() for row in square)
     report(7, ok, "every entry of the squared 8-state matrix is >= 1/16 exactly")
 
 

@@ -104,9 +104,8 @@ def test_entries_are_eighths(level):
 
 @pytest.mark.parametrize("level", [1, 2, 3])
 def test_forward_split_equals_measure_quotient(level):
-    measured = kstep_measure_matrix(1, level)
-    expected = tuple(tuple((j, p) for j, p in enumerate(row) if p) for row in measured)
-    assert build_matrix(level).rows == expected
+    # the one-step measure quotient lists each row's forward images
+    assert np.array_equal(kstep_measure_matrix(1, level), np.sort(build_matrix(level).images, axis=1))
 
 
 def test_level2_aggregates_to_level1():
@@ -265,26 +264,39 @@ class TestStationary:
             power_iteration(periodic)
 
 
+def row_counts(images, size):
+    """Entry (i, j): occurrences of column j in row i of an image array."""
+    rows = np.arange(len(images))[:, None]
+    return np.bincount((rows * size + images).ravel(), minlength=len(images) * size).reshape(-1, size)
+
+
 class TestPowers:
     def test_first_power_is_identity_operation(self):
         base = build_matrix(1)
-        assert matrix_power(base, 1) == base.dense()
+        assert np.array_equal(matrix_power(base, 1), np.sort(base.images, axis=1))
+
+    def test_power_is_the_sorted_image_array(self):
+        # row i of Q^2 holds column j (Q*Q)[i, j] * 64 times, in order
+        square = matrix_power(build_matrix(1), 2)
+        golden = EIGHT_STATE_GOLDEN
+        product = [[64 * sum(p * golden[h][j] for h, p in enumerate(row)) for j in range(8)] for row in golden]
+        assert square.shape == (8, 64) and (np.diff(square, axis=1) >= 0).all()
+        assert row_counts(square, 8).tolist() == product
 
     def test_square_has_uniform_floor(self):
-        square = matrix_power(build_matrix(1), 2)
-        for row in square:
-            for entry in row:
-                assert entry >= Fraction(1, 16)
+        # each class at least 4 times in 64 columns: every entry >= 1/16
+        assert (row_counts(matrix_power(build_matrix(1), 2), 8) >= 4).all()
+
+    @pytest.mark.parametrize("level, k", [(m, k) for m in (1, 2, 3) for k in range(1, 8 - m)])
+    def test_measure_kstep_equals_power(self, level, k):
+        # up to 8^7 cells: at (1, 6), 8^7 residues composed through six preimage maps
+        measured = kstep_measure_matrix(k, level)
+        assert measured.shape == (8**level, 8**k)
+        assert np.array_equal(measured, matrix_power(build_matrix(level), k))
 
     @pytest.mark.parametrize("k", [1, 2, 3])
-    @pytest.mark.parametrize("level", [1, 2])
-    def test_measure_kstep_equals_power(self, level, k):
-        # at level 2 the powers are 64 x 64 with denominators 8, 64 and 512
-        assert kstep_measure_matrix(k, level) == matrix_power(build_matrix(level), k)
-
-    def test_measure_kstep_at_the_cell_cap(self):
-        # 8^7 residues mod 8^7 composed through six preimage maps
-        assert kstep_measure_matrix(6) == matrix_power(build_matrix(1), 6)
+    def test_measure_kstep_differs_from_a_corrupt_power(self, k):
+        assert not np.array_equal(kstep_measure_matrix(k, 2), matrix_power(TransitionMatrix(MOVED_Q2), k))
 
     def test_measure_kstep_guards(self, monkeypatch):
         with pytest.raises(ValueError):
@@ -297,18 +309,16 @@ class TestPowers:
             raise AssertionError(f"built the preimage map at level {level}")
 
         monkeypatch.setattr(markov, "preimage_targets", build_nothing)
-        # 8^(level+steps) residues, or a dense 8^level x 8^level result, above 8^7
-        for steps, level in ((7, 1), (6, 3), (2, 4), (1, 4)):
-            with pytest.raises(CapacityError):
+        # 8^(level+steps) residues above 8^7, named by the exponent: 8^5001
+        # has more digits than an int prints, and 8^(10^9) holds 375 MB of bits
+        for steps, level in ((7, 1), (6, 3), (4, 4), (2, 6), (5000, 1), (10**9, 1)):
+            with pytest.raises(CapacityError, match=rf"8\^{level + steps} image cells, cap 8\^7"):
                 kstep_measure_matrix(steps, level)
 
     def test_capacity_guards(self):
-        with pytest.raises(CapacityError):
-            matrix_power(build_matrix(3), 2)
-        with pytest.raises(CapacityError):
-            matrix_power(build_matrix(1), 33)
-        with pytest.raises(CapacityError):
-            matrix_power(build_matrix(2), 6)
+        for level, exponent in ((3, 5), (5, 3), (1, 7), (2, 6), (1, 5000), (1, 10**9)):
+            with pytest.raises(CapacityError, match=rf"8\^{level + exponent} image cells"):
+                matrix_power(build_matrix(level), exponent)
         with pytest.raises(ValueError):
             matrix_power(build_matrix(1), 0)
 
