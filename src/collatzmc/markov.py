@@ -25,16 +25,9 @@ from fractions import Fraction
 import numpy as np
 
 from .congruence import preimage_targets
-from .errors import CapacityError, ConsistencyError
+from .errors import ConsistencyError
 from .maps import MULTIPLIERS, OFFSETS
-from .measure import MAX_CHECK_LEVEL, alternating_weights, weigh_fibres
-
-#: Dense Fraction output (matrix --format dense) is refused above this level.
-MAX_POWER_LEVEL = 2
-
-#: A power or k-step composition holds 8^(m+k) image cells, refused when
-#: m + k exceeds this: at most 16 MiB of indices, and 8^(m+k) is never formed.
-MAX_CELL_EXPONENT = 7
+from .measure import alternating_weights, refuse_cells, weigh_fibres
 
 #: Entry values indexed by image count: count of a row's 8 columns, over 8.
 EIGHTHS = tuple(Fraction(count, 8) for count in range(9))
@@ -89,8 +82,7 @@ class TransitionMatrix:
         return tuple(map(tuple, rows))
 
     def dense(self) -> list[list[Fraction]]:
-        if self.level > MAX_POWER_LEVEL:
-            raise CapacityError(f"dense output refused above level {MAX_POWER_LEVEL}")
+        refuse_cells(2 * self.level, f"level {self.level} dense rows")
         rows = [[EIGHTHS[0]] * self.size for _ in range(self.size)]
         for i, j, count in zip(*(array.tolist() for array in self.runs())):
             rows[i][j] = EIGHTHS[count]
@@ -109,19 +101,11 @@ def _runs(images: np.ndarray, lo: int = 0) -> tuple[np.ndarray, np.ndarray, np.n
 
 
 def _row_blocks(size: int) -> list[tuple[int, int]]:
-    """Bounds [lo, hi) of the eight blocks of size / 8 rows the texts are
-    built in, one per leading octal digit of the row: at the level cap, 4096
-    rows and under 1 MB of text a block."""
-    block = size // 8
+    """Bounds [lo, hi) of the blocks of rows the texts are built in: eight of
+    size / 8 rows, one per leading octal digit of the row, up to 4096 rows
+    (level 5, under 1 MB of text a block); above that, blocks of 4096 rows."""
+    block = min(size // 8, 4096)
     return [(lo, lo + block) for lo in range(0, size, block)]
-
-
-def _refuse_cells(level: int, steps: int) -> None:
-    """Refuse a k-step image array of over 8^MAX_CELL_EXPONENT cells."""
-    if level + steps > MAX_CELL_EXPONENT:
-        raise CapacityError(
-            f"level {level}, {steps} steps: 8^{level + steps} image cells, cap 8^{MAX_CELL_EXPONENT}"
-        )
 
 
 def build_matrix(level: int) -> TransitionMatrix:
@@ -134,8 +118,7 @@ def build_matrix(level: int) -> TransitionMatrix:
     """
     if level < 1:
         raise ValueError(f"level must be >= 1, got {level}")
-    if level > MAX_CHECK_LEVEL:
-        raise CapacityError(f"level {level} exceeds cap {MAX_CHECK_LEVEL} (8^{level} states)")
+    refuse_cells(level + 1, f"level {level} image array")
     size = 8**level
     residues = np.arange(size)
     multiplier = np.array(MULTIPLIERS)[residues & 7]
@@ -209,7 +192,7 @@ def matrix_power(matrix: TransitionMatrix, exponent: int) -> np.ndarray:
     """
     if exponent < 1:
         raise ValueError(f"exponent must be >= 1, got {exponent}")
-    _refuse_cells(matrix.level, exponent)
+    refuse_cells(matrix.level + exponent, f"level {matrix.level}, {exponent} steps")
     images = matrix.images
     for _ in range(exponent - 1):
         images = matrix.images[images].reshape(matrix.size, -1)
@@ -231,7 +214,7 @@ def kstep_measure_matrix(steps: int, level: int = 1) -> np.ndarray:
         raise ValueError(f"steps must be >= 1, got {steps}")
     if level < 1:
         raise ValueError(f"level must be >= 1, got {level}")
-    _refuse_cells(level, steps)
+    refuse_cells(level + steps, f"level {level}, {steps} steps")
     image = np.arange(8 ** (level + steps))
     for fine in reversed(range(level, level + steps)):
         image = preimage_targets(fine)[image]

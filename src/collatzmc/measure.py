@@ -18,8 +18,17 @@ import numpy as np
 from .congruence import ClassUnion, CongruenceClass, preimage_targets
 from .errors import CapacityError
 
-#: Highest level of the measure check and of the class chain: 8^5 = 32768 classes.
-MAX_CHECK_LEVEL = 5
+#: Every exact chain array holds 8^e class indices or entries: the preimage
+#: map and Q(m) 8^(m+1), a k-step power 8^(m+k), dense rows 8^(2m).  It is
+#: refused when e exceeds this: at most 16 MiB of indices.
+MAX_CELL_EXPONENT = 7
+
+
+def refuse_cells(exponent: int, subject: str) -> None:
+    """Raise CapacityError for an array of 8^exponent cells above the cap,
+    deciding on the exponent, so 8^exponent is never formed."""
+    if exponent > MAX_CELL_EXPONENT:
+        raise CapacityError(f"{subject}: 8^{exponent} cells, cap 8^{MAX_CELL_EXPONENT}")
 
 
 def nu(sigma: int) -> Fraction:
@@ -93,14 +102,10 @@ def weigh_fibres(targets: np.ndarray) -> InvarianceReport:
 def check_invariance(level: int) -> InvarianceReport:
     """Compare measure(preimage(B(j,8^m))) with measure(B(j,8^m)) for every j.
 
-    Exact integer equality per class, weigh_fibres on preimage_targets; levels
-    above MAX_CHECK_LEVEL are refused before the preimage map is built.
+    Exact integer equality per class, weigh_fibres on preimage_targets; a
+    preimage map past the cell cap is refused before it is built.
     """
     if level < 1:
         raise ValueError(f"level must be >= 1, got {level}")
-    if level > MAX_CHECK_LEVEL:
-        raise CapacityError(
-            f"level {level} enumerates 8^{level} classes; the measure check stops at "
-            f"level {MAX_CHECK_LEVEL}"
-        )
+    refuse_cells(level + 1, f"level {level} preimage map")
     return weigh_fibres(preimage_targets(level))

@@ -112,6 +112,9 @@ CHAIN_GOLDENS = {
     "graph --m 5": "46abc2b55b26af4416b23a101abeafe220f1745c95ecf5b9c8ce21ea956b297f",
     "matrix --m 1 --format dense": "e017d4ffc2990d29764d8d66bf806548d617702397684a521011155c2ec898e2",
     "matrix --m 2 --format dense": "4ecdcf854823cd315cc6ace90aadbb5ac708946352315c884b8b30ee3318cd8c",
+    "matrix --m 3 --format dense": "f384fb1e7f7b9f9c37c08ee449b2f1b391769c5e1cc2323528d0d8b6dd50279d",
+    "stationary --m 6": "6d12e918cd45178393016c610d959112dc9c5e2ce355d97912ea4caea8132774",
+    "verify --all --m 6": "b71287fb15642e88bc6bbc422d5f198d0962fe844ceb76b6e12eae3af8aea42b",
 }
 
 
@@ -257,11 +260,12 @@ class TestMatrix:
         assert lines[3] == "1/2 0 0 0 1/2 0 0 0"
 
     def test_dense_capacity(self):
-        code, _ = run_cli("matrix", "--m", "3", "--format", "dense")
+        # 8^4 x 8^4 = 8^8 entries, past the cell cap; 8^3 x 8^3 runs
+        code, _ = run_cli("matrix", "--m", "4", "--format", "dense")
         assert code == 3
 
     def test_level_capacity(self):
-        code, _ = run_cli("matrix", "--m", "6")
+        code, _ = run_cli("matrix", "--m", "7")
         assert code == 3
 
 
@@ -277,7 +281,7 @@ class TestGraph:
         assert code == 0 and text.count("->") == 256
 
     def test_level_capacity(self, capsys):
-        code, text = run_cli("graph", "--m", "6")
+        code, text = run_cli("graph", "--m", "7")
         assert code == 3 and text == ""
         assert len(capsys.readouterr().err.splitlines()) == 1
 
@@ -567,13 +571,14 @@ class TestVerify:
         assert lines[8].startswith("PASS measure-invariance")
 
     def test_measure_level_cap(self, capsys):
-        # the top level runs with no opt-in, one level above it is refused
-        code, text = run_cli("verify", "--measure", "--m", str(measure.MAX_CHECK_LEVEL))
-        assert code == 0 and len(text.splitlines()) == 8**measure.MAX_CHECK_LEVEL + 1
-        code, text = run_cli("verify", "--measure", "--m", str(measure.MAX_CHECK_LEVEL + 1))
+        # the top level, whose preimage map has 8^7 cells, runs with no
+        # opt-in; one level above it is refused
+        code, text = run_cli("verify", "--measure", "--m", "6")
+        assert code == 0 and len(text.splitlines()) == 8**6 + 1
+        code, text = run_cli("verify", "--measure", "--m", "7")
         assert code == 3 and text == "" and len(capsys.readouterr().err.splitlines()) == 1
 
-    @pytest.mark.parametrize("argv", ["--measure --m 6", "--measure --m 9", "--all --m 6", "--ergodicity --m 6"])
+    @pytest.mark.parametrize("argv", ["--measure --m 7", "--measure --m 9", "--all --m 7", "--ergodicity --m 7"])
     def test_measure_hard_ceiling(self, monkeypatch, capsys, argv):
         # refused with one line before the preimage map is built
         def build_nothing(level):

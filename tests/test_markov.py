@@ -1,7 +1,9 @@
 """Transition-matrix construction, stationarity, powers, and ergodicity."""
 
+import time
 import tracemalloc
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -9,7 +11,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from collatzmc import markov
+from collatzmc import markov, measure
 from collatzmc.congruence import CongruenceClass, forward_split, preimage_targets
 from collatzmc.errors import CapacityError, ConsistencyError
 from collatzmc.markov import (
@@ -26,7 +28,7 @@ from collatzmc.markov import (
     power_iteration,
     stationary_distribution,
 )
-from collatzmc.measure import alternating_weights, weigh_fibres
+from collatzmc.measure import alternating_weights, check_invariance, weigh_fibres
 
 H, Q, E = Fraction(1, 2), Fraction(1, 4), Fraction(1, 8)
 Z = Fraction(0)
@@ -287,9 +289,10 @@ class TestPowers:
         # each class at least 4 times in 64 columns: every entry >= 1/16
         assert (row_counts(matrix_power(build_matrix(1), 2), 8) >= 4).all()
 
-    @pytest.mark.parametrize("level, k", [(m, k) for m in (1, 2, 3) for k in range(1, 8 - m)])
+    @pytest.mark.parametrize("level, k", [(m, k) for m in (1, 2, 3) for k in range(1, 8 - m)] + [(6, 1)])
     def test_measure_kstep_equals_power(self, level, k):
-        # up to 8^7 cells: at (1, 6), 8^7 residues composed through six preimage maps
+        # up to 8^7 cells: at (1, 6), 8^7 residues composed through six
+        # preimage maps; at (6, 1), the preimage map of Q(6) itself
         measured = kstep_measure_matrix(k, level)
         assert measured.shape == (8**level, 8**k)
         assert np.array_equal(measured, matrix_power(build_matrix(level), k))
@@ -312,12 +315,12 @@ class TestPowers:
         # 8^(level+steps) residues above 8^7, named by the exponent: 8^5001
         # has more digits than an int prints, and 8^(10^9) holds 375 MB of bits
         for steps, level in ((7, 1), (6, 3), (4, 4), (2, 6), (5000, 1), (10**9, 1)):
-            with pytest.raises(CapacityError, match=rf"8\^{level + steps} image cells, cap 8\^7"):
+            with pytest.raises(CapacityError, match=rf"8\^{level + steps} cells, cap 8\^7"):
                 kstep_measure_matrix(steps, level)
 
     def test_capacity_guards(self):
         for level, exponent in ((3, 5), (5, 3), (1, 7), (2, 6), (1, 5000), (1, 10**9)):
-            with pytest.raises(CapacityError, match=rf"8\^{level + exponent} image cells"):
+            with pytest.raises(CapacityError, match=rf"8\^{level + exponent} cells"):
                 matrix_power(build_matrix(level), exponent)
         with pytest.raises(ValueError):
             matrix_power(build_matrix(1), 0)
@@ -363,7 +366,7 @@ class TestErgodicity:
         assert result.exponent == 2
         assert str(result) == "all entries positive at exponent 2"
 
-    @pytest.mark.parametrize("level, exponent", [(1, 2), (2, 4), (3, 6), (4, 8)])
+    @pytest.mark.parametrize("level, exponent", [(1, 2), (2, 4), (3, 6), (4, 8), (5, 10), (6, 12)])
     def test_known_exponents(self, level, exponent):
         # at these levels the first strictly positive power of Q(m) is Q(m)^(2m)
         assert check_ergodicity(level).exponent == exponent
@@ -381,6 +384,12 @@ class TestErgodicity:
         support[np.arange(matrix.size)[:, None], matrix.images] = True
         assert np.array_equal(bitmask_ergodicity(matrix), brute_force_ergodicity(support))
 
+    @pytest.mark.parametrize("level, attaining", [(5, 121), (6, 172)])
+    def test_rows_attaining_the_exponent(self, level, attaining):
+        # the bitmask search is out of reach here; 7, 22, 46 and 79 at m = 1-4 above
+        rows = check_ergodicity(level).rows
+        assert rows.max() == 2 * level and np.count_nonzero(rows == 2 * level) == attaining
+
     def test_memory_is_bounded_at_level_5(self):
         # Q(5) and one (class, valuation) pair and one 8-residue set per row,
         # where row-support bitmasks would take 8^5 * 8^5 / 8 bytes = 128 MiB
@@ -393,11 +402,23 @@ class TestErgodicity:
         assert result.exponent == 10
         assert peak < 16 * 2**20
 
+    def test_memory_is_bounded_at_level_6(self):
+        # building Q(6), 8^7 image cells (16 MiB), sets the peak; row-support
+        # bitmasks would take 8^6 * 8^6 / 8 bytes = 8 GiB
+        tracemalloc.start()
+        try:
+            result = check_ergodicity(6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert result.exponent == 12
+        assert peak < 48 * 2**20
+
     def test_level_bounds(self):
         with pytest.raises(ValueError):
             check_ergodicity(0)
         with pytest.raises(CapacityError):
-            check_ergodicity(6)
+            check_ergodicity(7)
 
 
 def clumped_image_arrays(level):
@@ -458,14 +479,23 @@ class TestText:
 
 
 @pytest.mark.parametrize(
-    "emit, pieces, bound", [(emit_chain_graph, 18, 10), (emit_triplets, 8, 4)], ids=["graph", "triplets"]
+    "level, emit, pieces, bound",
+    [
+        (5, emit_chain_graph, 18, 10),
+        (5, emit_triplets, 8, 4),
+        (6, emit_chain_graph, 130, 32),
+        (6, emit_triplets, 64, 6),
+    ],
+    ids=["graph", "triplets", "graph-6", "triplets-6"],
 )
-def test_chain_text_memory_is_bounded_by_the_block(emit, pieces, bound):
-    """At m = 5 the emitters hold one block of rows' text at a time: the
-    7.6 MB graph traces under 10 MiB and the 2 MB of triplets under 4 MiB
-    (32.5 and 11.1 MiB when each text was built whole), and every block
-    ends on a line end."""
-    matrix = build_matrix(5)
+def test_chain_text_memory_is_bounded_by_the_block(level, emit, pieces, bound):
+    """The emitters hold one block of rows' text at a time, and every block
+    ends on a line end.  At m = 5, eight blocks of 4096 rows: the 7.6 MB
+    graph traces under 10 MiB and the 2 MB of triplets under 4 MiB (32.5 and
+    11.1 MiB when each text was built whole).  At m = 6, 64 blocks of 4096
+    rows: under 32 and 6 MiB (59.9 and 15.7 MiB in eight blocks), the graph's
+    label tables of 8^6 names taking most of it."""
+    matrix = build_matrix(level)
     tracemalloc.start()
     try:
         ends = [piece.endswith("\n") for piece in emit(matrix)]
@@ -478,9 +508,53 @@ def test_chain_text_memory_is_bounded_by_the_block(emit, pieces, bound):
 
 def test_build_capacity():
     with pytest.raises(CapacityError):
-        build_matrix(6)
+        build_matrix(7)
     with pytest.raises(ValueError):
         build_matrix(0)
+
+
+def build_nothing(*args):
+    raise AssertionError(f"built an array from {args}")
+
+
+def level_only(level):
+    """A stand-in matrix with nothing but a level, which is all a refusal
+    reads: any step past it fails."""
+    return SimpleNamespace(level=level)
+
+
+#: Every exact chain array by the call that builds it at a level or step
+#: count n, with the n at which it first holds 8^8 cells, and the function
+#: that would build it from there (None: the stand-in holds nothing).
+CELL_CAP_SITES = {
+    "check_invariance": (check_invariance, 7, (measure, "preimage_targets")),  # 8^(n+1)
+    "build_matrix": (build_matrix, 7, (markov, "TransitionMatrix")),  # 8^(n+1)
+    "matrix_power": (lambda n: matrix_power(level_only(1), n), 7, None),  # 8^(1+n)
+    "kstep_measure_matrix": (kstep_measure_matrix, 7, (markov, "preimage_targets")),  # 8^(1+n)
+    "dense": (lambda n: TransitionMatrix.dense(level_only(n)), 4, None),  # 8^(2n)
+}
+
+
+@pytest.mark.parametrize("site", CELL_CAP_SITES)
+@pytest.mark.parametrize("far", [False, True], ids=["exponent-8", "n-1e9"])
+def test_one_cell_cap_refuses_before_building(monkeypatch, site, far):
+    # decided on the exponent: 8^(10^9 + 1) is never formed, and no array of
+    # 8^8 cells (16 MiB even as bytes) is allocated
+    call, first, builder = CELL_CAP_SITES[site]
+    if builder is not None:
+        monkeypatch.setattr(*builder, build_nothing)
+    n = 10**9 if far else first
+    tracemalloc.start()
+    try:
+        start = time.perf_counter()
+        with pytest.raises(CapacityError, match=r"cells, cap 8\^7$"):
+            call(n)
+        elapsed = time.perf_counter() - start
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert elapsed < 0.1 and peak < 2**20
+
 
 
 @pytest.mark.parametrize("level", [1, 2, 3])

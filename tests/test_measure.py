@@ -8,7 +8,6 @@ from collatzmc.congruence import ClassUnion, CongruenceClass, preimage_class
 from collatzmc import measure
 from collatzmc.errors import CapacityError
 from collatzmc.measure import (
-    MAX_CHECK_LEVEL,
     check_invariance,
     measure_class,
     measure_integer,
@@ -95,7 +94,8 @@ def test_invariance_exact(level):
 
 
 def test_invariance_level_cap():
-    for level in (4, MAX_CHECK_LEVEL):
+    # level 6 is the last whose preimage map, 8^7 cells, is under the cell cap
+    for level in (4, 6):
         report = check_invariance(level)
         assert report.passed and len(report.preimage) == 8**level
 
@@ -106,7 +106,7 @@ def test_invariance_hard_ceiling(monkeypatch):
         raise AssertionError(f"built the preimage map at level {level}")
 
     monkeypatch.setattr(measure, "preimage_targets", build_nothing)
-    for level in (MAX_CHECK_LEVEL + 1, 9):
+    for level in (7, 9):
         with pytest.raises(CapacityError):
             check_invariance(level)
 
