@@ -62,6 +62,10 @@ ROW_BLOCK = 1 << 12
 #: only as keys are written, and the buffer doubles if a batch needs more.
 VISIT_KEYS_RESERVE = 1 << 22
 
+#: Most visit keys (int32, 256 MiB) a per-trajectory batch may write, about
+#: 200 times the 337,389 of a level-3 batch at 2*10^5; past it, CapacityError.
+VISIT_KEYS_BUDGET = 1 << 26
+
 MAX_SWEEP_LEVEL = 6
 
 #: cgroup v2 CPU bandwidth limit: "<quota> <period>" in microseconds, or
@@ -198,18 +202,18 @@ class SweepConfig:
 class _JumpTables:
     """Per-level tables of the sweep kernel; every array is read-only.
 
-    A jump is k triple steps.  For r = n mod 8^(k+m-1),
-    T3^k(n) = mult[r] * (n >> 3k) + add[r], and classes[r] lists the mod-8^m
-    classes of n, T3(n), ..., T3^(k-1)(n).  Every Collatz value met within one
-    jump from n >= small is at most growth * n, and no value listed is in
-    {1, 2, 4}.  The orbits from values v below small are tabulated: visits (v
-    itself included, unless it is in {1, 2, 4}) as the class list
-    tail_class[tail_start[v] : tail_start[v+1]], ascending, each class
-    repeated by its count, and max excursion small_peak[v].  The list takes
-    the smallest signed type that holds 8^m - 1: int8 at levels 1-2 (620 KB
-    at level 1), int16 at 3-5 and int32 at 6.  An orbit visits one class per
-    triple step, so its length is tail_start[v+1] - tail_start[v]; longest
-    is the most steps of any.
+    A jump is k triple steps.  For s = n mod 8^k (8^k int32 entries),
+    T3^k(n) = mult[s] * (n >> 3k) + add[s], and for r = n mod 8^(k+m-1),
+    classes[r] lists the int32 mod-8^m classes of n, T3(n), ..., T3^(k-1)(n).
+    Every Collatz value met within one jump from n >= small is at most
+    growth * n, and no value listed is in {1, 2, 4}.  The orbits from values
+    v below small are tabulated: visits (v itself included, unless it is in
+    {1, 2, 4}) as the class list tail_class[tail_start[v] : tail_start[v+1]],
+    ascending, each class repeated by its count, and max excursion
+    small_peak[v].  The list takes the smallest signed type that holds
+    8^m - 1: int8 at levels 1-2 (620 KB at level 1), int16 at 3-5 and int32
+    at 6.  An orbit visits one class per triple step, so its length is
+    tail_start[v+1] - tail_start[v]; longest is the most steps of any.
     """
 
     k: int
@@ -284,7 +288,8 @@ class _VisitKeys:
 
     A shard's batches reuse it, so each batch writes into pages already
     mapped instead of a fresh array.  Keys enter through extend, which the
-    caller fills; they are below PER_TRAJECTORY_BATCH * 8^6 = 2^31.
+    caller fills; they are below PER_TRAJECTORY_BATCH * 8^6 = 2^31, and a
+    batch writes at most VISIT_KEYS_BUDGET of them.
     """
 
     def __init__(self):
@@ -295,8 +300,10 @@ class _VisitKeys:
         """Room for count more keys, as a view the caller fills in; the
         kernel writes its keys there, with no temporary array to copy."""
         start, end = self._size, self._size + count
+        if end > VISIT_KEYS_BUDGET:
+            raise CapacityError(f"per-trajectory batch needs {end} visit keys, budget {VISIT_KEYS_BUDGET}")
         if end > self._buffer.size:
-            grown = np.empty(max(end, 2 * self._buffer.size), dtype=np.int32)
+            grown = np.empty(max(end, min(2 * self._buffer.size, VISIT_KEYS_BUDGET)), dtype=np.int32)
             grown[:start] = self._buffer[:start]
             self._buffer = grown
         self._size = end
@@ -323,50 +330,40 @@ def _jump(x: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
 def _jump_tables(level: int) -> _JumpTables:
     """Build the kernel tables for one level.
 
-    A jump is k = 6 - m triple steps (1 at level 6), so the residue tables
-    have 8^(k+m-1) = 8^5 entries at every level up to 5 (8^6 at level 6,
-    where the kernel steps one at a time).  Longer jumps mean fewer passes
-    over the live orbits; they raise the growth bound G (52, 23, 16, 7 and 5
-    at k = 5 .. 1), which lowers the jump bound INT64_SAFE // G.
+    A jump is k = 6 - m triple steps (1 at level 6).  mult and add hold 8^k
+    entries, the 8-entry branch table at levels 5-6; classes holds 8^(k+m-1)
+    rows, 8^5 up to level 5 and 8^6 at level 6.  Longer jumps mean fewer
+    passes over the live orbits; they raise the growth bound G (52, 23, 16, 7
+    and 5 at k = 5 .. 1), which lowers the jump bound INT64_SAFE // G.
     """
     k = max(1, 6 - level)
     mod = 8**level
-    # Applying the branch formulas to the residue r itself gives T3^k(r), and
-    # the multipliers met on the way give the slope of the jump.  Both are
-    # indexed by the kernel's residue mod 8^(k+m-1), which fixes n mod 8^k.
-    # Each step reads the branch once and updates add and mult in place.
-    # mult <= 36^k and 0 <= add <= growth * 8^k with k <= 5, so int32 holds
-    # mult throughout and add once the jump's offset is taken off; int32
-    # tables halve the bytes the kernel's two gathers move.  The classes are
-    # below 8^6 and go straight into their int32 column, so a batch's visit
-    # keys id * 8^m + class stay int32 from the gather to the key buffer.
-    add = np.arange(8 ** (k + level - 1), dtype=np.int64)
-    mult = np.ones(add.size, dtype=np.int32)
-    columns = np.empty((add.size, k), dtype=np.int32)
-    sigma = np.empty(add.size, dtype=np.intp)
-    gathered = np.empty_like(mult)
-    branch_mult, branch_add = _M8.astype(np.int32), _R8.astype(np.int32)
-    for step in range(k):
-        np.bitwise_and(add, mod - 1, out=columns[:, step])
-        np.bitwise_and(add, 7, out=sigma)
-        # mode="clip" lets take write into gathered unbuffered; sigma is in range
-        branch_mult.take(sigma, out=gathered, mode="clip")
-        mult *= gathered
-        add *= gathered
-        add += branch_add.take(sigma, out=gathered, mode="clip")
-        add >>= 3
-    # r >> 3k is the row of r when the residues are laid out 8^k to a row
-    rows = 8 ** (level - 1)
-    offset = np.multiply(mult.reshape(rows, -1), np.arange(rows)[:, None], out=sigma.reshape(rows, -1))
-    add -= offset.ravel()
-    del sigma, gathered, offset
-    add = add.astype(np.int32)
     # T3(n) >= n/8, so no value of a jump from n >= 5*8^(k-1) is below 5.
     small = 5 * 8 ** (k - 1)
+    # Each triple step is affine on a class mod 8, so T3^k is affine on a
+    # class mod 8^k (Terras): for n = q * 8^k + s, T3^k(n) = mult[s] * q +
+    # T3^k(s).  One jump over 0 .. 2 * 8^k - 1 reads off add[s] = T3^k(s) and
+    # mult[s] = T3^k(s + 8^k) - T3^k(s).  Both are below 36^5 at k <= 5, and
+    # int32 tables halve the bytes the kernel's two gathers move.
+    n = np.arange(2 * 8**k, dtype=np.int64)
+    ends, tops = _jump(n, k)
+    add, mult = np.split(ends.astype(np.int32), 2)
+    mult -= add
     # Each Collatz value in a jump is (3^u*n + c)/2^e with c >= 0 on one class
-    # mod 8^k, so its ratio to n is largest at the class's least n >= small.
-    n = np.arange(small, small + 8**k, dtype=np.int64)
-    growth = int((-(-_jump(n, k)[1] // n)).max())
+    # mod 8^k, so its ratio to n is largest at the class's least n >= small;
+    # those n lie below small + 8^k <= 2 * 8^k.
+    window = slice(small, small + 8**k)
+    growth = int((-(-tops[window] // n[window])).max())
+    del n, ends, tops
+    # n mod 8^(k+m-1) fixes T3^j(n) mod 8^m for j < k, and stepping the
+    # residue itself gives them.  The classes are below 8^6 and go straight
+    # into their int32 column, so a batch's visit keys id * 8^m + class stay
+    # int32 from the gather to the key buffer.
+    x = np.arange(8 ** (k + level - 1), dtype=np.int64)
+    columns = np.empty((x.size, k), dtype=np.int32)
+    for step in range(k):
+        x = _jump(x, 1)[0] if step else x
+        np.bitwise_and(x, mod - 1, out=columns[:, step])
     # The orbits of 1 .. small-1 by first descent: each value v outside
     # {1, 2, 4} takes triple steps until its orbit drops below v, which it
     # does on reaching {1, 2, 4} at the latest.  Its orbit is that segment
@@ -536,6 +533,8 @@ def _run_batch(
             if rest.size:
                 max_value = max(max_value, int(_jump(rest, tables.k)[1].max()))
         active >>= 3 * tables.k
+        if tables.mult.size < residues:  # the jump reads only n mod 8^k
+            r &= tables.mult.size - 1
         active *= tables.mult.take(r, out=gathered[: r.size], mode="clip")
         active += tables.add.take(r, out=gathered[: r.size], mode="clip")
         steps += tables.k

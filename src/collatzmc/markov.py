@@ -26,7 +26,7 @@ import numpy as np
 
 from .congruence import preimage_targets
 from .errors import ConsistencyError
-from .maps import MULTIPLIERS, OFFSETS
+from .maps import BRANCHES, MULTIPLIERS
 from .measure import alternating_weights, refuse_cells, weigh_fibres
 
 #: Entry values indexed by image count: count of a row's 8 columns, over 8.
@@ -53,7 +53,12 @@ class TransitionMatrix:
     def __init__(self, images) -> None:
         if not np.issubdtype(np.asarray(images).dtype, np.integer):
             raise ValueError("image array must hold integers")
-        images = np.array(images, dtype=np.intp)
+        self._hold(np.array(images, dtype=np.intp))
+
+    def _hold(self, images: np.ndarray) -> None:
+        """Check and freeze an intp image array that nothing else holds, and
+        keep it as it is: a caller's array is copied first, one that
+        build_matrix made is not."""
         size = images.size // 8
         level = (size.bit_length() - 1) // 3  # 8^level has 3 * level + 1 bits
         if level < 1 or images.shape != (8**level, 8):
@@ -114,17 +119,23 @@ def build_matrix(level: int) -> TransitionMatrix:
     Row i holds the image classes of the 8 refining subclasses of B(i, 8^m),
     (base + stride*h) mod 8^m for h = 0..7, with base = (multiplier*i +
     offset)/8 and stride = multiplier*8^(m-1) from the branch of i mod 8:
-    forward_split(B(i, 8^m)) column for column.
+    forward_split(B(i, 8^m)) column for column.  For i = 8a + s that is
+    multiplier * (a + 8^(m-1)*h) + base_image of branch s, so the rows are
+    written 8 branches at a time into the one full-size array.
     """
     if level < 1:
         raise ValueError(f"level must be >= 1, got {level}")
     refuse_cells(level + 1, f"level {level} image array")
     size = 8**level
-    residues = np.arange(size)
-    multiplier = np.array(MULTIPLIERS)[residues & 7]
-    base = (multiplier * residues + np.array(OFFSETS)[residues & 7]) >> 3
-    stride = multiplier * 8 ** (level - 1)
-    return TransitionMatrix((base[:, None] + stride[:, None] * np.arange(8)) % size)
+    images = np.empty((size, 8), dtype=np.intp)
+    blocks = images.reshape(size // 8, 8, 8)  # [a, s, h]: row 8a + s, column h
+    shifts = np.arange(size // 8)[:, None, None] + 8 ** (level - 1) * np.arange(8)
+    np.multiply(shifts, np.array(MULTIPLIERS)[:, None], out=blocks)
+    blocks += np.array([branch.base_image for branch in BRANCHES])[:, None]
+    images &= size - 1
+    matrix = TransitionMatrix.__new__(TransitionMatrix)
+    matrix._hold(images)
+    return matrix
 
 
 def check_stochasticity(matrix: TransitionMatrix) -> bool:

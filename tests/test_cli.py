@@ -16,6 +16,7 @@ from conftest import python_env
 
 from collatzmc import cli, empirical, markov, measure
 from collatzmc.cli import main
+from collatzmc.errors import CapacityError
 from collatzmc.congruence import preimage_targets
 
 
@@ -448,6 +449,35 @@ class TestSimulate:
         )
         assert code == 0
         assert sha256(text) == "0ab403efea718da0a1084323e18eb64555f9bcd0327911735a52af55987d5525"
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_key_budget_is_one_error_line(self, monkeypatch, capsys, workers):
+        # five per-trajectory shards of 1024 starts, each batch past the
+        # budget; with two workers the refusal is raised in a forked child
+        monkeypatch.setattr(empirical, "usable_cpus", lambda: 2)
+        monkeypatch.setattr(empirical, "VISIT_KEYS_BUDGET", 1 << 12)
+        parent = os.getpid()
+        extend = empirical._VisitKeys.extend
+        raised_in = []
+
+        def extend_and_note(self, count):
+            try:
+                return extend(self, count)
+            except CapacityError:
+                raised_in.append(os.getpid())
+                raise
+
+        monkeypatch.setattr(empirical._VisitKeys, "extend", extend_and_note)
+        code, text = run_cli(
+            "simulate", "--max", "5000", "--m", "5", "--per-trajectory", "--format", "json",
+            "--workers", str(workers),
+        )
+        err = capsys.readouterr().err
+        assert (code, text) == (3, "")
+        assert err.startswith("error: per-trajectory batch needs ") and err.count("\n") == 1
+        assert raised_in == ([parent] if workers == 1 else [])  # a child's list is its own
+        with pytest.raises(ChildProcessError):  # every worker was reaped
+            os.waitpid(-1, os.WNOHANG)
 
     def test_lost_worker_is_one_error_line(self, monkeypatch, capsys):
         # a worker killed before it sends its stats (as by the OOM killer)

@@ -612,6 +612,33 @@ def test_visit_keys_grow_and_reset(monkeypatch):
     assert keys.take().size == 0
 
 
+def test_visit_keys_stop_at_the_budget(monkeypatch):
+    # the doubling stops at the budget, and a batch past it raises before the buffer grows
+    monkeypatch.setattr(empirical, "VISIT_KEYS_RESERVE", 4)
+    monkeypatch.setattr(empirical, "VISIT_KEYS_BUDGET", 10)
+    keys = empirical._VisitKeys()
+    keys.extend(5)
+    assert keys._buffer.size == 8
+    keys.extend(5)[:] = 7  # exactly the budget
+    assert keys._buffer.size == 10
+    with pytest.raises(CapacityError, match="needs 11 visit keys, budget 10"):
+        keys.extend(1)
+    assert keys._buffer.size == 10 and keys.take().size == 10
+
+
+@pytest.mark.parametrize("level", [1, 6])
+def test_batch_past_the_key_budget_is_refused(monkeypatch, level):
+    """A per-trajectory batch that needs more keys than the budget raises
+    CapacityError; within the budget the same batch runs."""
+    monkeypatch.setattr(empirical, "VISIT_KEYS_RESERVE", 1 << 10)
+    monkeypatch.setattr(empirical, "VISIT_KEYS_BUDGET", 1 << 12)
+    config = SweepConfig(n_max=3000, level=level, per_trajectory=True)
+    with pytest.raises(CapacityError, match="visit keys, budget 4096"):
+        _sweep_shard(config, 1, 3000)
+    monkeypatch.setattr(empirical, "VISIT_KEYS_BUDGET", 1 << 20)  # the same batch within budget
+    assert _sweep_shard(config, 1, 3000).traj_counted == 2997  # all but 1, 2 and 4
+
+
 def one_block_orbit_shares(sums, keys, size, start_keys):
     """The share step with the whole batch as one block: the oracle of
     _add_orbit_shares, which runs the same pipeline ORBIT_BLOCK orbits at a
@@ -766,7 +793,7 @@ class TestJumpTables:
         assert tables.k == max(1, 6 - level)
         assert tables.small == 5 * 8 ** (tables.k - 1)
         assert tables.classes.shape == (8 ** (tables.k + level - 1), tables.k)
-        assert tables.mult.size == tables.add.size == tables.classes.shape[0]
+        assert tables.mult.size == tables.add.size == 8**tables.k  # the 8-entry branch table at levels 5-6
         assert tables.safe == INT64_SAFE // tables.growth
         assert tables.growth <= tables.small  # a pass's top slice is never empty
         assert not tables.mult.flags.writeable
@@ -789,12 +816,12 @@ class TestJumpTables:
         tables = _jump_tables(level)
         # where >= 0 counts up from the small-value bound, where < 0 down from the jump bound
         n = tables.small + where if where >= 0 else tables.safe + 1 + where
-        r = n % tables.classes.shape[0]
+        s, r = n % 8**tables.k, n % 8 ** (tables.k + level - 1)
         expected, classes = n, []
         for _ in range(tables.k):
             classes.append(expected % 8**level)
             expected = third_iterate(expected)
-        assert int(tables.mult[r]) * (n >> 3 * tables.k) + int(tables.add[r]) == expected
+        assert int(tables.mult[s]) * (n >> 3 * tables.k) + int(tables.add[s]) == expected
         assert tables.classes[r].tolist() == classes
         path = collatz_path(n, tables.k)
         assert max(path) <= tables.growth * n <= INT64_SAFE
@@ -843,13 +870,14 @@ class TestJumpTables:
             longest = max(longest, run.steps)
         assert tables.longest == longest
 
-    @pytest.mark.parametrize("level, bound", [(1, 6), (6, 10)])
+    @pytest.mark.parametrize("level, bound", [(1, 6), (2, 4), (3, 3), (4, 2), (5, 1), (6, 5)])
     def test_build_memory_stays_near_the_tables(self, level, bound):
-        """The uncached build writes each jump column into its int32 table,
-        updates mult and add in place and drops its first-descent arrays once
-        used: it traces under 6 MiB at level 1 (9.31 MiB with int64 columns
-        stacked and copied, and an int32 class list) and under 10 MiB at
-        level 6 (14.0 MiB)."""
+        """The uncached build reads mult and add off one jump over 2 * 8^k
+        values, writes each class column into its int32 table and drops its
+        first-descent arrays once used.  It traces 4.3, 2.7, 2.1, 1.5, 0.4
+        and 3.1 MiB at levels 1-6; with the jump keyed by n mod 8^(k+m-1)
+        and corrected in place it traced 4.5 MiB at level 1 and 7.4 MiB at
+        level 6, and with int64 columns stacked and copied 9.3 and 14.0."""
         tracemalloc.start()
         try:
             _jump_tables.__wrapped__(level)
@@ -860,19 +888,26 @@ class TestJumpTables:
 
     @pytest.mark.parametrize("level", range(1, 7))
     def test_int32_jump_tables_are_exact(self, level):
-        # T3(n) = (M*n + R)/8 on each class mod 8; the jump form recomputed in int64
+        # T3(n) = (M*n + R)/8 on each class mod 8; the jump form recomputed in
+        # int64 as the product of the branch multipliers and T3^k of the residue
         tables = _jump_tables(level)
         branch_mult = np.array(MULTIPLIERS, dtype=np.int64)
         branch_add = np.array(OFFSETS, dtype=np.int64)
-        r = np.arange(tables.classes.shape[0], dtype=np.int64)
-        value, mult = r, np.ones_like(r)
+        s = np.arange(8**tables.k, dtype=np.int64)
+        value, mult = s, np.ones_like(s)
         for _ in range(tables.k):
             sigma = value & 7
             mult = mult * branch_mult[sigma]
             value = (branch_mult[sigma] * value + branch_add[sigma]) >> 3
-        add = value - mult * (r >> 3 * tables.k)
         assert tables.mult.dtype == tables.add.dtype == np.int32
-        assert np.array_equal(tables.mult, mult) and np.array_equal(tables.add, add)
+        assert np.array_equal(tables.mult, mult) and np.array_equal(tables.add, value)
+        # classes[r] steps the residue r itself, in int64
+        value = np.arange(tables.classes.shape[0], dtype=np.int64)
+        for step in range(tables.k):
+            assert np.array_equal(tables.classes[:, step], value % 8**level)
+            sigma = value & 7
+            value = (branch_mult[sigma] * value + branch_add[sigma]) >> 3
+        assert tables.classes.dtype == np.int32
 
 
 class TestComparison:

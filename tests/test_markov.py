@@ -14,6 +14,7 @@ from hypothesis.extra.numpy import arrays
 from collatzmc import markov, measure
 from collatzmc.congruence import CongruenceClass, forward_split, preimage_targets
 from collatzmc.errors import CapacityError, ConsistencyError
+from collatzmc.maps import MULTIPLIERS, OFFSETS
 from collatzmc.markov import (
     TransitionMatrix,
     build_matrix,
@@ -88,6 +89,35 @@ def test_images_are_the_preimage_map(level):
     # column h of row i is the image of B(i + 8^m*h, 8^(m+1)), which is entry
     # i + 8^m*h of the congruence-solved map
     assert np.array_equal(build_matrix(level).images, preimage_targets(level).reshape(8, -1).T)
+
+
+def test_build_memory_is_the_image_array():
+    """build_matrix(6) writes Q(6) into one intp array of 8^7 cells (16 MiB)
+    and hands it to TransitionMatrix uncopied: it traces 18.4 MiB, where
+    three full-size temporaries and the constructor's copy traced 40.1."""
+    tracemalloc.start()
+    try:
+        matrix = build_matrix(6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 24 * 2**20
+    # (base + stride*h) mod 8^m, row for row, as the docstring states it
+    size = 8**6
+    residues = np.arange(size)
+    multiplier = np.array(MULTIPLIERS)[residues & 7]
+    base = (multiplier * residues + np.array(OFFSETS)[residues & 7]) >> 3
+    expected = (base[:, None] + multiplier[:, None] * 8**5 * np.arange(8)) % size
+    assert matrix.images.dtype == np.intp and not matrix.images.flags.writeable
+    assert np.array_equal(matrix.images, expected)
+
+
+def test_caller_images_are_copied():
+    images = build_matrix(2).images.copy()
+    matrix = TransitionMatrix(images)
+    assert not np.shares_memory(matrix.images, images) and images.flags.writeable
+    images[0, 0] += 1  # the caller's array stays the caller's
+    assert np.array_equal(matrix.images, build_matrix(2).images)
 
 
 @pytest.mark.parametrize("level", [1, 2, 3, 4])
@@ -403,8 +433,10 @@ class TestErgodicity:
         assert peak < 16 * 2**20
 
     def test_memory_is_bounded_at_level_6(self):
-        # building Q(6), 8^7 image cells (16 MiB), sets the peak; row-support
-        # bitmasks would take 8^6 * 8^6 / 8 bytes = 8 GiB
+        # Q(6) is 8^7 image cells (16 MiB); the search traces 28.3 MiB with
+        # it (40.1 while build_matrix made three full-size temporaries and
+        # copied its array).  Row-support bitmasks would take 8^6 * 8^6 / 8
+        # bytes = 8 GiB
         tracemalloc.start()
         try:
             result = check_ergodicity(6)
@@ -412,7 +444,7 @@ class TestErgodicity:
         finally:
             tracemalloc.stop()
         assert result.exponent == 12
-        assert peak < 48 * 2**20
+        assert peak < 32 * 2**20
 
     def test_level_bounds(self):
         with pytest.raises(ValueError):
