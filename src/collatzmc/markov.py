@@ -164,8 +164,12 @@ def power_iteration(matrix: TransitionMatrix) -> np.ndarray:
     size = matrix.size
     columns = matrix.images.ravel()
     vec = np.full(size, 1.0 / size)
+    # each image cell's weight, vec[i] / 8, in one buffer for every round: a
+    # fresh 8^(m+1) array per round took new pages each time (8 MiB and up)
+    shares = np.empty((size, 8))
     for _ in range(POWER_MAX_ITER):
-        nxt = np.bincount(columns, weights=np.repeat(vec / 8, 8), minlength=size)
+        np.divide(vec[:, None], 8, out=shares)
+        nxt = np.bincount(columns, weights=shares.ravel(), minlength=size)
         if np.max(np.abs(nxt - vec)) < POWER_TOL:
             return nxt
         vec = nxt
