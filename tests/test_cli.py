@@ -16,8 +16,8 @@ from conftest import python_env
 
 from collatzmc import cli, empirical, markov, measure
 from collatzmc.cli import main
-from collatzmc.errors import CapacityError
 from collatzmc.congruence import preimage_targets
+from collatzmc.errors import CapacityError
 
 
 def run_cli(*argv):

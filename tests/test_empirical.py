@@ -875,9 +875,8 @@ class TestJumpTables:
         """The uncached build reads mult and add off one jump over 2 * 8^k
         values, writes each class column into its int32 table and drops its
         first-descent arrays once used.  It traces 4.3, 2.7, 2.1, 1.5, 0.4
-        and 3.1 MiB at levels 1-6; with the jump keyed by n mod 8^(k+m-1)
-        and corrected in place it traced 4.5 MiB at level 1 and 7.4 MiB at
-        level 6, and with int64 columns stacked and copied 9.3 and 14.0."""
+        and 3.1 MiB at levels 1-6 (7.4 MiB at level 6 with 8^6-entry jump
+        tables)."""
         tracemalloc.start()
         try:
             _jump_tables.__wrapped__(level)
