@@ -88,6 +88,10 @@ CHAIN_GOLDENS = {
     "verify --all --m 3": "231463310b46dfc256159bf49c2e1f12e56346f9f0b49fa690aa7f3e25d8646b",
     "verify --all --m 4": "976e8a9ba722ad76635245ce36796e8c71a8f7977359fcb03bebbaba5e73b9ff",
     "verify --all --m 5": "35d7feb09a87e5ae9945891f00ea154460deb1f1f0c55fc8a176010ebf2f2133",
+    "verify --ergodicity --m 1": "0ee13715665ad3b9d7aa64661c1570b00e67327551e1ce2f62e924e5961575b6",
+    "verify --ergodicity --m 2": "3d341ae25e5e0ca83e83ee90329724cf472330041456d8382dd66d42b4361db3",
+    "verify --ergodicity --m 3": "63d00e4ba45d7316dda7b5c0d8105b92ee583f2da837c30c0f93ce70c3f2c724",
+    "verify --ergodicity --m 4": "db478a0b42ada04c8f943b20548a17d8e97906887eb9174b3202759d3e8b1800",
     "verify --ergodicity --m 5": "f12f3d44b682544f45ecdface7d73bb3b204fbd402d2bcecd2533bd7a820f37f",
     "verify --measure --m 1": "3667fa5960a21f45d2b844cfb72232f1570cfb58830e2026db72bd3c2fa83464",
     "verify --measure --m 2": "a28b265628c9836bf06cbae77f830afb13708894d674e2e9913dd9981e0e08fb",
@@ -99,6 +103,7 @@ CHAIN_GOLDENS = {
     "verify --stochasticity --m 3": "27bf6138c1bdb7ba9ab5ac2ae9da27163ff2cdc5bbc6cb69b3299b035b831f22",
     "verify --stochasticity --m 4": "4e46165062f8e8b805bd9448d3bdd4eeda6d50de847bb6338de3dd53525afea1",
     "verify --stochasticity --m 5": "bc4ae7edef699e6b21fc55aad6b549e294a16ce24e182fad6fe51ac351158b60",
+    "verify --stochasticity --m 6": "3457101e40043db2b8366d74a3b15ab1c13f3c67c2a6f49bdda7dddba0c251ba",
     "verify --chapman": "17c2652ea61aba532ec450c1691a2abb364c5ae222ac99ebee968bf2c9b2df20",
     "verify --chapman --m 1": "17c2652ea61aba532ec450c1691a2abb364c5ae222ac99ebee968bf2c9b2df20",
     "matrix --m 1": "0efb6afd3f1458bc9efba953606b0833f2a34f43a30fd000eabac5346a129516",
