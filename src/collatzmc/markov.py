@@ -26,7 +26,7 @@ import numpy as np
 
 from .congruence import preimage_targets
 from .errors import ConsistencyError
-from .maps import BRANCHES, MULTIPLIERS
+from .maps import BRANCHES, MULTIPLIERS, OFFSETS
 from .measure import alternating_weights, refuse_cells, weigh_fibres
 
 #: Entry values indexed by image count: count of a row's 8 columns, over 8.
@@ -142,11 +142,11 @@ def check_stochasticity(matrix: TransitionMatrix) -> bool:
     """Independent check that the matrix is the class chain, image for image.
 
     Every row is 8 image columns in range (checked on construction), so it
-    sums to 1.  Its class map images.T.ravel() must equal preimage_targets
-    entry for entry: the class each subclass B(i + 8^m*h, 8^(m+1)) maps
+    sums to 1.  Entry (i, h) must equal preimage_targets at i + 8^m*h, read
+    in place as an (8^m, 8) view: the class that B(i + 8^m*h, 8^(m+1)) maps
     into, found there by solving congruences instead.
     """
-    return np.array_equal(matrix.images.T.ravel(), preimage_targets(matrix.level))
+    return np.array_equal(matrix.images, preimage_targets(matrix.level).reshape(8, -1).T)
 
 
 def left_multiply(weights, matrix: TransitionMatrix) -> list[Fraction]:
@@ -257,18 +257,23 @@ def check_ergodicity(level: int) -> ErgodicityResult:
     Row i of Q^e is T3^e(B(i, 8^m)) mod 8^m, and T3 maps a 2-adic class (c, v)
     = {c + 2^v*s} with v >= 3 onto the one class (T3(c), v - 3 + v2(M)), M the
     multiplier of c mod 8 (Terras 1976, Lagarias 1985).  So each row descends
-    from (i, 3m), reading T3(c) mod 8^m off images[c, 0], until v <= 3.  It
+    from (i, 3m), c to T3(c) mod 8^m by the branch table, until v <= 3.  It
     then holds every class whose residue mod 8 is in c + 2^v*t, and the row
     supports of Q(1) step that residue set, keyed 8v + c mod 8, until full.
     """
-    images = build_matrix(level).images
+    if level < 1:
+        raise ValueError(f"level must be >= 1, got {level}")
+    refuse_cells(level + 1, f"level {level} image array")
+    size = 8**level
+    multipliers, offsets = np.array(MULTIPLIERS), np.array(OFFSETS)
     twos = np.array([(m & -m).bit_length() - 1 for m in MULTIPLIERS])
-    c, v = np.arange(len(images)), np.full(len(images), 3 * level)
-    rows = np.zeros(len(images), dtype=np.intp)
+    c, v = np.arange(size), np.full(size, 3 * level)
+    rows = np.zeros(size, dtype=np.intp)
     while (live := v > 3).any():
         rows += live
-        v = np.where(live, v - 3 + twos[c & 7], v)
-        c = np.where(live, images[c, 0], c)
+        branch = c & 7
+        v = np.where(live, v - 3 + twos[branch], v)
+        c = np.where(live, (multipliers[branch] * c + offsets[branch]) >> 3 & (size - 1), c)
     keys, finish = np.arange(32), np.zeros(32, dtype=np.intp)
     marks = np.eye(8, dtype=bool)  # marks[r] flags residue r mod 8
     reached = marks[((keys & 7)[:, None] + (1 << (keys >> 3))[:, None] * np.arange(8)) & 7].any(axis=1)

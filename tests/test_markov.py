@@ -193,6 +193,21 @@ class TestStochasticity:
         assert images[0, 0] != images[1, 0]
         assert not check_stochasticity(TransitionMatrix(images))
 
+    def test_memory_at_level_6_is_the_preimage_map(self):
+        # Q(6) is built before tracing starts: the check holds the 16 MiB
+        # preimage map and compares Q(6)'s image array with it in place,
+        # 26.0 MiB traced (42.0 while it copied the image array into a
+        # transposed class map first)
+        matrix = build_matrix(6)
+        tracemalloc.start()
+        try:
+            passed = check_stochasticity(matrix)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert passed
+        assert peak < 32 * 2**20
+
     def test_wrong_width_fails(self):
         images = build_matrix(1).images
         with pytest.raises(ValueError, match=r"image array, m >= 1, got shape \(8, 16\)"):
@@ -390,6 +405,29 @@ def bitmask_ergodicity(matrix: TransitionMatrix) -> np.ndarray:
     raise AssertionError("some row is not all positive at exponent 2 * size")
 
 
+def image_column_descent(level: int) -> np.ndarray:
+    """Each row's first all-positive exponent by the 2-adic class descent,
+    reading T3(c) mod 8^m off column 0 of Q(m)'s image array, the class of
+    B(c, 8^(m+1)), and finishing on Q(1)'s row supports as check_ergodicity
+    does."""
+    images = build_matrix(level).images
+    twos = np.array([(m & -m).bit_length() - 1 for m in MULTIPLIERS])
+    c, v = np.arange(len(images)), np.full(len(images), 3 * level)
+    rows = np.zeros(len(images), dtype=int)
+    while (live := v > 3).any():
+        rows += live
+        v = np.where(live, v - 3 + twos[c & 7], v)
+        c = np.where(live, images[c, 0], c)
+    keys, finish = np.arange(32), np.zeros(32, dtype=int)
+    marks = np.eye(8, dtype=bool)
+    reached = marks[((keys & 7)[:, None] + (1 << (keys >> 3))[:, None] * np.arange(8)) & 7].any(axis=1)
+    support = marks[build_matrix(1).images].any(axis=1)
+    while not (full := reached.all(axis=1)).all():
+        finish += ~full
+        reached = reached @ support
+    return rows + finish[8 * v + (c & 7)]
+
+
 class TestErgodicity:
     def test_level1_positive_at_two(self):
         result = check_ergodicity(1)
@@ -406,6 +444,12 @@ class TestErgodicity:
         rows = check_ergodicity(level).rows
         assert np.array_equal(rows, bitmask_ergodicity(build_matrix(level)))
         assert rows.max() == 2 * level and np.count_nonzero(rows == 2 * level) == attaining
+
+    @pytest.mark.parametrize("level", [1, 2, 3, 4, 5, 6])
+    def test_rows_match_the_image_column_descent(self, level):
+        # the branch-table step equals column 0 of Q(m) row for row, where
+        # the bitmask search above stops at m = 4
+        assert np.array_equal(check_ergodicity(level).rows, image_column_descent(level))
 
     @pytest.mark.parametrize("level", [1, 2])
     def test_bitmask_search_matches_dense_powers(self, level):
@@ -433,10 +477,11 @@ class TestErgodicity:
         assert peak < 16 * 2**20
 
     def test_memory_is_bounded_at_level_6(self):
-        # Q(6) is 8^7 image cells (16 MiB); the search traces 28.3 MiB with
-        # it (40.1 while build_matrix made three full-size temporaries and
-        # copied its array).  Row-support bitmasks would take 8^6 * 8^6 / 8
-        # bytes = 8 GiB
+        # one (class, valuation) pair and one row exponent per class, 8^6
+        # each: the search traces 12.3 MiB.  It traced 28.3 MiB while it
+        # built Q(6), 8^7 image cells (16 MiB), to read column 0, and 40.1
+        # while build_matrix made three full-size temporaries.  Row-support
+        # bitmasks would take 8^6 * 8^6 / 8 bytes = 8 GiB
         tracemalloc.start()
         try:
             result = check_ergodicity(6)
@@ -444,7 +489,7 @@ class TestErgodicity:
         finally:
             tracemalloc.stop()
         assert result.exponent == 12
-        assert peak < 32 * 2**20
+        assert peak < 16 * 2**20
 
     def test_level_bounds(self):
         with pytest.raises(ValueError):
