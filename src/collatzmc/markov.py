@@ -257,9 +257,10 @@ def check_ergodicity(level: int) -> ErgodicityResult:
     Row i of Q^e is T3^e(B(i, 8^m)) mod 8^m, and T3 maps a 2-adic class (c, v)
     = {c + 2^v*s} with v >= 3 onto the one class (T3(c), v - 3 + v2(M)), M the
     multiplier of c mod 8 (Terras 1976, Lagarias 1985).  So each row descends
-    from (i, 3m), c to T3(c) mod 8^m by the branch table, until v <= 3.  It
-    then holds every class whose residue mod 8 is in c + 2^v*t, and the row
-    supports of Q(1) step that residue set, keyed 8v + c mod 8, until full.
+    from (i, 3m), taking T3(c) mod 8^m from the branch table, until v <= 3.
+    It then holds every class whose residue mod 8 is in c + 2^v*t, and the
+    row supports of Q(1) step that residue set, keyed 8v + c mod 8, until
+    full.  Q(m) is not built, but its cell cap holds, so m = 7 is refused.
     """
     if level < 1:
         raise ValueError(f"level must be >= 1, got {level}")

@@ -194,10 +194,10 @@ class TestStochasticity:
         assert not check_stochasticity(TransitionMatrix(images))
 
     def test_memory_at_level_6_is_the_preimage_map(self):
-        # Q(6) is built before tracing starts: the check holds the 16 MiB
-        # preimage map and compares Q(6)'s image array with it in place,
-        # 26.0 MiB traced (42.0 while it copied the image array into a
-        # transposed class map first)
+        # Q(6) is built before tracing starts.  The check compares Q(6)'s
+        # image array in place with the 16 MiB preimage map, whose build is
+        # the whole 26.0 MiB traced; 42.0 while it first copied the image
+        # array into a transposed class map
         matrix = build_matrix(6)
         tracemalloc.start()
         try:
