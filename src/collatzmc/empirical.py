@@ -206,14 +206,19 @@ class _JumpTables:
     T3^k(n) = mult[s] * (n >> 3k) + add[s], and for r = n mod 8^(k+m-1),
     classes[r] lists the int32 mod-8^m classes of n, T3(n), ..., T3^(k-1)(n).
     Every Collatz value met within one jump from n >= small is at most
-    growth * n, and no value listed is in {1, 2, 4}.  The orbits from values
-    v below small are tabulated: visits (v itself included, unless it is in
-    {1, 2, 4}) as the class list tail_class[tail_start[v] : tail_start[v+1]],
-    ascending, each class repeated by its count, and max excursion
-    small_peak[v].  The list takes the smallest signed type that holds
-    8^m - 1: int8 at levels 1-2 (620 KB at level 1), int16 at 3-5 and int32
-    at 6.  An orbit visits one class per triple step, so its length is
-    tail_start[v+1] - tail_start[v]; longest is the most steps of any.
+    growth * n, and no value listed is in {1, 2, 4}.
+
+    The orbits from values v below small are tabulated as their first-descent
+    forest.  below[v] is the first value under v on its orbit, and v's
+    segment, the classes of the values before it (v itself included), is
+    seg_class[seg_start[v] : seg_start[v+1]] in orbit order; the orbit is the
+    segment followed by the orbit of below[v].  0 and {1, 2, 4} have no
+    segment and below 0.  seg_class takes the smallest signed type that holds
+    8^m - 1: int8 at levels 1-2 (50,427 entries at level 1), int16 at 3-5 and
+    int32 at 6.  lengths[v] and small_peak[v] are the triple steps and the
+    max excursion of v's whole orbit; longest is the most steps of any.
+    layers[d] lists, ascending, the values whose orbit is d + 1 segments
+    long: 26 layers at level 1, 13 at level 3.
     """
 
     k: int
@@ -222,9 +227,12 @@ class _JumpTables:
     mult: np.ndarray
     add: np.ndarray
     classes: np.ndarray
-    tail_start: np.ndarray
-    tail_class: np.ndarray
+    below: np.ndarray
+    seg_start: np.ndarray
+    seg_class: np.ndarray
+    lengths: np.ndarray
     small_peak: np.ndarray
+    layers: tuple[np.ndarray, ...]
     longest: int
 
     @property
@@ -264,20 +272,17 @@ class _ShardTally:
         """Add the residue and small-value counts into classes, and return
         them: the visits per class mod 8^m.
 
-        Each finished count is repeated over its value's slice of the class
-        list, PLAIN_BATCH entries of the list at a time, so the repeated
-        counts take at most 1 MB whatever the list's length; a slice that
-        crosses a block's edge is cut there."""
+        An orbit finished from v runs through the segments of v, below[v],
+        and so on, so each segment is visited once per count in v's subtree
+        of the first-descent forest.  From the deepest layer up, each value's
+        count is added into its below, which turns the finished counts, in
+        place, into subtree weights; one np.add.at over the segment entries
+        then adds each weight over its segment's classes."""
         tables = self._tables
-        starts = tables.tail_start
-        entries = int(starts[-1])
-        for lo in range(0, entries, PLAIN_BATCH):
-            hi = min(lo + PLAIN_BATCH, entries)
-            # the values whose slices meet [lo, hi), and each one's part of it
-            first = np.searchsorted(starts, lo, side="right") - 1
-            last = np.searchsorted(starts, hi)
-            parts = np.diff(np.clip(starts[first : last + 1], lo, hi))
-            np.add.at(self.classes, tables.tail_class[lo:hi], np.repeat(self.finished[first:last], parts))
+        weights = self.finished
+        for layer in reversed(tables.layers):
+            np.add.at(weights, tables.below[layer], weights[layer])
+        np.add.at(self.classes, tables.seg_class, np.repeat(weights, np.diff(tables.seg_start)))
         for column in tables.classes.T:
             np.add.at(self.classes, column, self.residues)
         return self.classes
@@ -369,46 +374,44 @@ def _jump_tables(level: int) -> _JumpTables:
     # does on reaching {1, 2, 4} at the latest.  Its orbit is that segment
     # followed by the orbit of the value it dropped to, so the steps taken
     # are the segments' few per value, not the orbits' dozens.  x and top
-    # hold the live segments' current values and peaks.
+    # hold the live segments' current values and peaks; each step's live
+    # values and classes are kept to fill the segment lists.
     peaks = np.arange(small, dtype=np.int64)
     below = np.zeros_like(peaks)  # the value a segment drops to; 0 for no segment
+    lengths = np.zeros_like(peaks)  # the segment's triple steps, then the orbit's
     live = x = top = peaks[(peaks > 4) | (peaks == 3)]
-    owners, classes = [], []
+    # signed, so that int32 keys plus a class stay int32
+    seg_type = np.min_scalar_type(1 - mod)
+    steps = []
     while live.size:
-        owners.append(live)
-        classes.append(x & (mod - 1))
+        steps.append((live, (x & (mod - 1)).astype(seg_type)))
         x, peak = _jump(x, 1)
         top = np.maximum(top, peak)
         ended = x < live
         if ended.any():
             done = live[ended]
-            peaks[done], below[done] = top[ended], x[ended]
+            peaks[done], below[done], lengths[done] = top[ended], x[ended], len(steps)
             kept = ~ended
             live, x, top = live[kept], x[kept], top[kept]
-    # One bincount counts each value's segment visits per class.  Its columns
-    # are only the classes some segment visits: 8 at level 1, but 2 of the
-    # 8^6 at level 6.  An orbit takes at most a few hundred triple steps, so
-    # int32 holds the counts.
-    owners, classes = np.concatenate(owners), np.concatenate(classes)
-    seen = np.flatnonzero(np.bincount(classes, minlength=mod))
-    width = seen.size
-    keys = owners * width + np.searchsorted(seen, classes)
-    del owners, classes
-    counts = np.bincount(keys, minlength=small * width).astype(np.int32).reshape(small, width)
-    del keys
+    seg_start = np.r_[0, np.cumsum(lengths)]
+    seg_class = np.empty(seg_start[-1], dtype=seg_type)
+    for step, (owners, step_classes) in enumerate(steps):
+        seg_class[seg_start[owners] + step] = step_classes
+    del steps
     # Pointer doubling completes the orbits: after each round a value holds
-    # the segments of twice as many links of its chain of drops, and target
-    # is the first link it does not hold yet.  0 has no segment and ends
-    # every chain.
+    # the steps, peak and segment count of twice as many links of its chain
+    # of drops, and target is the first link it does not hold yet.  0 has no
+    # segment and ends every chain.
+    depth = (lengths > 0).astype(np.int64)
     target = below
     while target.any():
-        counts += counts[target]
+        lengths += lengths[target]
+        depth += depth[target]
         np.maximum(peaks, peaks[target], out=peaks)
         target = target[target]
-    lengths = counts.sum(1)  # one visit per triple step: each orbit's steps
-    # The class list takes the smallest signed type that holds every class;
-    # signed, so that int32 keys plus a class stay int32.
-    seen = seen.astype(np.min_scalar_type(1 - mod))
+    # The values by segment count, ascending within each layer; depth 0, the
+    # values without a segment, is no layer.
+    layers = np.split(np.argsort(depth, kind="stable"), np.cumsum(np.bincount(depth))[:-1])[1:]
     tables = _JumpTables(
         k,
         small,
@@ -416,15 +419,55 @@ def _jump_tables(level: int) -> _JumpTables:
         mult,
         add,
         columns,
-        np.r_[0, np.cumsum(lengths)],
-        np.repeat(np.tile(seen, small), counts.ravel()),
+        below,
+        seg_start,
+        seg_class,
+        lengths,
         peaks,
+        tuple(layers),
         int(lengths.max()),
     )
-    for array in vars(tables).values():
-        if isinstance(array, np.ndarray):
-            array.setflags(write=False)
+    arrays = [array for array in vars(tables).values() if isinstance(array, np.ndarray)]
+    for array in arrays + layers:
+        array.setflags(write=False)
     return tables
+
+
+@lru_cache(maxsize=None)
+def _orbit_lists(level: int) -> tuple[np.ndarray, np.ndarray]:
+    """The tabulated orbits expanded for per-trajectory keys: (tail_start,
+    tail_class), where tail_class[tail_start[v] : tail_start[v+1]] lists the
+    classes of v's whole orbit, ascending, in the type of seg_class.  Both
+    arrays are read-only.
+
+    A value's list is the segments of its chain of drops, walked one link
+    for every value at a time; one sort of the int32 keys v * 8^m + class
+    then orders them by value and class.  Built once per process, and before
+    the fork in a forked per-trajectory sweep, so no batch walks the forest.
+    """
+    tables = _jump_tables(level)
+    mod = 8**level
+    seg_start, seg_class = tables.seg_start, tables.seg_class
+    tail_start = np.r_[0, np.cumsum(tables.lengths)]
+    keys = np.empty(tail_start[-1], dtype=np.int32)  # v * 8^m + class < 2^21 at every level
+    owners = link = np.arange(tables.small)
+    at = 0
+    while link.size:
+        first = seg_start[link]
+        counts = seg_start[link + 1] - first
+        size = int(counts.sum())
+        entries = np.repeat(first - np.cumsum(counts) + counts, counts)
+        entries += np.arange(size)
+        np.add(np.repeat((owners * mod).astype(np.int32), counts), seg_class[entries], out=keys[at : at + size])
+        at += size
+        link = tables.below[link]
+        going = link > 0
+        owners, link = owners[going], link[going]
+    keys.sort()
+    tail_class = (keys & (mod - 1)).astype(seg_class.dtype)
+    for array in (tail_start, tail_class):
+        array.setflags(write=False)
+    return tail_start, tail_class
 
 
 def _cap_error(config: SweepConfig, lo: int, hi: int) -> TrajectoryCapError:
@@ -495,8 +538,7 @@ def _run_batch(
             done = active[small]
             np.add.at(tally.finished, done, 1)
             if steps + tables.longest > config.step_cap:
-                lengths = tables.tail_start[done + 1] - tables.tail_start[done]
-                if (lengths > config.step_cap - steps).any():
+                if (tables.lengths[done] > config.step_cap - steps).any():
                     raise _cap_error(config, lo, hi)
             if ids is not None:
                 finished_from[ids[small]] = done
@@ -542,13 +584,14 @@ def _run_batch(
     # tally.finished also counts the shard's earlier batches, whose peaks the record holds.
     max_value = max(max_value, int(tables.small_peak.max(initial=0, where=tally.finished > 0)))
     if keys is not None:
+        tail_start, tail_class = _orbit_lists(config.level)
         ended = np.flatnonzero(finished_from)
-        first = tables.tail_start[finished_from[ended]]
-        lengths = tables.tail_start[finished_from[ended] + 1] - first
+        first = tail_start[finished_from[ended]]
+        lengths = tables.lengths[finished_from[ended]]
         at = np.repeat(first - np.cumsum(lengths) + lengths, lengths)
         at += np.arange(at.size)
         owners = np.repeat((ended * mod).astype(np.int32), lengths)
-        np.add(owners, tables.tail_class[at], out=keys.extend(at.size))
+        np.add(owners, tail_class[at], out=keys.extend(at.size))
     for traj_id, value, taken in exact_continuations:
         run = run_trajectory(value, level=config.level, step_cap=config.step_cap - taken)
         if run.capped:
@@ -752,7 +795,10 @@ def sweep(config: SweepConfig) -> TrajectoryStats:
     kernel = partial(_sweep_shard, config)
     workers = min(config.workers, len(los), usable_cpus())
     if workers > 1 and hasattr(os, "fork"):
-        _jump_tables(config.level)  # built and cached before the fork, so every child shares them
+        # built and cached before the fork, so every child shares them
+        _jump_tables(config.level)
+        if config.per_trajectory:
+            _orbit_lists(config.level)
         return _fork_join(kernel, los, his, workers, config.n_max)
     return reduce(TrajectoryStats.merge, map(kernel, los, his))
 

@@ -1,6 +1,7 @@
 """Sweep kernel correctness against the pure-Python reference, and reports."""
 
 import dataclasses
+import functools
 import io
 import json
 import os
@@ -722,49 +723,51 @@ def test_orbit_share_memory_is_bounded_by_the_block():
     assert peak < 2 * 2**20
 
 
-def one_repeat_fold(tally):
-    """The shard tally's fold with each finished count repeated over the
-    whole class list at once; the block fold's oracle.  Returns new counts
-    and leaves the tally as it was."""
-    tables = tally._tables
-    classes = tally.classes.copy()
-    np.add.at(classes, tables.tail_class, np.repeat(tally.finished, np.diff(tables.tail_start)))
-    for column in tables.classes.T:
-        np.add.at(classes, column, tally.residues)
-    return classes
+@functools.lru_cache(maxsize=None)
+def small_value_runs(level):
+    """run_trajectory of every value below the level's small-value bound,
+    0 excluded: the oracle of the tabulated orbits."""
+    return [run_trajectory(v, level) for v in range(1, _jump_tables(level).small)]
+
+
+@functools.lru_cache(maxsize=None)
+def small_value_class_counts(level):
+    """Per small value, its orbit's visits per class, from run_trajectory."""
+    counts = np.zeros((_jump_tables(level).small, 8**level), dtype=np.int64)
+    for v, run in enumerate(small_value_runs(level), start=1):
+        counts[v] = np.bincount(run.visits, minlength=8**level)
+    return counts
 
 
 @settings(max_examples=40, deadline=None)
-@given(
-    level=st.integers(1, 6),
-    seed=st.integers(0, 2**32 - 1),
-    block=st.sampled_from([1, 3, 90, 300, empirical.PLAIN_BATCH]),
-)
-@example(level=1, seed=0, block=300)
-@example(level=1, seed=1, block=empirical.PLAIN_BATCH)
-@example(level=3, seed=2, block=1)
-@example(level=2, seed=3, block=90)
-def test_fold_blocks_match_one_repeat(level, seed, block):
-    """Folding the finished counts a block of class-list entries at a time
-    gives the counts of one repeat over the whole list, exactly, for blocks
-    of one entry, of fewer entries than one value's slice, and of many
-    slices.  At most 5000 blocks run, so one-entry blocks start at level 3."""
+@given(level=st.integers(1, 6), seed=st.integers(0, 2**32 - 1), zeros=st.sampled_from([0.0, 0.5, 0.99]))
+@example(level=1, seed=0, zeros=0.0)
+@example(level=2, seed=1, zeros=0.5)
+@example(level=3, seed=2, zeros=0.99)
+@example(level=4, seed=3, zeros=0.0)
+def test_fold_matches_the_orbits(level, seed, zeros):
+    """The fold by subtree weight gives, exactly, each finished count times
+    its value's orbit visits per class (from run_trajectory), plus each
+    residue count over the k classes its jump lists, plus the per-class
+    counts, for random counts with some share of them zero.  Folding the
+    layers shallowest first would lose the weights of every chain of three
+    or more segments."""
     tally = empirical._ShardTally(level)
-    assume(tally._tables.tail_start[-1] <= 5000 * block)
+    tables = tally._tables
     rng = np.random.default_rng(seed)
     for counts in (tally.finished, tally.residues, tally.classes):
-        counts[:] = rng.integers(0, 2**20, counts.size, endpoint=True)
-    expected = one_repeat_fold(tally)
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(empirical, "PLAIN_BATCH", block)
-        folded = tally.fold()
+        counts[:] = rng.integers(0, 2**20, counts.size, endpoint=True) * (rng.random(counts.size) >= zeros)
+    expected = tally.classes + tally.finished @ small_value_class_counts(level)
+    by_residue = np.bincount(tables.classes.ravel(), np.repeat(tally.residues, tables.k), 8**level)
+    expected += by_residue.astype(np.int64)  # below 2^53, so exact
+    folded = tally.fold()
     assert folded.dtype == np.int64 and np.array_equal(folded, expected)
 
 
 def test_fold_memory_is_bounded_by_the_block():
     """A level-1 fold with every finished count nonzero traces under 2 MiB:
-    the repeated counts follow PLAIN_BATCH entries of the class list, not its
-    620,235 entries (4.89 MiB as one repeat)."""
+    it repeats the subtree weights over the 50,427 segment entries, not over
+    the 620,235 entries of the expanded orbits (4.89 MiB as one repeat)."""
     tally = empirical._ShardTally(1)
     tally.finished[:] = 1
     tally.residues[:] = 1
@@ -775,6 +778,24 @@ def test_fold_memory_is_bounded_by_the_block():
     finally:
         tracemalloc.stop()
     assert peak < 2 * 2**20
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="the sweep forks only where os.fork exists")
+def test_forked_per_trajectory_sweep_expands_the_orbits_first(monkeypatch):
+    """A forked per-trajectory sweep expands the small-value orbits in the
+    parent, before the fork, so the children share one copy; a forked plain
+    sweep never expands them."""
+    monkeypatch.setattr(empirical, "usable_cpus", lambda: 2)  # a pool on any runner
+    monkeypatch.setattr(empirical, "PER_TRAJECTORY_CELLS", 1)  # 1024-start shards
+    monkeypatch.setattr(empirical, "SHARD_SIZE", 1024)
+    config = SweepConfig(n_max=3000, level=2, per_trajectory=True, workers=2)
+    empirical._orbit_lists.cache_clear()
+    plain = sweep(dataclasses.replace(config, per_trajectory=False))
+    assert empirical._orbit_lists.cache_info().currsize == 0
+    stats = sweep(config)
+    assert empirical._orbit_lists.cache_info().currsize == 1
+    assert stats_identical(plain, reference_sweep(3000, level=2))
+    assert stats_identical(stats, sweep(dataclasses.replace(config, workers=1)))
 
 
 def collatz_path(n, triple_steps):
@@ -797,7 +818,9 @@ class TestJumpTables:
         assert tables.safe == INT64_SAFE // tables.growth
         assert tables.growth <= tables.small  # a pass's top slice is never empty
         assert not tables.mult.flags.writeable
-        assert not tables.tail_start.flags.writeable and not tables.tail_class.flags.writeable
+        forest = (tables.below, tables.seg_start, tables.seg_class, tables.lengths, tables.small_peak)
+        assert not any(array.flags.writeable for array in (*forest, *tables.layers))
+        assert not any(array.flags.writeable for array in empirical._orbit_lists(level))
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -854,29 +877,41 @@ class TestJumpTables:
 
     @pytest.mark.parametrize("level", range(1, 7))
     def test_small_value_orbits(self, level):
+        """Each small value's segments, concatenated along its chain of
+        drops, are its orbit's classes in orbit order; its orbit length, peak
+        and layer follow, and its expanded class list is the orbit sorted."""
         tables = _jump_tables(level)
-        assert tables.tail_start.size == tables.small + 1
-        assert tables.tail_start.dtype == np.int64
-        assert tables.tail_class.dtype == np.min_scalar_type(1 - 8**level)
-        peaks, steps = tables.small_peak.tolist(), np.diff(tables.tail_start).tolist()
-        starts, tail = tables.tail_start.tolist(), tables.tail_class.tolist()
-        assert starts[0] == starts[1] == 0  # 0 starts no orbit
-        assert starts[-1] == len(tail)
-        longest = 0
-        for v in range(1, tables.small):
-            run = run_trajectory(v, level)
-            assert tail[starts[v] : starts[v + 1]] == sorted(run.visits)
-            assert (peaks[v], steps[v]) == (run.max_value, run.steps)
-            longest = max(longest, run.steps)
-        assert tables.longest == longest
+        assert tables.seg_start.size == tables.small + 1
+        assert tables.seg_start.dtype == np.int64
+        assert tables.seg_class.dtype == np.min_scalar_type(1 - 8**level)
+        below, starts, seg = tables.below.tolist(), tables.seg_start.tolist(), tables.seg_class.tolist()
+        peaks, lengths = tables.small_peak.tolist(), tables.lengths.tolist()
+        layer_of = {v: d for d, layer in enumerate(tables.layers) for v in layer.tolist()}
+        assert len(layer_of) == sum(layer.size for layer in tables.layers)  # no value in two layers
+        tail_start, tail_class = empirical._orbit_lists(level)
+        assert tail_class.dtype == tables.seg_class.dtype
+        tail_start, tail = tail_start.tolist(), tail_class.tolist()
+        assert starts[:2] == tail_start[:2] == [0, 0] and below[0] == 0  # 0 starts no orbit
+        assert starts[-1] == len(seg) and tail_start[-1] == len(tail)
+        for v, run in enumerate(small_value_runs(level), start=1):
+            visits, segments, u = [], 0, v
+            while u:
+                assert below[u] < u and (starts[u] < starts[u + 1]) == (below[u] > 0)
+                visits += seg[starts[u] : starts[u + 1]]
+                segments, u = segments + (below[u] > 0), below[u]
+            assert visits == list(run.visits)
+            assert (peaks[v], lengths[v]) == (run.max_value, run.steps)
+            assert layer_of.get(v) == (segments - 1 if segments else None)
+            assert tail[tail_start[v] : tail_start[v + 1]] == sorted(run.visits)
+        assert tables.longest == max(run.steps for run in small_value_runs(level))
 
     @pytest.mark.parametrize("level, bound", [(1, 6), (2, 4), (3, 3), (4, 2), (5, 1), (6, 5)])
     def test_build_memory_stays_near_the_tables(self, level, bound):
         """The uncached build reads mult and add off one jump over 2 * 8^k
-        values, writes each class column into its int32 table and drops its
-        first-descent arrays once used.  It traces 4.3, 2.7, 2.1, 1.5, 0.4
-        and 3.1 MiB at levels 1-6 (7.4 MiB at level 6 with 8^6-entry jump
-        tables)."""
+        values, writes each class column into its int32 table and keeps the
+        first-descent segments, with no per-value class counts.  It traces
+        3.0, 1.8, 1.6, 1.5, 0.4 and 3.1 MiB at levels 1-6 (7.4 MiB at level 6
+        with 8^6-entry jump tables)."""
         tracemalloc.start()
         try:
             _jump_tables.__wrapped__(level)
