@@ -138,15 +138,18 @@ def build_matrix(level: int) -> TransitionMatrix:
     return matrix
 
 
-def check_stochasticity(matrix: TransitionMatrix) -> bool:
+def check_stochasticity(matrix: TransitionMatrix, targets: np.ndarray | None = None) -> bool:
     """Independent check that the matrix is the class chain, image for image.
 
     Every row is 8 image columns in range (checked on construction), so it
     sums to 1.  Entry (i, h) must equal preimage_targets at i + 8^m*h, read
     in place as an (8^m, 8) view: the class that B(i + 8^m*h, 8^(m+1)) maps
-    into, found there by solving congruences instead.
+    into, found there by solving congruences instead.  targets is that map
+    when the caller has built it already.
     """
-    return np.array_equal(matrix.images, preimage_targets(matrix.level).reshape(8, -1).T)
+    if targets is None:
+        targets = preimage_targets(matrix.level)
+    return np.array_equal(matrix.images, targets.reshape(8, -1).T)
 
 
 def left_multiply(weights, matrix: TransitionMatrix) -> list[Fraction]:

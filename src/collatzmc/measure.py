@@ -99,13 +99,19 @@ def weigh_fibres(targets: np.ndarray) -> InvarianceReport:
     return InvarianceReport(2 * even + odd, np.tile((16, 8), size // 2))
 
 
-def check_invariance(level: int) -> InvarianceReport:
-    """Compare measure(preimage(B(j,8^m))) with measure(B(j,8^m)) for every j.
-
-    Exact integer equality per class, weigh_fibres on preimage_targets; a
-    preimage map past the cell cap is refused before it is built.
-    """
+def preimage_map(level: int) -> np.ndarray:
+    """preimage_targets(level), refused past the cell cap before it is built."""
     if level < 1:
         raise ValueError(f"level must be >= 1, got {level}")
     refuse_cells(level + 1, f"level {level} preimage map")
-    return weigh_fibres(preimage_targets(level))
+    return preimage_targets(level)
+
+
+def check_invariance(level: int, targets: np.ndarray | None = None) -> InvarianceReport:
+    """Compare measure(preimage(B(j,8^m))) with measure(B(j,8^m)) for every j.
+
+    Exact integer equality per class, weigh_fibres on the level's preimage
+    map: targets when the caller has built it (verify builds it once for this
+    check and the stochasticity check), else preimage_map(level).
+    """
+    return weigh_fibres(preimage_map(level) if targets is None else targets)

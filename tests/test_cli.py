@@ -653,6 +653,24 @@ class TestVerify:
         assert len(lines) == 5 and all(line.startswith("PASS ") for line in lines)
         assert lines[-1] == "PASS ergodicity m=4 (all entries positive at exponent 8)"
 
+    @pytest.mark.parametrize(
+        "argv, builds",
+        [("--all", 1), ("--measure --stochasticity", 1), ("--measure", 1), ("--stochasticity", 1), ("--stationarity", 0)],
+    )
+    def test_preimage_map_is_built_once(self, monkeypatch, argv, builds):
+        # the measure and stochasticity checks share one preimage map; the
+        # Chapman-Kolmogorov check builds its own, at levels 1-3 only
+        built = []
+
+        def build(level):
+            built.append(level)
+            return preimage_targets(level)
+
+        monkeypatch.setattr(measure, "preimage_targets", build)
+        monkeypatch.setattr(markov, "preimage_targets", build)
+        code, _ = run_cli("verify", *argv.split(), "--m", "4")
+        assert code == 0 and built.count(4) == builds
+
     def test_stochasticity_can_fail(self, corrupt_chain):
         code, text = run_cli("verify", "--stochasticity", "--m", "2")
         assert code == 1 and text == f"{STOCHASTICITY_FAIL}\n"
