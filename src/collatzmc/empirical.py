@@ -402,16 +402,16 @@ def _jump_tables(level: int) -> _JumpTables:
     # the steps, peak and segment count of twice as many links of its chain
     # of drops, and target is the first link it does not hold yet.  0 has no
     # segment and ends every chain.
-    depth = (lengths > 0).astype(np.int64)
+    depth = np.minimum(lengths, 1)  # the value's own segment, if it has one
     target = below
     while target.any():
         lengths += lengths[target]
         depth += depth[target]
         np.maximum(peaks, peaks[target], out=peaks)
         target = target[target]
-    # The values by segment count, ascending within each layer; depth 0, the
-    # values without a segment, is no layer.
-    layers = np.split(np.argsort(depth, kind="stable"), np.cumsum(np.bincount(depth))[:-1])[1:]
+    # The values by segment count; depth 0, the values without a segment, is
+    # no layer.
+    layers = [np.flatnonzero(depth == d) for d in range(1, int(depth.max()) + 1)]
     tables = _JumpTables(
         k,
         small,
