@@ -586,10 +586,16 @@ def _run_batch(
     if keys is not None:
         tail_start, tail_class = _orbit_lists(config.level)
         ended = np.flatnonzero(finished_from)
+        ended = ended[tables.lengths[finished_from[ended]] > 0]  # an orbit ended at 1, 2 or 4 has no tail
         first = tail_start[finished_from[ended]]
         lengths = tables.lengths[finished_from[ended]]
-        at = np.repeat(first - np.cumsum(lengths) + lengths, lengths)
-        at += np.arange(at.size)
+        # The gather index runs through each orbit's slice in steps of one:
+        # one array of steps, with a jump to each slice's start, summed in
+        # place, so no second array of its length is made.
+        at = np.ones(int(lengths.sum()), dtype=np.int64)
+        at[np.cumsum(lengths[:-1])] = first[1:] - first[:-1] - lengths[:-1] + 1
+        at[:1] = first[:1]
+        np.cumsum(at, out=at)
         owners = np.repeat((ended * mod).astype(np.int32), lengths)
         np.add(owners, tail_class[at], out=keys.extend(at.size))
     for traj_id, value, taken in exact_continuations:
