@@ -380,7 +380,7 @@ def _jump_tables(level: int) -> _JumpTables:
     below = np.zeros_like(peaks)  # the value a segment drops to; 0 for no segment
     lengths = np.zeros_like(peaks)  # the segment's triple steps, then the orbit's
     live = x = top = peaks[(peaks > 4) | (peaks == 3)]
-    # signed, so that int32 keys plus a class stay int32
+    # signed, so that _run_batch's int32 keys plus a class stay int32
     seg_type = np.min_scalar_type(1 - mod)
     steps = []
     while live.size:
@@ -433,38 +433,43 @@ def _jump_tables(level: int) -> _JumpTables:
     return tables
 
 
+def _ranges(first: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """The int64 gather index of the ranges [first[i], first[i] + lengths[i]),
+    one range after another; every length is at least 1.  It is one array of
+    steps of one, with a jump to each range's start, summed in place, so no
+    second array of its length is made."""
+    index = np.ones(int(lengths.sum()), dtype=np.int64)
+    index[np.cumsum(lengths[:-1])] = first[1:] - first[:-1] - lengths[:-1] + 1
+    index[:1] = first[:1]
+    return np.cumsum(index, out=index)
+
+
 @lru_cache(maxsize=None)
 def _orbit_lists(level: int) -> tuple[np.ndarray, np.ndarray]:
     """The tabulated orbits expanded for per-trajectory keys: (tail_start,
     tail_class), where tail_class[tail_start[v] : tail_start[v+1]] lists the
-    classes of v's whole orbit, ascending, in the type of seg_class.  Both
-    arrays are read-only.
+    classes of v's whole orbit, in orbit order, in the type of seg_class.
+    Both arrays are read-only.
 
-    A value's list is the segments of its chain of drops, walked one link
-    for every value at a time; one sort of the int32 keys v * 8^m + class
-    then orders them by value and class.  Built once per process, and before
+    A value's list is the segments of its chain of drops.  Each round copies
+    one link's segment per value into the value's next slots, from at on,
+    then drops the links with no segment.  Built once per process, and before
     the fork in a forked per-trajectory sweep, so no batch walks the forest.
     """
     tables = _jump_tables(level)
-    mod = 8**level
     seg_start, seg_class = tables.seg_start, tables.seg_class
     tail_start = np.r_[0, np.cumsum(tables.lengths)]
-    keys = np.empty(tail_start[-1], dtype=np.int32)  # v * 8^m + class < 2^21 at every level
-    owners = link = np.arange(tables.small)
-    at = 0
+    tail_class = np.empty(tail_start[-1], dtype=seg_class.dtype)
+    link = np.flatnonzero(tables.below)
+    at = tail_start[link]
     while link.size:
         first = seg_start[link]
         counts = seg_start[link + 1] - first
-        size = int(counts.sum())
-        entries = np.repeat(first - np.cumsum(counts) + counts, counts)
-        entries += np.arange(size)
-        np.add(np.repeat((owners * mod).astype(np.int32), counts), seg_class[entries], out=keys[at : at + size])
-        at += size
+        tail_class[_ranges(at, counts)] = seg_class[_ranges(first, counts)]
+        at += counts
         link = tables.below[link]
-        going = link > 0
-        owners, link = owners[going], link[going]
-    keys.sort()
-    tail_class = (keys & (mod - 1)).astype(seg_class.dtype)
+        going = tables.below[link] > 0
+        link, at = link[going], at[going]
     for array in (tail_start, tail_class):
         array.setflags(write=False)
     return tail_start, tail_class
@@ -589,13 +594,7 @@ def _run_batch(
         ended = ended[tables.lengths[finished_from[ended]] > 0]  # an orbit ended at 1, 2 or 4 has no tail
         first = tail_start[finished_from[ended]]
         lengths = tables.lengths[finished_from[ended]]
-        # The gather index runs through each orbit's slice in steps of one:
-        # one array of steps, with a jump to each slice's start, summed in
-        # place, so no second array of its length is made.
-        at = np.ones(int(lengths.sum()), dtype=np.int64)
-        at[np.cumsum(lengths[:-1])] = first[1:] - first[:-1] - lengths[:-1] + 1
-        at[:1] = first[:1]
-        np.cumsum(at, out=at)
+        at = _ranges(first, lengths)
         owners = np.repeat((ended * mod).astype(np.int32), lengths)
         np.add(owners, tail_class[at], out=keys.extend(at.size))
     for traj_id, value, taken in exact_continuations:

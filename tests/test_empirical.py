@@ -731,12 +731,13 @@ def small_value_runs(level):
 
 
 @functools.lru_cache(maxsize=None)
-def small_value_class_counts(level):
-    """Per small value, its orbit's visits per class, from run_trajectory."""
-    counts = np.zeros((_jump_tables(level).small, 8**level), dtype=np.int64)
-    for v, run in enumerate(small_value_runs(level), start=1):
-        counts[v] = np.bincount(run.visits, minlength=8**level)
-    return counts
+def small_value_visits(level):
+    """The run_trajectory visits of the small values 1 .. small-1, one orbit
+    after another, and each orbit's visit count: sparse, so the oracle grows
+    with the orbits, not with small * 8^m."""
+    runs = small_value_runs(level)
+    visits = np.fromiter((c for run in runs for c in run.visits), dtype=np.int64)
+    return visits, np.array([len(run.visits) for run in runs])
 
 
 @settings(max_examples=40, deadline=None)
@@ -757,7 +758,9 @@ def test_fold_matches_the_orbits(level, seed, zeros):
     rng = np.random.default_rng(seed)
     for counts in (tally.finished, tally.residues, tally.classes):
         counts[:] = rng.integers(0, 2**20, counts.size, endpoint=True) * (rng.random(counts.size) >= zeros)
-    expected = tally.classes + tally.finished @ small_value_class_counts(level)
+    expected = tally.classes.copy()
+    visits, sizes = small_value_visits(level)
+    np.add.at(expected, visits, np.repeat(tally.finished[1:], sizes))
     by_residue = np.bincount(tables.classes.ravel(), np.repeat(tally.residues, tables.k), 8**level)
     expected += by_residue.astype(np.int64)  # below 2^53, so exact
     folded = tally.fold()
@@ -796,6 +799,19 @@ def test_forked_per_trajectory_sweep_expands_the_orbits_first(monkeypatch):
     assert empirical._orbit_lists.cache_info().currsize == 1
     assert stats_identical(plain, reference_sweep(3000, level=2))
     assert stats_identical(stats, sweep(dataclasses.replace(config, workers=1)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 200), st.integers(1, 30)), max_size=40))
+@example([])
+@example([(7, 1)])
+@example([(9, 3), (2, 4), (3, 2), (3, 5)])  # starts that decrease and ranges that overlap
+def test_ranges_is_the_concatenated_ranges(ranges):
+    first = np.array([f for f, _ in ranges], dtype=np.int64)
+    lengths = np.array([n for _, n in ranges], dtype=np.int64)
+    expected = np.concatenate([np.arange(f, f + n) for f, n in ranges] + [np.arange(0)])
+    index = empirical._ranges(first, lengths)
+    assert index.dtype == np.int64 and index.tolist() == expected.tolist()
 
 
 def collatz_path(n, triple_steps):
@@ -879,7 +895,8 @@ class TestJumpTables:
     def test_small_value_orbits(self, level):
         """Each small value's segments, concatenated along its chain of
         drops, are its orbit's classes in orbit order; its orbit length, peak
-        and layer follow, and its expanded class list is the orbit sorted."""
+        and layer follow, and its expanded class list is the orbit, in orbit
+        order."""
         tables = _jump_tables(level)
         assert tables.seg_start.size == tables.small + 1
         assert tables.seg_start.dtype == np.int64
@@ -902,7 +919,7 @@ class TestJumpTables:
             assert visits == list(run.visits)
             assert (peaks[v], lengths[v]) == (run.max_value, run.steps)
             assert layer_of.get(v) == (segments - 1 if segments else None)
-            assert tail[tail_start[v] : tail_start[v + 1]] == sorted(run.visits)
+            assert tail[tail_start[v] : tail_start[v + 1]] == list(run.visits)
         assert tables.longest == max(run.steps for run in small_value_runs(level))
 
     @pytest.mark.parametrize("level, bound", [(1, 6), (2, 4), (3, 3), (4, 2), (5, 1), (6, 5)])
@@ -919,6 +936,20 @@ class TestJumpTables:
         finally:
             tracemalloc.stop()
         assert peak < bound * 2**20
+
+    def test_orbit_list_memory_stays_near_the_lists(self):
+        """The uncached level-1 expansion of the 620,235 orbit entries traces
+        under 3 MiB (2.1 MiB) to keep 0.75 MiB: it writes each link's segment
+        straight into the int8 lists, with no int32 key per entry and no sort
+        (5.5 MiB with them)."""
+        _jump_tables(1)
+        tracemalloc.start()
+        try:
+            empirical._orbit_lists.__wrapped__(1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * 2**20
 
     @pytest.mark.parametrize("level", range(1, 7))
     def test_int32_jump_tables_are_exact(self, level):
