@@ -72,13 +72,14 @@ MAX_SWEEP_LEVEL = 6
 #: "max <period>" when unlimited.
 CPU_MAX_PATH = "/sys/fs/cgroup/cpu.max"
 
-_M8 = np.array(MULTIPLIERS, dtype=np.int64)
-_R8 = np.array(OFFSETS, dtype=np.int64)
-# Largest Collatz value of a triple step from n before its last, n included:
-# 3n+1 at odd residues, (3n+2)/2 at residues 2 and 6, n itself at 0 and 4.
-_PEAK_MULT = np.array((1, 3, 3, 3, 1, 3, 3, 3), dtype=np.int64)
-_PEAK_ADD = np.array((0, 1, 2, 1, 0, 1, 2, 1), dtype=np.int64)
-_PEAK_SHIFT = np.array((0, 0, 1, 0, 0, 0, 1, 0), dtype=np.int64)
+# Rows indexed by n mod 8: T3(n) = (M*n + R) >> 3 from the first two, and
+# from the last three the largest Collatz value of a triple step from n
+# before its last, n included: 3n+1 at odd residues, (3n+2)/2 at residues 2
+# and 6, n itself at 0 and 4.
+_BRANCH = np.array(
+    (MULTIPLIERS, OFFSETS, (1, 3, 3, 3, 1, 3, 3, 3), (0, 1, 2, 1, 0, 1, 2, 1), (0, 0, 1, 0, 0, 0, 1, 0)),
+    dtype=np.int64,
+)
 
 
 @dataclass(frozen=True)
@@ -217,8 +218,10 @@ class _JumpTables:
     8^m - 1: int8 at levels 1-2 (50,427 entries at level 1), int16 at 3-5 and
     int32 at 6.  lengths[v] and small_peak[v] are the triple steps and the
     max excursion of v's whole orbit; longest is the most steps of any.
-    layers[d] lists, ascending, the values whose orbit is d + 1 segments
-    long: 26 layers at level 1, 13 at level 3.
+    below, seg_start, lengths and small_peak are int32 (small_peak reaches
+    27,114,424 at level 1).  layers[d] lists, ascending and in int32, the
+    values whose orbit is d + 1 segments long: 26 layers at level 1, 13 at
+    level 3.
     """
 
     k: int
@@ -321,13 +324,16 @@ class _VisitKeys:
 
 
 def _jump(x: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """The int64 values k triple steps on from x, and per value the largest
-    Collatz value met on the way, x itself included."""
+    """The values k triple steps on from x, and per value the largest
+    Collatz value met on the way, x itself included, in the caller's dtype:
+    int64 in the kernel, int32 in the table build, where 36 times a value
+    stays below 2^31.  The branch index is intp, so no gather casts it."""
+    mult, add, peak_mult, peak_add, peak_shift = _BRANCH.astype(x.dtype, copy=False)
     top = x
     for _ in range(k):
-        sigma = x & 7
-        top = np.maximum(top, (_PEAK_MULT[sigma] * x + _PEAK_ADD[sigma]) >> _PEAK_SHIFT[sigma])
-        x = (_M8[sigma] * x + _R8[sigma]) >> 3
+        sigma = np.bitwise_and(x, 7, dtype=np.intp)
+        top = np.maximum(top, (peak_mult[sigma] * x + peak_add[sigma]) >> peak_shift[sigma])
+        x = (mult[sigma] * x + add[sigma]) >> 3
     return x, np.maximum(top, x)
 
 
@@ -348,11 +354,12 @@ def _jump_tables(level: int) -> _JumpTables:
     # Each triple step is affine on a class mod 8, so T3^k is affine on a
     # class mod 8^k (Terras): for n = q * 8^k + s, T3^k(n) = mult[s] * q +
     # T3^k(s).  One jump over 0 .. 2 * 8^k - 1 reads off add[s] = T3^k(s) and
-    # mult[s] = T3^k(s + 8^k) - T3^k(s).  Both are below 36^5 at k <= 5, and
-    # int32 tables halve the bytes the kernel's two gathers move.
-    n = np.arange(2 * 8**k, dtype=np.int64)
+    # mult[s] = T3^k(s + 8^k) - T3^k(s).  It steps in int32, which also
+    # halves the bytes the kernel's two gathers move: no Collatz value met
+    # from below 2 * 8^5 passes 3,359,230.
+    n = np.arange(2 * 8**k, dtype=np.int32)
     ends, tops = _jump(n, k)
-    add, mult = np.split(ends.astype(np.int32), 2)
+    add, mult = np.split(ends, 2)
     mult -= add
     # Each Collatz value in a jump is (3^u*n + c)/2^e with c >= 0 on one class
     # mod 8^k, so its ratio to n is largest at the class's least n >= small;
@@ -364,7 +371,7 @@ def _jump_tables(level: int) -> _JumpTables:
     # residue itself gives them.  The classes are below 8^6 and go straight
     # into their int32 column, so a batch's visit keys id * 8^m + class stay
     # int32 from the gather to the key buffer.
-    x = np.arange(8 ** (k + level - 1), dtype=np.int64)
+    x = np.arange(8 ** (k + level - 1), dtype=np.int32)
     columns = np.empty((x.size, k), dtype=np.int32)
     for step in range(k):
         x = _jump(x, 1)[0] if step else x
@@ -375,8 +382,10 @@ def _jump_tables(level: int) -> _JumpTables:
     # followed by the orbit of the value it dropped to, so the steps taken
     # are the segments' few per value, not the orbits' dozens.  x and top
     # hold the live segments' current values and peaks; each step's live
-    # values and classes are kept to fill the segment lists.
-    peaks = np.arange(small, dtype=np.int64)
+    # values and classes are kept to fill the segment lists.  The forest is
+    # int32: no orbit from below 20480 passes 27,114,424, and none is longer
+    # than 92 triple steps.
+    peaks = np.arange(small, dtype=np.int32)
     below = np.zeros_like(peaks)  # the value a segment drops to; 0 for no segment
     lengths = np.zeros_like(peaks)  # the segment's triple steps, then the orbit's
     live = x = top = peaks[(peaks > 4) | (peaks == 3)]
@@ -393,7 +402,8 @@ def _jump_tables(level: int) -> _JumpTables:
             peaks[done], below[done], lengths[done] = top[ended], x[ended], len(steps)
             kept = ~ended
             live, x, top = live[kept], x[kept], top[kept]
-    seg_start = np.r_[0, np.cumsum(lengths)]
+    seg_start = np.zeros(small + 1, dtype=np.int32)
+    np.cumsum(lengths, out=seg_start[1:])
     seg_class = np.empty(seg_start[-1], dtype=seg_type)
     for step, (owners, step_classes) in enumerate(steps):
         seg_class[seg_start[owners] + step] = step_classes
@@ -411,7 +421,7 @@ def _jump_tables(level: int) -> _JumpTables:
         target = target[target]
     # The values by segment count; depth 0, the values without a segment, is
     # no layer.
-    layers = [np.flatnonzero(depth == d) for d in range(1, int(depth.max()) + 1)]
+    layers = [np.flatnonzero(depth == d).astype(np.int32) for d in range(1, int(depth.max()) + 1)]
     tables = _JumpTables(
         k,
         small,

@@ -899,7 +899,8 @@ class TestJumpTables:
         order."""
         tables = _jump_tables(level)
         assert tables.seg_start.size == tables.small + 1
-        assert tables.seg_start.dtype == np.int64
+        forest = (tables.below, tables.seg_start, tables.lengths, tables.small_peak, *tables.layers)
+        assert all(array.dtype == np.int32 for array in forest)
         assert tables.seg_class.dtype == np.min_scalar_type(1 - 8**level)
         below, starts, seg = tables.below.tolist(), tables.seg_start.tolist(), tables.seg_class.tolist()
         peaks, lengths = tables.small_peak.tolist(), tables.lengths.tolist()
@@ -922,13 +923,14 @@ class TestJumpTables:
             assert tail[tail_start[v] : tail_start[v + 1]] == list(run.visits)
         assert tables.longest == max(run.steps for run in small_value_runs(level))
 
-    @pytest.mark.parametrize("level, bound", [(1, 6), (2, 4), (3, 3), (4, 2), (5, 1), (6, 5)])
+    @pytest.mark.parametrize("level, bound", [(1, 2.5), (2, 4), (3, 3), (4, 2), (5, 1), (6, 2.5)])
     def test_build_memory_stays_near_the_tables(self, level, bound):
-        """The uncached build reads mult and add off one jump over 2 * 8^k
-        values, writes each class column into its int32 table and keeps the
-        first-descent segments, with no per-value class counts.  It traces
-        3.0, 1.8, 1.6, 1.5, 0.4 and 3.1 MiB at levels 1-6 (7.4 MiB at level 6
-        with 8^6-entry jump tables)."""
+        """The uncached build reads mult and add off one int32 jump over
+        2 * 8^k values, writes each class column into its int32 table and
+        keeps the int32 first-descent forest, with no per-value class counts.
+        It traces 1.8, 1.4, 1.3, 1.1, 0.3 and 2.0 MiB at levels 1-6 (3.0,
+        1.8, 1.6, 1.5, 0.4 and 3.1 MiB stepping in int64, and 7.4 MiB at
+        level 6 with 8^6-entry jump tables)."""
         tracemalloc.start()
         try:
             _jump_tables.__wrapped__(level)
@@ -950,6 +952,29 @@ class TestJumpTables:
         finally:
             tracemalloc.stop()
         assert peak < 3 * 2**20
+
+    @pytest.mark.parametrize("level", range(1, 7))
+    def test_int32_build_is_exact(self, level):
+        """The build steps in int32 over 0 .. 2 * 8^k - 1 and over the class
+        residues 0 .. 8^(k+m-1) - 1, with the values and peaks of int64.  Its
+        widest values are pinned: a larger small-value bound or a longer jump
+        changes them here, and 36 times each must stay below 2^31."""
+        tables = _jump_tables(level)
+        for size in (2 * 8**tables.k, 8 ** (tables.k + level - 1)):
+            x = np.arange(size, dtype=np.int32)
+            narrow, wide = _jump(x, tables.k), _jump(x.astype(np.int64), tables.k)
+            assert all(a.dtype == np.int32 and np.array_equal(a, b) for a, b in zip(narrow, wide))
+        jump_peak = int(_jump(np.arange(2 * 8**tables.k, dtype=np.int32), tables.k)[1].max())
+        widest = (jump_peak, int(tables.small_peak.max()), tables.longest, int(tables.seg_start[-1]))
+        assert widest == {
+            1: (3_359_230, 27_114_424, 92, 50_427),
+            2: (186_622, 1_276_936, 69, 6_491),
+            3: (15_550, 13_120, 43, 993),
+            4: (862, 9_232, 37, 119),
+            5: (70, 16, 2, 2),
+            6: (70, 16, 2, 2),
+        }[level]
+        assert 36 * max(widest) < 2**31
 
     @pytest.mark.parametrize("level", range(1, 7))
     def test_int32_jump_tables_are_exact(self, level):
