@@ -63,7 +63,8 @@ ROW_BLOCK = 1 << 12
 VISIT_KEYS_RESERVE = 1 << 22
 
 #: Most visit keys (int32, 256 MiB) a per-trajectory batch may write, about
-#: 200 times the 337,389 of a level-3 batch at 2*10^5; past it, CapacityError.
+#: 200 times the 341,172 of the largest level-3 batch at 2*10^5; past it,
+#: CapacityError.
 VISIT_KEYS_BUDGET = 1 << 26
 
 MAX_SWEEP_LEVEL = 6
