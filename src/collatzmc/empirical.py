@@ -220,9 +220,7 @@ class _JumpTables:
     int32 at 6.  lengths[v] and small_peak[v] are the triple steps and the
     max excursion of v's whole orbit; longest is the most steps of any.
     below, seg_start, lengths and small_peak are int32 (small_peak reaches
-    27,114,424 at level 1).  layers[d] lists, ascending and in int32, the
-    values whose orbit is d + 1 segments long: 26 layers at level 1, 13 at
-    level 3.
+    27,114,424 at level 1).
     """
 
     k: int
@@ -236,7 +234,6 @@ class _JumpTables:
     seg_class: np.ndarray
     lengths: np.ndarray
     small_peak: np.ndarray
-    layers: tuple[np.ndarray, ...]
     longest: int
 
     @property
@@ -278,14 +275,19 @@ class _ShardTally:
 
         An orbit finished from v runs through the segments of v, below[v],
         and so on, so each segment is visited once per count in v's subtree
-        of the first-descent forest.  From the deepest layer up, each value's
-        count is added into its below, which turns the finished counts, in
-        place, into subtree weights; one np.add.at over the segment entries
-        then adds each weight over its segment's classes."""
+        of the first-descent forest.  The build's pointer doubling over below
+        turns the finished counts, in place, into subtree weights: each round
+        adds every value's weight into its target, so after round j a value
+        holds the counts of the values at most 2^(j+1) - 1 drops before it
+        (5 rounds at level 1).  0 and {1, 2, 4} have no segment, so the
+        weight they collect reaches no class.  One np.add.at over the segment
+        entries then adds each weight over its segment's classes."""
         tables = self._tables
         weights = self.finished
-        for layer in reversed(tables.layers):
-            np.add.at(weights, tables.below[layer], weights[layer])
+        target = tables.below
+        while target.any():
+            np.add.at(weights, target, weights.copy())
+            target = target[target]
         np.add.at(self.classes, tables.seg_class, np.repeat(weights, np.diff(tables.seg_start)))
         for column in tables.classes.T:
             np.add.at(self.classes, column, self.residues)
@@ -410,19 +412,14 @@ def _jump_tables(level: int) -> _JumpTables:
         seg_class[seg_start[owners] + step] = step_classes
     del steps
     # Pointer doubling completes the orbits: after each round a value holds
-    # the steps, peak and segment count of twice as many links of its chain
-    # of drops, and target is the first link it does not hold yet.  0 has no
-    # segment and ends every chain.
-    depth = np.minimum(lengths, 1)  # the value's own segment, if it has one
+    # the steps and peak of twice as many links of its chain of drops, and
+    # target is the first link it does not hold yet.  0 has no segment and
+    # ends every chain.  The fold runs the same rounds.
     target = below
     while target.any():
         lengths += lengths[target]
-        depth += depth[target]
         np.maximum(peaks, peaks[target], out=peaks)
         target = target[target]
-    # The values by segment count; depth 0, the values without a segment, is
-    # no layer.
-    layers = [np.flatnonzero(depth == d).astype(np.int32) for d in range(1, int(depth.max()) + 1)]
     tables = _JumpTables(
         k,
         small,
@@ -435,12 +432,11 @@ def _jump_tables(level: int) -> _JumpTables:
         seg_class,
         lengths,
         peaks,
-        tuple(layers),
         int(lengths.max()),
     )
-    arrays = [array for array in vars(tables).values() if isinstance(array, np.ndarray)]
-    for array in arrays + layers:
-        array.setflags(write=False)
+    for array in vars(tables).values():
+        if isinstance(array, np.ndarray):
+            array.setflags(write=False)
     return tables
 
 
@@ -469,7 +465,8 @@ def _orbit_lists(level: int) -> tuple[np.ndarray, np.ndarray]:
     """
     tables = _jump_tables(level)
     seg_start, seg_class = tables.seg_start, tables.seg_class
-    tail_start = np.r_[0, np.cumsum(tables.lengths)]
+    tail_start = np.zeros(tables.small + 1, dtype=np.int32)  # like seg_start; 620,235 entries at level 1
+    np.cumsum(tables.lengths, out=tail_start[1:])
     tail_class = np.empty(tail_start[-1], dtype=seg_class.dtype)
     link = np.flatnonzero(tables.below)
     at = tail_start[link]
@@ -692,7 +689,8 @@ def _sweep_shard(config: SweepConfig, lo: int, hi: int) -> TrajectoryStats:
             starts = np.arange(first, last + 1, dtype=np.int64)
             starts = starts[~np.isin(starts, tuple(CYCLE))]
             np.subtract.at(tally.classes, starts & (mod - 1), 1)
-            start_keys = ((starts - first) * mod + (starts & (mod - 1))).astype(np.int32)
+            if keys is not None:
+                start_keys = ((starts - first) * mod + (starts & (mod - 1))).astype(np.int32)
         if keys is not None:
             counted += _add_orbit_shares(sums, keys.take(), last - first + 1, start_keys)
     return TrajectoryStats(config.level, tally.fold(), max_value, hi - lo + 1, sums, counted)

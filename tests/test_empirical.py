@@ -740,24 +740,47 @@ def small_value_visits(level):
     return visits, np.array([len(run.visits) for run in runs])
 
 
+@functools.lru_cache(maxsize=None)
+def deepest_small_value(level):
+    """The most segments on any small value's chain of drops, and the
+    smallest value with that many."""
+    below = _jump_tables(level).below.tolist()
+    segments = [0] * len(below)
+    for v, u in enumerate(below):  # below[v] < v, so its count is known
+        segments[v] = segments[u] + 1 if u else 0
+    return max(segments), segments.index(max(segments))
+
+
 @settings(max_examples=40, deadline=None)
-@given(level=st.integers(1, 6), seed=st.integers(0, 2**32 - 1), zeros=st.sampled_from([0.0, 0.5, 0.99]))
-@example(level=1, seed=0, zeros=0.0)
-@example(level=2, seed=1, zeros=0.5)
-@example(level=3, seed=2, zeros=0.99)
-@example(level=4, seed=3, zeros=0.0)
-def test_fold_matches_the_orbits(level, seed, zeros):
+@given(
+    level=st.integers(1, 6),
+    seed=st.integers(0, 2**32 - 1),
+    zeros=st.sampled_from([0.0, 0.5, 0.99]),
+    deepest=st.booleans(),
+)
+@example(level=1, seed=0, zeros=0.0, deepest=False)
+@example(level=2, seed=1, zeros=0.5, deepest=False)
+@example(level=3, seed=2, zeros=0.99, deepest=False)
+@example(level=4, seed=3, zeros=0.0, deepest=False)
+@example(level=1, seed=0, zeros=0.0, deepest=True)
+def test_fold_matches_the_orbits(level, seed, zeros, deepest):
     """The fold by subtree weight gives, exactly, each finished count times
     its value's orbit visits per class (from run_trajectory), plus each
     residue count over the k classes its jump lists, plus the per-class
-    counts, for random counts with some share of them zero.  Folding the
-    layers shallowest first would lose the weights of every chain of three
-    or more segments."""
+    counts, for random counts with some share of them zero.  With deepest,
+    the one nonzero count is at the value with the most segments: 26 at
+    level 1, whose weight reaches its last segment only in the fifth
+    doubling round."""
     tally = empirical._ShardTally(level)
     tables = tally._tables
-    rng = np.random.default_rng(seed)
-    for counts in (tally.finished, tally.residues, tally.classes):
-        counts[:] = rng.integers(0, 2**20, counts.size, endpoint=True) * (rng.random(counts.size) >= zeros)
+    if deepest:
+        segments, value = deepest_small_value(level)
+        assert level > 1 or segments == 26
+        tally.finished[value] = 1
+    else:
+        rng = np.random.default_rng(seed)
+        for counts in (tally.finished, tally.residues, tally.classes):
+            counts[:] = rng.integers(0, 2**20, counts.size, endpoint=True) * (rng.random(counts.size) >= zeros)
     expected = tally.classes.copy()
     visits, sizes = small_value_visits(level)
     np.add.at(expected, visits, np.repeat(tally.finished[1:], sizes))
@@ -835,7 +858,7 @@ class TestJumpTables:
         assert tables.growth <= tables.small  # a pass's top slice is never empty
         assert not tables.mult.flags.writeable
         forest = (tables.below, tables.seg_start, tables.seg_class, tables.lengths, tables.small_peak)
-        assert not any(array.flags.writeable for array in (*forest, *tables.layers))
+        assert not any(array.flags.writeable for array in forest)
         assert not any(array.flags.writeable for array in empirical._orbit_lists(level))
 
     @settings(max_examples=300, deadline=None)
@@ -894,32 +917,28 @@ class TestJumpTables:
     @pytest.mark.parametrize("level", range(1, 7))
     def test_small_value_orbits(self, level):
         """Each small value's segments, concatenated along its chain of
-        drops, are its orbit's classes in orbit order; its orbit length, peak
-        and layer follow, and its expanded class list is the orbit, in orbit
+        drops, are its orbit's classes in orbit order; its orbit length and
+        peak follow, and its expanded class list is the orbit, in orbit
         order."""
         tables = _jump_tables(level)
         assert tables.seg_start.size == tables.small + 1
-        forest = (tables.below, tables.seg_start, tables.lengths, tables.small_peak, *tables.layers)
+        tail_start, tail_class = empirical._orbit_lists(level)
+        forest = (tables.below, tables.seg_start, tables.lengths, tables.small_peak, tail_start)
         assert all(array.dtype == np.int32 for array in forest)
-        assert tables.seg_class.dtype == np.min_scalar_type(1 - 8**level)
+        assert tables.seg_class.dtype == tail_class.dtype == np.min_scalar_type(1 - 8**level)
         below, starts, seg = tables.below.tolist(), tables.seg_start.tolist(), tables.seg_class.tolist()
         peaks, lengths = tables.small_peak.tolist(), tables.lengths.tolist()
-        layer_of = {v: d for d, layer in enumerate(tables.layers) for v in layer.tolist()}
-        assert len(layer_of) == sum(layer.size for layer in tables.layers)  # no value in two layers
-        tail_start, tail_class = empirical._orbit_lists(level)
-        assert tail_class.dtype == tables.seg_class.dtype
         tail_start, tail = tail_start.tolist(), tail_class.tolist()
         assert starts[:2] == tail_start[:2] == [0, 0] and below[0] == 0  # 0 starts no orbit
         assert starts[-1] == len(seg) and tail_start[-1] == len(tail)
         for v, run in enumerate(small_value_runs(level), start=1):
-            visits, segments, u = [], 0, v
+            visits, u = [], v
             while u:
                 assert below[u] < u and (starts[u] < starts[u + 1]) == (below[u] > 0)
                 visits += seg[starts[u] : starts[u + 1]]
-                segments, u = segments + (below[u] > 0), below[u]
+                u = below[u]
             assert visits == list(run.visits)
             assert (peaks[v], lengths[v]) == (run.max_value, run.steps)
-            assert layer_of.get(v) == (segments - 1 if segments else None)
             assert tail[tail_start[v] : tail_start[v + 1]] == list(run.visits)
         assert tables.longest == max(run.steps for run in small_value_runs(level))
 
